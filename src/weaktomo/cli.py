@@ -146,7 +146,10 @@ def _load_data(args, cfg):
     if args.records:
         with open(args.records) as fh:
             records = RecordStream.from_csv(fh.read())
-        n_pointers = int(records.pointer.max()) + 1 if records.n_trials else cfg.dim
+        # One pointer means a single-observable column; pointers past the
+        # table's d are left for the estimator to reject by row.
+        n_pointers = (int(np.clip(records.pointer.max() + 1, 1, cfg.dim))
+                      if records.n_trials else cfg.dim)
         from .harness import _resolve_pointer
         pcfg = _resolve_pointer(cfg, n_pointers)
         if n_pointers == 1:

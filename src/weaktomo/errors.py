@@ -71,3 +71,13 @@ class PreconditionError(WeakTomoError):
     """An operation precondition was violated by the caller."""
 
     code = "precondition"
+
+
+class InvalidRecordsError(WeakTomoError, ValueError):
+    """A record stream or records CSV holds a malformed or out-of-range row.
+
+    Also a ValueError, which is what malformed records raised before they
+    had a code of their own.
+    """
+
+    code = "invalid-records"

@@ -40,10 +40,8 @@ from .pointer import (
     ColumnEstimate,
     NoiseModel,
     PointerConfig,
-    estimate_weak_value_column,
-    estimate_weak_values,
-    sample_observable_records,
-    sample_records,
+    _sampled_column,
+    _sampled_table,
 )
 from .recon import (
     estimate_element_nonorthogonal,
@@ -315,9 +313,8 @@ def run_reconstruction(cfg: ExperimentConfig, *, table: WeakValueTable | None = 
         if table is None:
             if sampled:
                 pcfg = _resolve_pointer(cfg, cfg.dim)
-                records = sample_records(rho, basis_a, basis_b, pcfg,
-                                         cfg.shots, cfg.seed, noise)
-                table = estimate_weak_values(records, pcfg, cfg.dim)
+                table = _sampled_table(rho, basis_a, basis_b, pcfg,
+                                       cfg.shots, cfg.seed, noise)
             else:
                 table = weak_value_table(rho, basis_a, basis_b)
         elif table.dim != cfg.dim:
@@ -331,9 +328,8 @@ def run_reconstruction(cfg: ExperimentConfig, *, table: WeakValueTable | None = 
             observable = _scheme_observable(cfg)
             if sampled:
                 pcfg = _resolve_pointer(cfg, 1)
-                records = sample_observable_records(rho, observable, basis_b, pcfg,
-                                                    cfg.shots, cfg.seed, noise)
-                column = estimate_weak_value_column(records, pcfg, cfg.dim)
+                column = _sampled_column(rho, observable, basis_b, pcfg,
+                                         cfg.shots, cfg.seed, noise)
             else:
                 w, P, defined = _exact_observable_column(rho, observable, basis_b)
                 zeros = np.zeros(cfg.dim)
@@ -421,10 +417,11 @@ def run_experiment(cfg: ExperimentConfig) -> ResultBundle:
     """Run one seeded experiment end to end and score it against the truth.
 
     Exact mode evaluates the weak values in closed form; sampled mode draws
-    the configured number of shots, estimates the weak values from the
-    records, and reconstructs from the estimates.  Metrics always include
-    what the scheme makes comparable (fidelity and trace distance for state
-    schemes, element error for partial tomography).
+    the configured number of shots, reduces them to per-cell readout sums
+    as it goes, estimates the weak values from those sums, and reconstructs
+    from the estimates.  Metrics always include what the scheme makes
+    comparable (fidelity and trace distance for state schemes, element
+    error for partial tomography).
     """
     return run_reconstruction(cfg)
 
@@ -443,9 +440,8 @@ def _run_partial(cfg: ExperimentConfig, rho: DensityMatrix, noise: NoiseModel):
         if sampled:
             pcfg = _resolve_pointer(cfg, 1)
             basis = _complete_basis([b.amplitudes], cfg.dim)
-            records = sample_observable_records(rho, observable, basis, pcfg,
-                                                cfg.shots, cfg.seed, noise)
-            column = estimate_weak_value_column(records, pcfg, cfg.dim)
+            column = _sampled_column(rho, observable, basis, pcfg,
+                                     cfg.shots, cfg.seed, noise)
             if not column.defined[0]:
                 raise MissingDataError("the post-selection outcome b received no records")
             w, p_b = column.w[0], column.P[0]
@@ -463,9 +459,8 @@ def _run_partial(cfg: ExperimentConfig, rho: DensityMatrix, noise: NoiseModel):
     if sampled:
         pcfg = _resolve_pointer(cfg, 1)
         basis = _complete_basis([a.amplitudes, b.amplitudes], cfg.dim)
-        records = sample_observable_records(rho, observable, basis, pcfg,
-                                            cfg.shots, cfg.seed, noise)
-        column = estimate_weak_value_column(records, pcfg, cfg.dim)
+        column = _sampled_column(rho, observable, basis, pcfg,
+                                 cfg.shots, cfg.seed, noise)
         if not (column.defined[0] and column.defined[1]):
             raise MissingDataError("post-selection outcomes a, b received no records")
         w, w_prime = column.w[0], column.w[1]

@@ -10,6 +10,15 @@ readout means shift by
 with W the weak value for the post-selected outcome.  The exact finite-g
 evolution is available on a discretized pointer grid so the first-order model
 can be validated against it.
+
+Shot sampling is done block by block, each block from its own (seed, block)
+RNG, and the blocks feed one of two consumers.  ``sample_records`` and
+``sample_observable_records`` fill a ``RecordStream`` with one row per
+pointer readout, which is what ``weaktomo simulate --sampled`` writes.  An
+in-memory sampled run never builds those rows: it adds each block into
+per-cell count, sum and sum of squares, one cell per (outcome, pointer,
+quadrature), so its memory is O(d * n_pointers) and does not depend on the
+number of shots.  Both routes give bit-identical estimates.
 """
 
 import io
@@ -20,6 +29,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidRecordsError,
     PreconditionError,
     ResourceLimitError,
     UndefinedShiftError,
@@ -42,6 +52,7 @@ BLOCK_TRIALS = 1 << 14
 QUAD_POSITION = 0
 QUAD_MOMENTUM = 1
 _QUAD_NAMES = ("q", "p")
+_QUAD_CODES = {name: code for code, name in enumerate(_QUAD_NAMES)}
 
 
 @dataclass(frozen=True)
@@ -174,23 +185,9 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class ExperimentRecord:
-    """One pointer readout from one trial."""
-
-    trial: int
-    outcome: int
-    pointer: int
-    quadrature: str  # "q" or "p"
-    readout: float
-
-
-@dataclass(frozen=True)
 class RecordStream:
-    """Columnar batch of experiment records, ordered trial-major.
-
-    Iteration yields ExperimentRecord objects; bulk consumers should use the
-    column arrays directly.
-    """
+    """Columnar batch of experiment records, one row per pointer readout,
+    ordered trial-major."""
 
     trial: np.ndarray
     outcome: np.ndarray
@@ -221,11 +218,6 @@ class RecordStream:
     def __len__(self) -> int:
         return self.trial.size
 
-    def __iter__(self):
-        for t, j, i, c, r in zip(self.trial, self.outcome, self.pointer,
-                                 self.quadrature, self.readout):
-            yield ExperimentRecord(int(t), int(j), int(i), _QUAD_NAMES[c], float(r))
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("trial,outcome_j,pointer,quadrature,readout\n")
@@ -238,20 +230,35 @@ class RecordStream:
 
     @classmethod
     def from_csv(cls, text: str) -> "RecordStream":
+        """Parse ``to_csv`` output; blank lines are skipped.
+
+        Raises InvalidRecordsError for a foreign header, a row without five
+        fields, a quadrature other than q/p or an unparsable number.  Rows
+        are numbered from 1 after the header, as the estimators number them.
+        """
         trials, outcomes, pointers, quads, readouts = [], [], [], [], []
         lines = iter(text.splitlines())
         header = next(lines, "").strip()
         if header != "trial,outcome_j,pointer,quadrature,readout":
-            raise ValueError(f"unexpected record CSV header: {header!r}")
-        for line in lines:
-            if not line:
-                continue
-            t, j, i, c, r = line.split(",")
-            trials.append(int(t))
-            outcomes.append(int(j))
-            pointers.append(int(i))
-            quads.append(_QUAD_NAMES.index(c))
-            readouts.append(float(r))
+            raise InvalidRecordsError(f"unexpected record CSV header: {header!r}")
+        for row, line in enumerate(filter(None, lines), start=1):
+            fields = line.split(",")
+            if len(fields) != 5:
+                raise InvalidRecordsError(
+                    f"records row {row}: expected 5 fields, got {len(fields)}")
+            t, j, i, c, r = fields
+            quad = _QUAD_CODES.get(c)
+            if quad is None:
+                raise InvalidRecordsError(
+                    f"records row {row}: quadrature {c!r} is neither 'q' nor 'p'")
+            try:
+                trials.append(int(t))
+                outcomes.append(int(j))
+                pointers.append(int(i))
+                readouts.append(float(r))
+            except ValueError as exc:
+                raise InvalidRecordsError(f"records row {row}: {exc}") from None
+            quads.append(quad)
         return cls(
             trial=np.array(trials, dtype=np.int64),
             outcome=np.array(outcomes, dtype=np.int64),
@@ -422,87 +429,109 @@ def exact_joint_evolution(rho, observables, cfg: PointerConfig, grid: PointerGri
     return PointerShift(dq=dq, dp=dp, probability=prob)
 
 
-def _sample_stream(P: np.ndarray, dq: np.ndarray, dp: np.ndarray, cfg: PointerConfig,
-                   shots: int, seed: int, noise: NoiseModel | None) -> RecordStream:
+def _sample_blocks(P: np.ndarray, dq: np.ndarray, dp: np.ndarray, cfg: PointerConfig,
+                   shots: int, seed: int, noise: NoiseModel | None):
     """Draw ``shots`` trials from outcome law P with per-cell readout means.
 
     dq/dp have shape (d, n_pointers).  Even trials read positions, odd trials
-    momenta, every pointer in the same trial using the same quadrature.  The
-    stream is generated in fixed-size blocks seeded by (seed, block), so it
-    is identical no matter how many workers consume the blocks.
+    momenta, every pointer in the same trial using the same quadrature.
+    Trials come in fixed-size blocks seeded by (seed, block), so the draws
+    never depend on who consumes the blocks.  This is the only code that
+    draws from those RNGs.  Returns an iterator of (lo, outcomes, quad,
+    readout) per block: the first trial's index, then per trial its outcome,
+    its quadrature code and its (n_pointers,) readouts.  shots < 1 raises
+    before any block is drawn.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     noise = noise or NoiseModel()
-    n = cfg.n_pointers
-    d = P.size
     cum = np.cumsum(P)
     cum[-1] = 1.0
-    sigma_q_eff = cfg.sigma_q * noise.readout_sigma_scale
-    sigma_p_eff = cfg.sigma_p * noise.readout_sigma_scale
+    # Readout mean of (outcome j, quadrature c) in row 2j + c, spread in row c.
+    means = np.empty((P.size, 2, cfg.n_pointers))
+    means[:, QUAD_POSITION] = cfg.mean_q + dq + noise.systematic_offset
+    means[:, QUAD_MOMENTUM] = cfg.mean_p + dp
+    means = means.reshape(2 * P.size, cfg.n_pointers)
+    spreads = np.empty((2, cfg.n_pointers))
+    spreads[QUAD_POSITION] = cfg.sigma_q * noise.readout_sigma_scale
+    spreads[QUAD_MOMENTUM] = cfg.sigma_p * noise.readout_sigma_scale
 
-    trial_col = np.empty(shots * n, dtype=np.int64)
+    def blocks():
+        for block in range((shots + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
+            lo = block * BLOCK_TRIALS
+            hi = min(lo + BLOCK_TRIALS, shots)
+            rng = np.random.default_rng([seed, block])
+            outcomes = np.searchsorted(cum, rng.random(hi - lo), side="right")
+            readout = rng.standard_normal((hi - lo, cfg.n_pointers))
+            quad = np.where(np.arange(lo, hi) % 2 == 0, QUAD_POSITION, QUAD_MOMENTUM)
+            readout *= np.take(spreads, quad, axis=0)
+            readout += np.take(means, 2 * outcomes + quad, axis=0)
+            yield lo, outcomes, quad, readout
+
+    return blocks()
+
+
+def _sample_stream(P, dq, dp, cfg: PointerConfig, shots: int, seed: int,
+                   noise: NoiseModel | None) -> RecordStream:
+    """Sampled trials as a record stream, one row per pointer readout."""
+    blocks = _sample_blocks(P, dq, dp, cfg, shots, seed, noise)
+    n = cfg.n_pointers
+    trial_col = np.repeat(np.arange(shots, dtype=np.int64), n)
     outcome_col = np.empty(shots * n, dtype=np.int64)
-    pointer_col = np.empty(shots * n, dtype=np.int64)
+    pointer_col = np.tile(np.arange(n, dtype=np.int64), shots)
     quad_col = np.empty(shots * n, dtype=np.uint8)
     readout_col = np.empty(shots * n, dtype=np.float64)
-    pointer_tile = np.arange(n, dtype=np.int64)
-
-    for block in range((shots + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
-        lo = block * BLOCK_TRIALS
-        hi = min(lo + BLOCK_TRIALS, shots)
-        nb = hi - lo
-        rng = np.random.default_rng([seed, block])
-        outcomes = np.searchsorted(cum, rng.random(nb), side="right")
-        z = rng.standard_normal((nb, n))
-        trials = np.arange(lo, hi, dtype=np.int64)
-        is_q = (trials % 2) == 0
-
-        mean = np.where(is_q[:, None],
-                        cfg.mean_q + dq[outcomes] + noise.systematic_offset,
-                        cfg.mean_p + dp[outcomes])
-        spread = np.where(is_q[:, None], sigma_q_eff, sigma_p_eff)
-        readout = mean + spread * z
-
-        sl = slice(lo * n, hi * n)
-        trial_col[sl] = np.repeat(trials, n)
+    for lo, outcomes, quad, readout in blocks:
+        sl = slice(lo * n, lo * n + readout.size)
         outcome_col[sl] = np.repeat(outcomes, n)
-        pointer_col[sl] = np.tile(pointer_tile, nb)
-        quad_col[sl] = np.repeat(np.where(is_q, QUAD_POSITION, QUAD_MOMENTUM), n).astype(np.uint8)
+        quad_col[sl] = np.repeat(quad, n)
         readout_col[sl] = readout.reshape(-1)
-
     return RecordStream(trial=trial_col, outcome=outcome_col, pointer=pointer_col,
                         quadrature=quad_col, readout=readout_col, n_trials=shots)
 
 
-def sample_records(rho, basis_a: OrthonormalBasis, basis_b: OrthonormalBasis,
-                   cfg: PointerConfig, shots: int, seed: int,
-                   noise: NoiseModel | None = None) -> RecordStream:
-    """Simulate a full tomography run: one pointer per projector of basis A.
+def _sample_cells(P, dq, dp, cfg: PointerConfig, shots: int, seed: int,
+                  noise: NoiseModel | None):
+    """Sampled trials reduced block by block to per-cell sums.
 
-    Each trial draws its post-selection outcome j from the exact outcome law,
-    then emits one readout per pointer from a Gaussian centered on the
-    first-order shifted mean for (j, i).  Masked (zero-probability) outcomes
-    are never drawn.
+    Returns what ``_record_cells`` returns for the same trials, bit for bit:
+    np.add.at adds each readout into its cell in trial order, the order in
+    which a whole-stream np.bincount adds them.
     """
+    blocks = _sample_blocks(P, dq, dp, cfg, shots, seed, noise)
+    d, n = dq.shape
+    per_trial = np.zeros(d * 2, dtype=np.int64)  # trials per (outcome, quadrature)
+    sums = np.zeros(d * n * 2)
+    sumsq = np.zeros(d * n * 2)
+    pointer_offset = 2 * np.arange(n)
+    for _, outcomes, quad, readout in blocks:
+        per_trial += np.bincount(2 * outcomes + quad, minlength=d * 2)
+        idx = ((2 * n * outcomes + quad)[:, None] + pointer_offset).reshape(-1)
+        values = readout.reshape(-1)
+        np.add.at(sums, idx, values)
+        np.add.at(sumsq, idx, values**2)
+    per_trial = per_trial.reshape(d, 1, 2)
+    shape = (d, n, 2)
+    # Every trial reads every pointer once, in the trial's quadrature.
+    return (np.repeat(per_trial, n, axis=1), sums.reshape(shape), sumsq.reshape(shape),
+            per_trial.sum(axis=(1, 2)))
+
+
+def _table_law(rho, basis_a: OrthonormalBasis, basis_b: OrthonormalBasis,
+               cfg: PointerConfig):
+    """Outcome law and first-order readout shifts for a full table run."""
     table = weak_value_table(rho, basis_a, basis_b)
     if cfg.n_pointers != table.dim:
         raise DimensionMismatchError(
             f"need {table.dim} pointers (one per basis-A projector), got {cfg.n_pointers}"
         )
     dq, dp = table_shifts(table, cfg)
-    return _sample_stream(table.P, dq, dp, cfg, shots, seed, noise)
+    return table.P, dq, dp
 
 
-def sample_observable_records(rho, observable: Observable, basis_b: OrthonormalBasis,
-                              cfg: PointerConfig, shots: int, seed: int,
-                              noise: NoiseModel | None = None) -> RecordStream:
-    """Simulate a run with a single pointer coupled to one observable.
-
-    Outcomes still range over all of basis B; the lone pointer's readout mean
-    for outcome j follows the weak value of ``observable`` at that outcome.
-    Rows whose post-selection probability vanishes are never drawn.
-    """
+def _observable_law(rho, observable: Observable, basis_b: OrthonormalBasis,
+                    cfg: PointerConfig):
+    """Outcome law and first-order readout shifts for a single-pointer run."""
     if cfg.n_pointers != 1:
         raise DimensionMismatchError("single-observable sampling uses exactly one pointer")
     mat = _as_density_matrix(rho)
@@ -515,28 +544,99 @@ def sample_observable_records(rho, observable: Observable, basis_b: OrthonormalB
     w[defined] = numer[defined] / P[defined]
     dq = (cfg.g[0] * w.real)[:, None]
     dp = (2.0 * cfg.g[0] * w.imag * cfg.sigma_p[0] ** 2)[:, None]
-    return _sample_stream(np.clip(P, 0.0, 1.0), dq, dp, cfg, shots, seed, noise)
+    return np.clip(P, 0.0, 1.0), dq, dp
 
 
-def _cell_statistics(records: RecordStream, dim: int, n_pointers: int):
-    """Counts, means, and standard errors per (outcome, pointer, quadrature)."""
+def sample_records(rho, basis_a: OrthonormalBasis, basis_b: OrthonormalBasis,
+                   cfg: PointerConfig, shots: int, seed: int,
+                   noise: NoiseModel | None = None) -> RecordStream:
+    """Simulate a full tomography run: one pointer per projector of basis A.
+
+    Each trial draws its post-selection outcome j from the exact outcome law,
+    then emits one readout per pointer from a Gaussian centered on the
+    first-order shifted mean for (j, i).  Masked (zero-probability) outcomes
+    are never drawn.  The stream holds d rows per trial; it is built for
+    callers that need the rows themselves, such as ``simulate --sampled``.
+    An in-memory sampled ``run_reconstruction`` draws the same trials but
+    keeps only per-cell count, sum and sum of squares, so its memory does
+    not grow with ``shots``.
+    """
+    return _sample_stream(*_table_law(rho, basis_a, basis_b, cfg), cfg, shots, seed, noise)
+
+
+def sample_observable_records(rho, observable: Observable, basis_b: OrthonormalBasis,
+                              cfg: PointerConfig, shots: int, seed: int,
+                              noise: NoiseModel | None = None) -> RecordStream:
+    """Simulate a run with a single pointer coupled to one observable.
+
+    Outcomes still range over all of basis B; the lone pointer's readout mean
+    for outcome j follows the weak value of ``observable`` at that outcome.
+    Rows whose post-selection probability vanishes are never drawn.
+    """
+    return _sample_stream(*_observable_law(rho, observable, basis_b, cfg),
+                          cfg, shots, seed, noise)
+
+
+def _record_cells(records: RecordStream, dim: int, n_pointers: int):
+    """Per-cell count, sum and sum of squares of a checked record stream.
+
+    Cells are (outcome, pointer, quadrature); trials per outcome are counted
+    from the pointer-0 rows.  The first row (numbered from 1) with an
+    out-of-range index or a non-finite readout raises InvalidRecordsError.
+    """
+    for name, col, bound in (("outcome", records.outcome, dim),
+                             ("pointer", records.pointer, n_pointers),
+                             ("quadrature", records.quadrature, 2)):
+        if col.size and (col.min() < 0 or col.max() >= bound):
+            row = int(np.argmax((col < 0) | (col >= bound)))
+            raise InvalidRecordsError(
+                f"records row {row + 1}: {name} {col[row]} outside [0, {bound})")
+    if not np.isfinite(records.readout).all():
+        row = int(np.argmax(~np.isfinite(records.readout)))
+        raise InvalidRecordsError(
+            f"records row {row + 1}: readout {records.readout[row]} is not finite")
     idx = ((records.outcome * n_pointers + records.pointer) * 2
            + records.quadrature.astype(np.int64))
     n_cells = dim * n_pointers * 2
-    counts = np.bincount(idx, minlength=n_cells)
-    sums = np.bincount(idx, weights=records.readout, minlength=n_cells)
-    sumsq = np.bincount(idx, weights=records.readout**2, minlength=n_cells)
     shape = (dim, n_pointers, 2)
-    counts = counts.reshape(shape)
-    sums = sums.reshape(shape)
-    sumsq = sumsq.reshape(shape)
+    counts = np.bincount(idx, minlength=n_cells).reshape(shape)
+    sums = np.bincount(idx, weights=records.readout, minlength=n_cells).reshape(shape)
+    sumsq = np.bincount(idx, weights=records.readout**2, minlength=n_cells).reshape(shape)
+    trials = np.bincount(records.outcome[records.pointer == 0], minlength=dim)
+    return counts, sums, sumsq, trials
+
+
+def _estimate_cells(cells, cfg: PointerConfig):
+    """The estimate both estimators share, from per-cell sums of either
+    source: (W, P, defined, stderr_re, stderr_im, n_trials), with W and the
+    standard errors of shape (d, n_pointers)."""
+    if np.any(cfg.g <= 0):
+        raise PreconditionError("estimation divides by g; all couplings must be positive")
+    counts, sums, sumsq, trials = cells
+    n_trials = int(trials.sum())
+    if n_trials == 0:
+        raise ValueError("record stream is empty")
+    shape = counts.shape
     means = np.divide(sums, counts, out=np.zeros(shape), where=counts > 0)
     # Unbiased per-cell variance; standard error of the cell mean.
     var = np.divide(sumsq - counts * means**2, counts - 1,
                     out=np.zeros(shape), where=counts > 1)
     stderr = np.sqrt(np.divide(np.clip(var, 0.0, None), counts,
                                out=np.zeros(shape), where=counts > 1))
-    return counts, means, stderr
+    defined = counts.min(axis=(1, 2)) > 0
+    im_scale = 2.0 * cfg.g * cfg.sigma_p**2
+    re = (means[:, :, QUAD_POSITION] - cfg.mean_q) / cfg.g
+    im = (means[:, :, QUAD_MOMENTUM] - cfg.mean_p) / im_scale
+    W = re + 1j * im
+    W[~defined] = 0.0
+    return (W, trials / n_trials, defined, stderr[:, :, QUAD_POSITION] / cfg.g,
+            stderr[:, :, QUAD_MOMENTUM] / im_scale, n_trials)
+
+
+def _table_from_cells(cells, cfg: PointerConfig) -> WeakValueTable:
+    W, P, defined, stderr_re, stderr_im, _ = _estimate_cells(cells, cfg)
+    return WeakValueTable(dim=P.size, W=W, P=P, defined=defined,
+                          stderr_re=stderr_re, stderr_im=stderr_im)
 
 
 def estimate_weak_values(records: RecordStream, cfg: PointerConfig, dim: int) -> WeakValueTable:
@@ -546,33 +646,21 @@ def estimate_weak_values(records: RecordStream, cfg: PointerConfig, dim: int) ->
     Im W[j,i] from momentum cells, P[j] from outcome frequencies, and
     per-entry standard errors.  Rows with any empty (pointer, quadrature)
     cell are masked undefined; cells with fewer than two records report a
-    zero standard error.
+    zero standard error.  An out-of-range outcome, pointer or quadrature,
+    or a non-finite readout, raises InvalidRecordsError naming its row.
     """
-    n = cfg.n_pointers
-    if n != dim:
-        raise DimensionMismatchError(f"need {dim} pointers for a dim-{dim} table, got {n}")
-    if np.any(cfg.g <= 0):
-        raise PreconditionError("estimation divides by g; all couplings must be positive")
-    counts, means, stderr = _cell_statistics(records, dim, n)
-    per_trial = records.pointer == 0
-    trials_per_outcome = np.bincount(records.outcome[per_trial], minlength=dim)
-    # Each trial contributes one pointer-0 record, so this counts trials.
-    n_trials = trials_per_outcome.sum()
-    if n_trials == 0:
-        raise ValueError("record stream is empty")
-    P = trials_per_outcome / n_trials
-    defined = counts.min(axis=(1, 2)) > 0
+    if cfg.n_pointers != dim:
+        raise DimensionMismatchError(
+            f"need {dim} pointers for a dim-{dim} table, got {cfg.n_pointers}")
+    return _table_from_cells(_record_cells(records, dim, dim), cfg)
 
-    im_scale = 2.0 * cfg.g * cfg.sigma_p**2
-    re = (means[:, :, QUAD_POSITION] - cfg.mean_q) / cfg.g
-    im = (means[:, :, QUAD_MOMENTUM] - cfg.mean_p) / im_scale
-    W = re + 1j * im
-    W[~defined] = 0.0
-    return WeakValueTable(
-        dim=dim, W=W, P=P, defined=defined,
-        stderr_re=stderr[:, :, QUAD_POSITION] / cfg.g,
-        stderr_im=stderr[:, :, QUAD_MOMENTUM] / im_scale,
-    )
+
+def _sampled_table(rho, basis_a: OrthonormalBasis, basis_b: OrthonormalBasis,
+                   cfg: PointerConfig, shots: int, seed: int,
+                   noise: NoiseModel | None) -> WeakValueTable:
+    """``estimate_weak_values(sample_records(...))`` without building records."""
+    P, dq, dp = _table_law(rho, basis_a, basis_b, cfg)
+    return _table_from_cells(_sample_cells(P, dq, dp, cfg, shots, seed, noise), cfg)
 
 
 @dataclass(frozen=True)
@@ -587,29 +675,24 @@ class ColumnEstimate:
     n_trials: int
 
 
+def _column_from_cells(cells, cfg: PointerConfig) -> ColumnEstimate:
+    w, P, defined, stderr_re, stderr_im, n_trials = _estimate_cells(cells, cfg)
+    return ColumnEstimate(w=w[:, 0], P=P, defined=defined, stderr_re=stderr_re[:, 0],
+                          stderr_im=stderr_im[:, 0], n_trials=n_trials)
+
+
 def estimate_weak_value_column(records: RecordStream, cfg: PointerConfig,
                                dim: int) -> ColumnEstimate:
     """Single-pointer counterpart of estimate_weak_values."""
     if cfg.n_pointers != 1:
         raise DimensionMismatchError("column estimation expects a single pointer")
-    if cfg.g[0] <= 0:
-        raise PreconditionError("estimation divides by g; the coupling must be positive")
-    counts, means, stderr = _cell_statistics(records, dim, 1)
-    trials_per_outcome = np.bincount(records.outcome, minlength=dim)
-    n_trials = int(trials_per_outcome.sum())
-    if n_trials == 0:
-        raise ValueError("record stream is empty")
-    im_scale = 2.0 * cfg.g[0] * cfg.sigma_p[0] ** 2
-    re = (means[:, 0, QUAD_POSITION] - cfg.mean_q[0]) / cfg.g[0]
-    im = (means[:, 0, QUAD_MOMENTUM] - cfg.mean_p[0]) / im_scale
-    w = re + 1j * im
-    defined = counts[:, 0].min(axis=1) > 0
-    w[~defined] = 0.0
-    return ColumnEstimate(
-        w=w,
-        P=trials_per_outcome / n_trials,
-        defined=defined,
-        stderr_re=stderr[:, 0, QUAD_POSITION] / cfg.g[0],
-        stderr_im=stderr[:, 0, QUAD_MOMENTUM] / im_scale,
-        n_trials=n_trials,
-    )
+    return _column_from_cells(_record_cells(records, dim, 1), cfg)
+
+
+def _sampled_column(rho, observable: Observable, basis_b: OrthonormalBasis,
+                    cfg: PointerConfig, shots: int, seed: int,
+                    noise: NoiseModel | None) -> ColumnEstimate:
+    """``estimate_weak_value_column(sample_observable_records(...))`` without
+    building records."""
+    P, dq, dp = _observable_law(rho, observable, basis_b, cfg)
+    return _column_from_cells(_sample_cells(P, dq, dp, cfg, shots, seed, noise), cfg)

@@ -213,6 +213,19 @@ def test_reconstruct_inapplicable_scheme_exit_code(tmp_path):
     assert json.loads(proc.stderr)["error"] == "scheme-inapplicable"
 
 
+@pytest.mark.parametrize("case", ["outcome", "pointer", "readout", "fields", "quadrature"])
+def test_reconstruct_bad_records_exit_code(tmp_path, case):
+    from test_pointer import bad_records
+    records = tmp_path / "bad.csv"
+    records.write_text(bad_records(case))
+    proc = run_cli("reconstruct", "--set", "dim=2", "--set", "scheme=mixed_a",
+                   "--set", "state_spec=ginibre", "--records", str(records))
+    assert proc.returncode == 1
+    error = json.loads(proc.stderr)
+    assert error["error"] == "invalid-records"
+    assert error["message"].startswith("records row 3:")
+
+
 def test_reconstruct_seeded_rerun_byte_identical(tmp_path):
     cfg = tmp_path / "cfg.json"
     run_cli("gen", "--kind", "config", "--dim", "2", "--seed", "9",

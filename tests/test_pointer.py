@@ -6,6 +6,7 @@ import pytest
 from weaktomo import (
     DensityMatrix,
     DimensionMismatchError,
+    InvalidRecordsError,
     NoiseModel,
     Observable,
     PointerConfig,
@@ -374,6 +375,50 @@ def test_record_csv_round_trip():
 def test_record_csv_rejects_foreign_header():
     with pytest.raises(ValueError):
         RecordStream.from_csv("a,b,c\n1,2,3\n")
+
+
+VALID_RECORDS = ("trial,outcome_j,pointer,quadrature,readout\n"
+                 "0,0,0,q,0.1\n0,0,1,q,0.2\n1,1,0,p,0.3\n1,1,1,p,0.4\n")
+# Each case replaces data row 3 of VALID_RECORDS (d = 2, two pointers).
+BAD_ROW_3 = {
+    "outcome": "1,2,0,p,0.3",
+    "pointer": "1,1,2,p,0.3",
+    "readout": "1,1,0,p,nan",
+    "fields": "1,1,0,p",
+    "quadrature": "1,1,0,x,0.3",
+}
+
+
+def bad_records(case):
+    return VALID_RECORDS.replace("1,1,0,p,0.3", BAD_ROW_3[case])
+
+
+def test_valid_records_fixture_estimates():
+    records = RecordStream.from_csv(VALID_RECORDS)
+    table = estimate_weak_values(records, PointerConfig.uniform(2, g=0.1), 2)
+    assert table.defined.tolist() == [False, False]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROW_3))
+def test_bad_records_row_is_named(case):
+    with pytest.raises(InvalidRecordsError, match=r"records row 3\b") as err:
+        records = RecordStream.from_csv(bad_records(case))
+        estimate_weak_values(records, PointerConfig.uniform(2, g=0.1), 2)
+    assert err.value.code == "invalid-records"
+
+
+def test_bad_records_in_memory_stream_are_rejected():
+    # Streams built in code get the same checks as parsed ones.
+    records = RecordStream.from_csv(VALID_RECORDS)
+    bad = RecordStream(trial=records.trial, outcome=records.outcome,
+                       pointer=records.pointer, quadrature=[0, 0, 1, 2],
+                       readout=[0.1, 0.2, 0.3, np.inf])
+    with pytest.raises(InvalidRecordsError, match="records row 4: quadrature 2"):
+        estimate_weak_values(bad, PointerConfig.uniform(2, g=0.1), 2)
+    single = RecordStream(trial=[0, 1], outcome=[0, 1], pointer=[0, 1],
+                          quadrature=[0, 1], readout=[0.1, 0.2])
+    with pytest.raises(InvalidRecordsError, match="records row 2: pointer 1"):
+        estimate_weak_value_column(single, PointerConfig.uniform(1, g=0.1), 2)
 
 
 def test_single_observable_sampling_and_column_estimate():
