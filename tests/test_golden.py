@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from weaktomo import (
+    SCHEMES,
+    ExperimentConfig,
     NoiseModel,
     Observable,
     PointerConfig,
@@ -23,6 +25,7 @@ from weaktomo import (
     fourier_basis,
     random_density_matrix,
     reference_basis,
+    run_reconstruction,
     sample_observable_records,
     sample_records,
     serialize,
@@ -102,3 +105,71 @@ def test_golden_masked_row_table():
     table = estimate_weak_values(records, cfg, 2)
     assert not table.defined[1]
     assert _sha(serialize.table_to_csv(table)) == MASKED_TABLE_CSV
+
+
+# Seeded result bundles of every scheme, exact and sampled, at d = 2 and 3.
+# Unlike the digests above these go through eigendecompositions (fidelity,
+# physical projection), so they pin the LAPACK build as well; at d <= 3
+# no BLAS threading enters.  Keys are "scheme/mode/d"; "partial_orth" is
+# the orthogonal-pair route of the partial scheme.
+PURE = ("postselected", "all_data", "single_projector", "single_observable")
+BUNDLE = {
+    "postselected/exact/2": "5cc79257aba5653d3caa4f3c6f9ece453392be6ee76b680b53b5f4496b52e5f9",
+    "postselected/exact/3": "2cfbff9cd42a78afb886e9c4df2721d173f4f580db4fdd5ee7db0bb1e7ac68bb",
+    "postselected/sampled/2": "373d0f586feba3da1169e4066e421c7bd392f756535e5425bdd9a8ef83dd6fbb",
+    "postselected/sampled/3": "bd3b34ae5a81aab3cadf0265032e566ce1b26f3582bd50b9213571e05fd2d0f5",
+    "all_data/exact/2": "d730f64453f3d0553d64a819c24a61e36d66d03305f11113aba0618ca53a444a",
+    "all_data/exact/3": "b04922ef577c86a6a0bd3404413a77926890022cd19e8ab92700da551ea6550f",
+    "all_data/sampled/2": "d81509adb9393b97e08bb3fb7e87f9915825d948304da002b297c8f95a5f10c0",
+    "all_data/sampled/3": "342dcfea4272de640b17e2b300098db78f5d7a0edd7c6f8f8330c8e1fa76e090",
+    "single_projector/exact/2": "99898e96e34bca3bccbf017782ad6695bdda2828a73ad73ae68000dd9ac97426",
+    "single_projector/exact/3": "61fb8d542987df6dbb42a9351d5354a7eb17d6bda696be430f169c6d7526a6c7",
+    "single_projector/sampled/2": "a744cf458e8538a79748d4a09269e9164e67c3a35218fbece0e9f027b138c8ae",
+    "single_projector/sampled/3": "f53e1b3807226ee06ef65864e7d4d2d91f384c865a82a1682a06ffa54598c780",
+    "single_observable/exact/2": "84598e7c12791a76753560bcb668485c2dba5929147d089cdae887c7cdb749a7",
+    "single_observable/exact/3": "45eae6931c82d3c99ab97058921a97e6fa7d3afacd8c792f120e5b9293d154bb",
+    "single_observable/sampled/2": "db88ceecbbd3dcdbb3a19223265d5d254f1e1bdb315e7b93867992a5f01323ad",
+    "single_observable/sampled/3": "7c8eb52a693a115cdfcebbee55df58bf315a79ec37aa59bc30ea3df9e9980935",
+    "mixed_a/exact/2": "cc3b73434e4d014952e0605e31107aee2a89900c9ffb8b1d1f6c82f8700cb184",
+    "mixed_a/exact/3": "265a19d4d54dd9d6ceef8a2b677aa2bfd997e79ad76688a575568910bf390542",
+    "mixed_a/sampled/2": "fd70cf19c089fac452c83ea189b8a381baa54bd0a77356b69808ffc691ece712",
+    "mixed_a/sampled/3": "c7bb8a858b686933e99c6ea9c0dc2d11ee08af500dda0e36598aa07c99921a08",
+    "mixed_b/exact/2": "eaa7083a2a0c7013fd7a9a0c9369b01fce1e819f119eebe5ea8d3952154da21a",
+    "mixed_b/exact/3": "0a173729af3cf20b7eaa7d66ec56126cfb07f8356d5607c33497aabf3764a4ca",
+    "mixed_b/sampled/2": "cc3ca9e93bead39f88075bd52d5b260b482e82653c159e3ac0d299f8566aea62",
+    "mixed_b/sampled/3": "9325b268ce685ba029a05737455a6408f806812ebde3a56d32f40baa42b61d81",
+    "partial/exact/2": "45c9e91438734e92028f7bbd68502d2414266a9b8a80a395ccc201f8c322e090",
+    "partial/exact/3": "a8fdf379efac94094070bebf3e0f6c6b61e3b81aa3e068e939dc68fab843d0d6",
+    "partial/sampled/2": "d035bf4920c11780b810c75a636eee5d70e1c94f3372a20582c75cdb09125965",
+    "partial/sampled/3": "5bd9225e5925356c596c8dfbddcac8295ed2dda3e54f4f00fc55db3bd726f93e",
+    "partial_orth/exact/3": "0c7fc89955a23639eae52e9cee881c1594cddebc603cdf358299f2a7275c1752",
+    "partial_orth/sampled/3": "4ddfcaebb5abd3a28ff0255b947bfb81fea4b20e18ec528f8810491c2a86e8ea",
+}
+
+
+def _bundle_config(key: str):
+    scheme, mode, d = key.split("/")
+    d = int(d)
+    kwargs = dict(dim=d, data_mode=mode, shots=SHOTS, seed=SEED, pointer_g=0.2,
+                  noise_sigma_scale=1.3, noise_offset=0.01)
+    if scheme == "partial_orth":
+        scheme = "partial"
+        kwargs.update(partial_a=np.eye(d, dtype=complex)[0],
+                      partial_b=np.eye(d, dtype=complex)[d - 1])
+    if scheme in PURE:
+        kwargs.update(state_spec="haar-pure", state_seed=300 + d)
+    else:
+        kwargs.update(state_spec="ginibre", state_seed=400 + d)
+    return ExperimentConfig(scheme=scheme, **kwargs)
+
+
+def _bundle_keys():
+    keys = [f"{scheme}/{mode}/{d}" for scheme in SCHEMES for mode in ("exact", "sampled")
+            for d in (2, 3)]
+    return keys + ["partial_orth/exact/3", "partial_orth/sampled/3"]
+
+
+@pytest.mark.parametrize("key", _bundle_keys())
+def test_golden_bundle(key):
+    bundle = run_reconstruction(_bundle_config(key))
+    assert _sha(serialize.dumps(serialize.bundle_to_json(bundle))) == BUNDLE[key]
