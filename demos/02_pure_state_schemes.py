@@ -11,7 +11,7 @@ Each scheme trades experimental effort differently:
 On exact data all four return the same state up to global phase.
 """
 
-from weaktomo import ExperimentConfig, PURE_SCHEMES, run_experiment
+from weaktomo import ExperimentConfig, PURE_SCHEMES, run_reconstruction
 
 
 def main():
@@ -20,7 +20,7 @@ def main():
     print()
 
     for scheme in PURE_SCHEMES:
-        bundle = run_experiment(ExperimentConfig(
+        bundle = run_reconstruction(ExperimentConfig(
             dim=dim, scheme=scheme, state_seed=11))
         line = f"  {scheme:<18} fidelity {bundle.metrics['fidelity']:.15f}"
         if scheme == "all_data":
@@ -35,18 +35,18 @@ def main():
     print()
 
     # What each scheme consumed:
-    bundle = run_experiment(ExperimentConfig(
+    bundle = run_reconstruction(ExperimentConfig(
         dim=dim, scheme="postselected", state_seed=11))
     print("postselected used one table row:")
     row = bundle.table.W[bundle.config.postselect_row]
     print("  W[0] =", ", ".join(f"{z:.3f}" for z in row))
     print()
 
-    bundle = run_experiment(ExperimentConfig(
+    bundle = run_reconstruction(ExperimentConfig(
         dim=dim, scheme="single_observable", state_seed=11))
     print("single_observable used one weak-value column (one observable,")
     print("scanned over post-selections):")
-    print("  w =", ", ".join(f"{z:.3f}" for z in bundle.column.w))
+    print("  w =", ", ".join(f"{z:.3f}" for z in bundle.table.W[:, 0]))
     print(f"  kernel dimension {bundle.kernel.kernel_dim} "
           "(1 means the reconstruction is unambiguous)")
 

@@ -18,7 +18,7 @@ from weaktomo import (
     reconstruct_mixed_abasis,
     reconstruct_mixed_bbasis,
     reference_basis,
-    run_experiment,
+    run_reconstruction,
     transition_matrix,
     weak_value_table,
 )
@@ -56,7 +56,7 @@ def main():
     print()
 
     # Single-element probes. Default pair: a = e0, b = (e0 + e1)/sqrt2.
-    bundle = run_experiment(ExperimentConfig(
+    bundle = run_reconstruction(ExperimentConfig(
         dim=dim, scheme="partial", state_spec="explicit", state=rho.elements))
     truth = rho.elements[0, :2].sum() / np.sqrt(2.0)
     print("single element <a|rho|b> for the overlapping default pair:")
@@ -72,7 +72,7 @@ def main():
     a[0] = 1.0
     b = np.zeros(dim, dtype=complex)
     b[1] = 1.0
-    bundle = run_experiment(ExperimentConfig(
+    bundle = run_reconstruction(ExperimentConfig(
         dim=dim, scheme="partial", state_spec="explicit", state=rho.elements,
         partial_a=a, partial_b=b))
     pair = bundle.estimate

@@ -18,7 +18,7 @@ from weaktomo import (
     demo_phase_detection,
     fourier_basis,
     reference_basis,
-    run_experiment,
+    run_reconstruction,
     weak_value_table,
 )
 
@@ -28,7 +28,7 @@ def main():
     cfg = ExperimentConfig(dim=2, scheme="all_data", data_mode="sampled",
                            state_spec="explicit", state=psi,
                            shots=100_000, seed=0)
-    bundle = run_experiment(cfg)
+    bundle = run_reconstruction(cfg)
     exact = weak_value_table(StateVector(psi).projector(),
                              reference_basis(2), fourier_basis(2))
 
@@ -73,7 +73,7 @@ def main():
           f"actual {abs(report.theta_estimate - 0.1) / 0.1:.3f}")
     print()
 
-    rerun = run_experiment(cfg)
+    rerun = run_reconstruction(cfg)
     same = np.array_equal(rerun.table.W, bundle.table.W)
     print(f"rerun with the same seed reproduces the table exactly: {same}")
 

@@ -2,7 +2,8 @@
 
 Subcommands:
   gen          write a random state, a basis, or a starter config
-  simulate     produce data for a config: exact table JSON or sampled records CSV
+  simulate     produce the data a config's scheme reads: exact table JSON or
+               sampled records CSV
   reconstruct  run a reconstruction scheme on simulated or loaded data
   verify       check invariants of a state/basis/table/config file
   demo-phase   small-phase detection demo
@@ -26,8 +27,9 @@ from .harness import (
     compare_schemes,
     demo_phase_detection,
     run_reconstruction,
+    simulate,
 )
-from .pointer import RecordStream, estimate_weak_value_column, estimate_weak_values
+from .pointer import RecordStream, estimate_weak_values
 from .qcore import (
     DensityMatrix,
     OrthonormalBasis,
@@ -38,7 +40,8 @@ from .qcore import (
 )
 from .weakval import check_sum_rules
 
-_STATE_SCHEMES = tuple(s for s in SCHEMES if s != "partial")
+_STATE_SCHEMES = tuple(name for name, scheme in SCHEMES.items()
+                       if scheme.measured is not None)
 
 
 class _UsageError(Exception):
@@ -118,50 +121,32 @@ def _cmd_gen(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _build_config(args, default_scheme="all_data")
-    from .harness import _resolve_basis, _resolve_pointer, _resolve_state
-    from .pointer import sample_records
-    from .qcore import reference_basis
-    from .weakval import weak_value_table
-
-    rho, _ = _resolve_state(cfg)
-    basis_a = reference_basis(cfg.dim)
-    basis_b = _resolve_basis(cfg)
+    data = simulate(cfg)
     if cfg.data_mode == "exact":
-        table = weak_value_table(rho, basis_a, basis_b)
-        _emit(serialize.dumps(serialize.table_to_json(table)), args)
-        return 0
-    pcfg = _resolve_pointer(cfg, cfg.dim)
-    from .pointer import NoiseModel
-    noise = NoiseModel(readout_sigma_scale=cfg.noise_sigma_scale,
-                       systematic_offset=cfg.noise_offset)
-    records = sample_records(rho, basis_a, basis_b, pcfg, cfg.shots, cfg.seed, noise)
-    _emit(records.to_csv(), args)
+        _emit(serialize.dumps(serialize.table_to_json(data)), args)
+    else:
+        _emit(data.to_csv(), args)
     return 0
 
 
 def _load_data(args, cfg):
-    """Return (table, column) from --table / --records, or (None, None)."""
+    """The weak-value table from --table or --records, or None."""
     if args.table:
-        return serialize.table_from_json(serialize.load_path(args.table)), None
+        return serialize.table_from_json(serialize.load_path(args.table))
     if args.records:
         with open(args.records) as fh:
             records = RecordStream.from_csv(fh.read())
-        # One pointer means a single-observable column; pointers past the
-        # table's d are left for the estimator to reject by row.
+        # The records' own pointer count, so the scheme's check names a
+        # mismatch; pointers past d are left for the estimator to reject by row.
         n_pointers = (int(np.clip(records.pointer.max() + 1, 1, cfg.dim))
                       if records.n_trials else cfg.dim)
-        from .harness import _resolve_pointer
-        pcfg = _resolve_pointer(cfg, n_pointers)
-        if n_pointers == 1:
-            return None, estimate_weak_value_column(records, pcfg, cfg.dim)
-        return estimate_weak_values(records, pcfg, cfg.dim), None
-    return None, None
+        return estimate_weak_values(records, cfg.pointer_config(n_pointers), cfg.dim)
+    return None
 
 
 def _cmd_reconstruct(args) -> int:
     cfg = _build_config(args)
-    table, column = _load_data(args, cfg)
-    bundle = run_reconstruction(cfg, table=table, column=column)
+    bundle = run_reconstruction(cfg, table=_load_data(args, cfg))
     if not args.quiet:
         parts = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(bundle.metrics.items()))
         print(f"{bundle.scheme}: {parts}")
@@ -258,9 +243,6 @@ def _cmd_compare(args) -> int:
         args.shots = shot_grid[0]
     cfg = _build_config(args, default_scheme="all_data")
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    for s in schemes:
-        if s not in SCHEMES:
-            raise ValueError(f"unknown scheme {s!r}")
     rows = compare_schemes(cfg, schemes, shot_grid, n_seeds=args.seeds)
     csv_text = serialize.comparison_to_csv(rows)
     if not args.quiet:

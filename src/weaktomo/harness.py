@@ -10,6 +10,7 @@ distributes independently seeded cells.
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -21,7 +22,6 @@ from .errors import (
     SchemeInapplicableError,
 )
 from .qcore import (
-    PROB_FLOOR,
     DensityMatrix,
     Observable,
     OrthonormalBasis,
@@ -33,15 +33,16 @@ from .qcore import (
     reference_basis,
     trace_distance,
     transition_matrix,
+    _check_finite,
 )
 from .weakval import WeakValueTable, weak_value, weak_value_table
 from .pointer import (
     BLOCK_TRIALS,
-    ColumnEstimate,
     NoiseModel,
     PointerConfig,
-    _sampled_column,
+    RecordStream,
     _sampled_table,
+    sample_records,
 )
 from .recon import (
     estimate_element_nonorthogonal,
@@ -54,18 +55,6 @@ from .recon import (
     reconstruct_pure_single_projector,
 )
 
-SCHEMES = (
-    "postselected",
-    "all_data",
-    "single_projector",
-    "single_observable",
-    "mixed_a",
-    "mixed_b",
-    "partial",
-)
-PURE_SCHEMES = ("postselected", "all_data", "single_projector", "single_observable")
-TABLE_SCHEMES = ("postselected", "all_data", "mixed_a", "mixed_b")
-COLUMN_SCHEMES = ("single_projector", "single_observable")
 STATE_SPECS = ("haar-pure", "ginibre", "explicit")
 BASIS_SPECS = ("fourier", "explicit")
 DATA_MODES = ("exact", "sampled")
@@ -118,7 +107,7 @@ class ExperimentConfig:
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; options: {SCHEMES}")
+            raise ValueError(f"unknown scheme {self.scheme!r}; options: {tuple(SCHEMES)}")
         if self.data_mode not in DATA_MODES:
             raise ValueError(f"unknown data_mode {self.data_mode!r}")
         if self.state_spec not in STATE_SPECS:
@@ -131,10 +120,23 @@ class ExperimentConfig:
             raise ValueError("basis_spec 'explicit' requires the basis_b field")
         if self.data_mode == "sampled" and self.shots < 1:
             raise ValueError("sampled mode requires shots >= 1")
+        _check_finite(np.array([self.pointer_g, self.pointer_sigma_q, self.pointer_mean_q,
+                                self.pointer_mean_p, self.noise_sigma_scale,
+                                self.noise_offset], dtype=float), "config")
         if self.pointer_g < 0 or self.pointer_sigma_q <= 0:
             raise ValueError("pointer_g must be >= 0 and pointer_sigma_q > 0")
         if not 0 <= self.postselect_row < self.dim:
             raise ValueError(f"postselect_row {self.postselect_row} outside [0, {self.dim})")
+
+    def pointer_config(self, n_pointers: int) -> PointerConfig:
+        """n_pointers identical pointers with the configured parameters."""
+        return PointerConfig.uniform(
+            n_pointers,
+            g=self.pointer_g,
+            sigma_q=self.pointer_sigma_q,
+            mean_q=self.pointer_mean_q,
+            mean_p=self.pointer_mean_p,
+        )
 
 
 def _resolve_state(cfg: ExperimentConfig) -> tuple[DensityMatrix, StateVector | None]:
@@ -158,14 +160,9 @@ def _resolve_basis(cfg: ExperimentConfig) -> OrthonormalBasis:
     return OrthonormalBasis(np.asarray(cfg.basis_b, dtype=complex))
 
 
-def _resolve_pointer(cfg: ExperimentConfig, n_pointers: int) -> PointerConfig:
-    return PointerConfig.uniform(
-        n_pointers,
-        g=cfg.pointer_g,
-        sigma_q=cfg.pointer_sigma_q,
-        mean_q=cfg.pointer_mean_q,
-        mean_p=cfg.pointer_mean_p,
-    )
+def _resolve_noise(cfg: ExperimentConfig) -> NoiseModel:
+    return NoiseModel(readout_sigma_scale=cfg.noise_sigma_scale,
+                      systematic_offset=cfg.noise_offset)
 
 
 def ramp_probe(dim: int) -> StateVector:
@@ -180,15 +177,6 @@ def _resolve_phi(cfg: ExperimentConfig) -> StateVector:
             raise ValueError(f"unknown phi spec {cfg.phi!r}")
         return ramp_probe(cfg.dim)
     return StateVector.normalized(np.asarray(cfg.phi, dtype=complex))
-
-
-def _resolve_lambdas(cfg: ExperimentConfig) -> np.ndarray:
-    if cfg.lambdas is None:
-        return np.arange(cfg.dim, dtype=float)
-    lam = np.asarray(cfg.lambdas, dtype=float)
-    if lam.size != cfg.dim:
-        raise ValueError(f"need {cfg.dim} eigenvalues, got {lam.size}")
-    return lam
 
 
 def _resolve_partial_pair(cfg: ExperimentConfig) -> tuple[StateVector, StateVector]:
@@ -235,9 +223,9 @@ class ResultBundle:
 
     ``estimate`` is a StateVector, a DensityEstimate, or an ElementPair
     depending on the scheme; ``table`` holds the (exact or estimated)
-    weak-value table for full-table schemes and ``column`` holds the
-    single-observable estimates otherwise.  wall_time is informational and
-    never serialized, keeping seeded outputs byte-identical.
+    weak-value table the scheme read, None for partial tomography.
+    wall_time is informational and never serialized, keeping seeded outputs
+    byte-identical.
     """
 
     scheme: str
@@ -245,37 +233,113 @@ class ResultBundle:
     estimate: object
     metrics: dict
     table: WeakValueTable | None = None
-    column: ColumnEstimate | None = None
     kernel: object = None
     wall_time: float = 0.0
 
 
-def _require_pure(psi: StateVector | None, scheme: str) -> StateVector:
-    if psi is None:
-        raise SchemeInapplicableError(f"scheme {scheme!r} reconstructs a pure state; "
-                                      "the configured state is mixed")
-    return psi
+def _basis_a(cfg: ExperimentConfig) -> OrthonormalBasis:
+    return reference_basis(cfg.dim)
 
 
-def _scheme_observable(cfg: ExperimentConfig) -> Observable:
-    if cfg.scheme == "single_projector":
-        return Observable.projector(_resolve_phi(cfg))
-    return Observable.from_eigensystem(_resolve_lambdas(cfg), reference_basis(cfg.dim))
+def _phi_projector(cfg: ExperimentConfig) -> Observable:
+    return Observable.projector(_resolve_phi(cfg))
 
 
-def _exact_observable_column(rho, observable, basis_b):
-    d = basis_b.dim
-    w = np.zeros(d, dtype=complex)
-    defined = np.zeros(d, dtype=bool)
-    P = np.zeros(d)
-    mat = rho.elements
-    for j in range(d):
-        bj = basis_b.column(j)
-        P[j] = max(np.vdot(bj.amplitudes, mat @ bj.amplitudes).real, 0.0)
-        if P[j] > PROB_FLOOR:
-            w[j] = weak_value(rho, observable, bj)
-            defined[j] = True
-    return w, P, defined
+def _lambda_observable(cfg: ExperimentConfig) -> Observable:
+    lam = np.arange(cfg.dim, dtype=float) if cfg.lambdas is None else cfg.lambdas
+    lam = np.asarray(lam, dtype=float)
+    if lam.size != cfg.dim:
+        raise ValueError(f"need {cfg.dim} eigenvalues, got {lam.size}")
+    return Observable.from_eigensystem(lam, reference_basis(cfg.dim))
+
+
+def _postselected(cfg, table, beta, basis_b):
+    row = cfg.postselect_row
+    if not table.defined[row]:
+        raise MissingDataError(f"post-selection outcome {row} is undefined")
+    return reconstruct_pure_postselected(table.W[row], beta.beta[row]), {}, None
+
+
+def _all_data(cfg, table, beta, basis_b):
+    result = reconstruct_pure_all_data(table, beta)
+    return result.merged, {"consistency": result.consistency}, None
+
+
+def _single_projector(cfg, table, beta, basis_b):
+    if not table.defined.all():
+        raise MissingDataError(
+            f"outcomes {np.where(~table.defined)[0].tolist()} are undefined; "
+            "this scheme sums over every outcome")
+    estimate = reconstruct_pure_single_projector(table.W[:, 0], _resolve_phi(cfg), basis_b)
+    return estimate, {}, None
+
+
+def _single_observable(cfg, table, beta, basis_b):
+    rows = np.where(table.defined)[0]
+    if rows.size == 0:
+        raise MissingDataError("every outcome is undefined")
+    estimate, kernel = reconstruct_pure_single_observable(
+        table.W[:, 0], _lambda_observable(cfg), beta, rows=rows)
+    return estimate, {"kernel_residual": kernel.smallest_eig}, kernel
+
+
+def _mixed(reconstruct):
+    def step(cfg, table, beta, basis_b):
+        result = reconstruct(table, beta)
+        return result, {"hermiticity_gap": result.hermiticity_defect}, None
+    return step
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """``measured(cfg)``: what the scheme weakly measures, as
+    ``weak_value_table`` takes it (basis A: d pointers; an Observable: one),
+    None when the scheme generates its own data.  ``pure``: it needs a pure
+    truth.  ``reconstruct(cfg, table, beta, basis_b)`` returns the estimate,
+    scheme-specific metrics and the kernel diagnostics (or None)."""
+
+    measured: Callable | None
+    pure: bool
+    reconstruct: Callable | None = None
+
+
+SCHEMES = {
+    "postselected": Scheme(_basis_a, True, _postselected),
+    "all_data": Scheme(_basis_a, True, _all_data),
+    "single_projector": Scheme(_phi_projector, True, _single_projector),
+    "single_observable": Scheme(_lambda_observable, True, _single_observable),
+    "mixed_a": Scheme(_basis_a, False, _mixed(reconstruct_mixed_abasis)),
+    "mixed_b": Scheme(_basis_a, False, _mixed(reconstruct_mixed_bbasis)),
+    "partial": Scheme(None, False),
+}
+PURE_SCHEMES = tuple(name for name, scheme in SCHEMES.items() if scheme.pure)
+
+_OWN_DATA = "partial tomography generates its own data"
+
+
+def _measurement(cfg: ExperimentConfig) -> tuple[object, PointerConfig]:
+    """What the configured scheme weakly measures, and its pointers."""
+    measured = SCHEMES[cfg.scheme].measured(cfg)
+    return measured, cfg.pointer_config(1 if isinstance(measured, Observable) else cfg.dim)
+
+
+def simulate(cfg: ExperimentConfig) -> WeakValueTable | RecordStream:
+    """The data the configured scheme consumes, as ``weaktomo simulate`` writes it.
+
+    Exact mode gives the closed-form weak-value table (d x d for the basis-A
+    schemes, d x 1 for the single-observable ones); sampled mode gives the
+    pointer records of ``cfg.shots`` trials.  Partial tomography raises
+    SchemeInapplicableError: its data depend on the configured vector pair.
+    """
+    if SCHEMES[cfg.scheme].measured is None:
+        raise SchemeInapplicableError(f"{_OWN_DATA}; there is nothing to simulate")
+    rho, _ = _resolve_state(cfg)
+    measured, pcfg = _measurement(cfg)
+    basis_b = _resolve_basis(cfg)
+    if cfg.data_mode == "exact":
+        return weak_value_table(rho, measured, basis_b)
+    return sample_records(rho, measured, basis_b, pcfg, cfg.shots, cfg.seed,
+                          _resolve_noise(cfg))
 
 
 def _finite_metrics(metrics: dict) -> dict:
@@ -285,121 +349,51 @@ def _finite_metrics(metrics: dict) -> dict:
     return {k: float(v) for k, v in metrics.items()}
 
 
-def run_reconstruction(cfg: ExperimentConfig, *, table: WeakValueTable | None = None,
-                       column: ColumnEstimate | None = None) -> ResultBundle:
-    """Run the configured scheme, generating data unless it was supplied.
+def run_reconstruction(cfg: ExperimentConfig, *,
+                       table: WeakValueTable | None = None) -> ResultBundle:
+    """Run the configured scheme and score it against the truth.
 
-    A provided ``table`` feeds the full-table schemes and a provided
-    ``column`` feeds the single-observable schemes; both bypass data
-    generation (and the shot budget) entirely.  Partial tomography always
-    generates its own data because its post-selection geometry depends on
-    the configured vector pair.
+    Without ``table`` the data are generated: in closed form in exact mode;
+    in sampled mode by drawing the shots, reducing them to per-cell readout
+    sums as they come and estimating the weak values from those sums.  A
+    provided ``table`` (d x d for basis-A schemes, d x 1 for single-observable
+    ones) bypasses data generation.  Partial tomography always generates its
+    own data: its post-selection geometry depends on the configured pair.
+    Metrics include fidelity and trace distance for state schemes and the
+    element error for partial tomography.
     """
     t0 = time.perf_counter()
+    scheme = SCHEMES[cfg.scheme]
     rho, psi = _resolve_state(cfg)
-    basis_a = reference_basis(cfg.dim)
+    if scheme.pure and psi is None:
+        raise SchemeInapplicableError(f"scheme {cfg.scheme!r} reconstructs a pure state; "
+                                      "the configured state is mixed")
     basis_b = _resolve_basis(cfg)
-    beta = transition_matrix(basis_a, basis_b)
-    noise = NoiseModel(readout_sigma_scale=cfg.noise_sigma_scale,
-                       systematic_offset=cfg.noise_offset)
-    sampled = cfg.data_mode == "sampled"
-    metrics: dict = {}
+    noise = _resolve_noise(cfg)
     kernel = None
-
-    if cfg.scheme in TABLE_SCHEMES:
-        if column is not None:
-            raise SchemeInapplicableError(f"scheme {cfg.scheme!r} consumes a full "
-                                          "table, not a single-observable column")
-        if table is None:
-            if sampled:
-                pcfg = _resolve_pointer(cfg, cfg.dim)
-                table = _sampled_table(rho, basis_a, basis_b, pcfg,
-                                       cfg.shots, cfg.seed, noise)
-            else:
-                table = weak_value_table(rho, basis_a, basis_b)
-        elif table.dim != cfg.dim:
-            raise SchemeInapplicableError(f"table dimension {table.dim} does not "
-                                          f"match the configured dimension {cfg.dim}")
-    elif cfg.scheme in COLUMN_SCHEMES:
+    if scheme.measured is None:
         if table is not None:
-            raise SchemeInapplicableError(f"scheme {cfg.scheme!r} consumes a "
-                                          "single-observable column, not a table")
-        if column is None:
-            observable = _scheme_observable(cfg)
-            if sampled:
-                pcfg = _resolve_pointer(cfg, 1)
-                column = _sampled_column(rho, observable, basis_b, pcfg,
-                                         cfg.shots, cfg.seed, noise)
-            else:
-                w, P, defined = _exact_observable_column(rho, observable, basis_b)
-                zeros = np.zeros(cfg.dim)
-                column = ColumnEstimate(w=w, P=P, defined=defined, stderr_re=zeros,
-                                        stderr_im=zeros.copy(), n_trials=0)
-        elif column.w.shape[0] != cfg.dim:
-            raise SchemeInapplicableError(f"column dimension {column.w.shape[0]} does "
-                                          f"not match the configured dimension {cfg.dim}")
-    elif table is not None or column is not None:
-        raise SchemeInapplicableError("partial tomography generates its own data; "
-                                      "it cannot consume a table or column file")
-
-    if cfg.scheme == "postselected":
-        true_state = _require_pure(psi, cfg.scheme)
-        row = cfg.postselect_row
-        if not table.defined[row]:
-            raise MissingDataError(f"post-selection outcome {row} is undefined")
-        estimate = reconstruct_pure_postselected(table.W[row], beta.beta[row])
-        metrics["fidelity"] = fidelity(estimate, true_state)
-        metrics["trace_distance"] = trace_distance(estimate, true_state)
-
-    elif cfg.scheme == "all_data":
-        true_state = _require_pure(psi, cfg.scheme)
-        result = reconstruct_pure_all_data(table, beta)
-        estimate = result.merged
-        metrics["fidelity"] = fidelity(estimate, true_state)
-        metrics["trace_distance"] = trace_distance(estimate, true_state)
-        metrics["consistency"] = result.consistency
-
-    elif cfg.scheme == "single_projector":
-        true_state = _require_pure(psi, cfg.scheme)
-        if not column.defined.all():
-            raise MissingDataError(
-                f"outcomes {np.where(~column.defined)[0].tolist()} are undefined; "
-                "this scheme sums over every outcome")
-        estimate = reconstruct_pure_single_projector(column.w, _resolve_phi(cfg), basis_b)
-        metrics["fidelity"] = fidelity(estimate, true_state)
-        metrics["trace_distance"] = trace_distance(estimate, true_state)
-
-    elif cfg.scheme == "single_observable":
-        true_state = _require_pure(psi, cfg.scheme)
-        observable = _scheme_observable(cfg)
-        rows = np.where(column.defined)[0]
-        if rows.size == 0:
-            raise MissingDataError("every outcome is undefined")
-        estimate, kernel = reconstruct_pure_single_observable(
-            column.w, observable, beta, rows=rows)
-        metrics["fidelity"] = fidelity(estimate, true_state)
-        metrics["trace_distance"] = trace_distance(estimate, true_state)
-        metrics["kernel_residual"] = kernel.smallest_eig
-
-    elif cfg.scheme == "mixed_a":
-        result = reconstruct_mixed_abasis(table, beta)
-        estimate = result
-        metrics["fidelity"] = fidelity(result.physical, rho)
-        metrics["trace_distance"] = trace_distance(result.physical, rho)
-        metrics["hermiticity_gap"] = result.hermiticity_defect
-
-    elif cfg.scheme == "mixed_b":
-        result = reconstruct_mixed_bbasis(table, beta)
-        estimate = result
-        metrics["fidelity"] = fidelity(result.physical, rho)
-        metrics["trace_distance"] = trace_distance(result.physical, rho)
-        metrics["hermiticity_gap"] = result.hermiticity_defect
-
-    elif cfg.scheme == "partial":
+            raise SchemeInapplicableError(f"{_OWN_DATA}; it cannot consume a table")
         estimate, metrics = _run_partial(cfg, rho, noise)
-
-    else:  # pragma: no cover - guarded by config validation
-        raise SchemeInapplicableError(f"unhandled scheme {cfg.scheme!r}")
+    else:
+        measured, pcfg = _measurement(cfg)
+        if table is None and cfg.data_mode == "sampled":
+            table = _sampled_table(rho, measured, basis_b, pcfg, cfg.shots, cfg.seed, noise)
+        elif table is None:
+            table = weak_value_table(rho, measured, basis_b)
+        elif (table.dim, table.n_pointers) != (cfg.dim, pcfg.n_pointers):
+            raise SchemeInapplicableError(
+                f"scheme {cfg.scheme!r} consumes a {cfg.dim} x {pcfg.n_pointers} table, "
+                f"got {table.dim} x {table.n_pointers}")
+        # Basis A is the reference basis, which the d-pointer schemes measure.
+        basis_a = (measured if isinstance(measured, OrthonormalBasis)
+                   else reference_basis(cfg.dim))
+        beta = transition_matrix(basis_a, basis_b)
+        estimate, metrics, kernel = scheme.reconstruct(cfg, table, beta, basis_b)
+        truth = psi if scheme.pure else rho
+        state = estimate if scheme.pure else estimate.physical
+        metrics["fidelity"] = fidelity(state, truth)
+        metrics["trace_distance"] = trace_distance(state, truth)
 
     return ResultBundle(
         scheme=cfg.scheme,
@@ -407,74 +401,49 @@ def run_reconstruction(cfg: ExperimentConfig, *, table: WeakValueTable | None = 
         estimate=estimate,
         metrics=_finite_metrics(metrics),
         table=table,
-        column=column,
         kernel=kernel,
         wall_time=time.perf_counter() - t0,
     )
 
 
-def run_experiment(cfg: ExperimentConfig) -> ResultBundle:
-    """Run one seeded experiment end to end and score it against the truth.
-
-    Exact mode evaluates the weak values in closed form; sampled mode draws
-    the configured number of shots, reduces them to per-cell readout sums
-    as it goes, estimates the weak values from those sums, and reconstructs
-    from the estimates.  Metrics always include what the scheme makes
-    comparable (fidelity and trace distance for state schemes, element
-    error for partial tomography).
-    """
-    return run_reconstruction(cfg)
+def _pair_data(cfg: ExperimentConfig, rho: DensityMatrix, observable: Observable,
+               posts: list[StateVector], noise: NoiseModel):
+    """Weak values of ``observable`` and outcome probabilities at ``posts``."""
+    if cfg.data_mode == "exact":
+        return ([weak_value(rho, observable, post) for post in posts],
+                [float(np.vdot(post.amplitudes, rho.elements @ post.amplitudes).real)
+                 for post in posts])
+    n = len(posts)
+    basis = _complete_basis([post.amplitudes for post in posts], cfg.dim)
+    table = _sampled_table(rho, observable, basis, cfg.pointer_config(1),
+                           cfg.shots, cfg.seed, noise)
+    if not table.defined[:n].all():
+        raise MissingDataError("a post-selection outcome of the pair received no records")
+    return table.W[:n, 0], table.P[:n]
 
 
 def _run_partial(cfg: ExperimentConfig, rho: DensityMatrix, noise: NoiseModel):
-    """Estimate the single element <a|rho|b>, routing on the pair's overlap."""
+    """Estimate the single element <a|rho|b>, routing on the pair's overlap.
+
+    A non-orthogonal pair weakly measures |a><a| and post-selects on b; an
+    orthogonal pair weakly measures the projector onto the bridge state
+    (a + b)/sqrt2 and post-selects on a and on b separately.
+    """
     a, b = _resolve_partial_pair(cfg)
     overlap_ba = b.overlap(a)
     mat = rho.elements
-    true_ab = complex(np.vdot(a.amplitudes, mat @ b.amplitudes))
-    sampled = cfg.data_mode == "sampled"
-    metrics: dict = {}
-
     if abs(overlap_ba) > 1e-12:
-        observable = Observable.projector(a)
-        if sampled:
-            pcfg = _resolve_pointer(cfg, 1)
-            basis = _complete_basis([b.amplitudes], cfg.dim)
-            column = _sampled_column(rho, observable, basis, pcfg,
-                                     cfg.shots, cfg.seed, noise)
-            if not column.defined[0]:
-                raise MissingDataError("the post-selection outcome b received no records")
-            w, p_b = column.w[0], column.P[0]
-        else:
-            w = weak_value(rho, observable, b)
-            p_b = float(np.vdot(b.amplitudes, mat @ b.amplitudes).real)
+        (w,), (p_b,) = _pair_data(cfg, rho, Observable.projector(a), [b], noise)
         element = estimate_element_nonorthogonal(w, p_b, overlap_ba)
-        metrics["element_error"] = abs(element - true_ab)
-        return element, metrics
-
-    # Orthogonal pair: weakly measure the bridge projector and post-select
-    # on a and on b separately.
+        true_ab = complex(np.vdot(a.amplitudes, mat @ b.amplitudes))
+        return element, {"element_error": abs(element - true_ab)}
     bridge = StateVector.normalized(a.amplitudes + b.amplitudes)
-    observable = Observable.projector(bridge)
-    if sampled:
-        pcfg = _resolve_pointer(cfg, 1)
-        basis = _complete_basis([a.amplitudes, b.amplitudes], cfg.dim)
-        column = _sampled_column(rho, observable, basis, pcfg,
-                                 cfg.shots, cfg.seed, noise)
-        if not (column.defined[0] and column.defined[1]):
-            raise MissingDataError("post-selection outcomes a, b received no records")
-        w, w_prime = column.w[0], column.w[1]
-        p_a, p_b = column.P[0], column.P[1]
-    else:
-        w = weak_value(rho, observable, a)
-        w_prime = weak_value(rho, observable, b)
-        p_a = float(np.vdot(a.amplitudes, mat @ a.amplitudes).real)
-        p_b = float(np.vdot(b.amplitudes, mat @ b.amplitudes).real)
+    (w, w_prime), (p_a, p_b) = _pair_data(cfg, rho, Observable.projector(bridge),
+                                          [a, b], noise)
     pair = estimate_element_orthogonal(w, w_prime, p_a, p_b)
     true_ba = complex(np.vdot(b.amplitudes, mat @ a.amplitudes))
-    metrics["element_error"] = abs(pair.element_ba - true_ba)
-    metrics["hermiticity_gap"] = pair.hermiticity_gap
-    return pair, metrics
+    return pair, {"element_error": abs(pair.element_ba - true_ba),
+                  "hermiticity_gap": pair.hermiticity_gap}
 
 
 @dataclass(frozen=True)
@@ -552,7 +521,7 @@ def demo_phase_detection(theta: float, g: float = 0.01, sigma_p: float = 0.5,
 
 
 def _comparison_metric(cfg: ExperimentConfig) -> float:
-    bundle = run_experiment(cfg)
+    bundle = run_reconstruction(cfg)
     return bundle.metrics["trace_distance"]
 
 
@@ -580,11 +549,13 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
     seeds = [cfg_base.seed] if exact else [cfg_base.seed + s for s in range(n_seeds)]
 
     for scheme in schemes:
-        if scheme == "partial":
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}; options: {tuple(SCHEMES)}")
+        if SCHEMES[scheme].measured is None:
             rows.append({"scheme": scheme, "skipped": "estimates one element, "
                          "no state-level trace distance"})
             continue
-        if scheme in PURE_SCHEMES and psi is None:
+        if SCHEMES[scheme].pure and psi is None:
             rows.append({"scheme": scheme, "skipped": "state is mixed"})
             continue
         for shots in shot_grid:

@@ -11,11 +11,13 @@ with W the weak value for the post-selected outcome.  The exact finite-g
 evolution is available on a discretized pointer grid so the first-order model
 can be validated against it.
 
-Shot sampling is done block by block, each block from its own (seed, block)
-RNG, and the blocks feed one of two consumers.  ``sample_records`` and
-``sample_observable_records`` fill a ``RecordStream`` with one row per
-pointer readout, which is what ``weaktomo simulate --sampled`` writes.  An
-in-memory sampled run never builds those rows: it adds each block into
+Shot sampling draws from one law: the exact weak-value table of what is
+weakly measured (the d projectors of a basis, one pointer each, or a single
+observable on one pointer) shifted by ``table_shifts``.  Trials come block
+by block, each block from its own (seed, block) RNG, and the blocks feed one
+of two consumers.  ``sample_records`` fills a ``RecordStream`` with one row
+per pointer readout, which is what ``weaktomo simulate --sampled`` writes.
+An in-memory sampled run never builds those rows: it adds each block into
 per-cell count, sum and sum of squares, one cell per (outcome, pointer,
 quadrature), so its memory is O(d * n_pointers) and does not depend on the
 number of shots.  Both routes give bit-identical estimates.
@@ -37,11 +39,12 @@ from .errors import (
 from .qcore import (
     ATOL_EXACT,
     PROB_FLOOR,
-    Observable,
     OrthonormalBasis,
     StateVector,
+    _as_density,
+    _check_finite,
 )
-from .weakval import WeakValueTable, weak_value_table, _as_density_matrix
+from .weakval import WeakValueTable, weak_value_table
 
 # Joint system-pointer state may not exceed d * N^n = 2^22 complex amplitudes.
 SIZE_LIMIT = 1 << 22
@@ -74,6 +77,7 @@ class PointerConfig:
         arrays = {}
         for name in ("g", "mean_q", "mean_p", "sigma_q", "sigma_p"):
             arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            _check_finite(arr, f"pointer {name}")
             arrays[name] = arr
         n = arrays["g"].size
         if any(arr.size != n for arr in arrays.values()):
@@ -180,6 +184,8 @@ class NoiseModel:
     systematic_offset: float = 0.0
 
     def __post_init__(self):
+        _check_finite(np.array([self.readout_sigma_scale, self.systematic_offset]),
+                      "noise model")
         if self.readout_sigma_scale < 0:
             raise ValueError("readout_sigma_scale must be >= 0")
 
@@ -282,9 +288,10 @@ def first_order_shifts(W: complex, cfg: PointerConfig, pointer_index: int) -> Po
 
 def table_shifts(table: WeakValueTable, cfg: PointerConfig) -> tuple[np.ndarray, np.ndarray]:
     """First-order mean shifts for every (outcome j, pointer i) cell."""
-    if cfg.n_pointers != table.dim:
+    if cfg.n_pointers != table.n_pointers:
         raise DimensionMismatchError(
-            f"{cfg.n_pointers} pointers cannot cover a dim-{table.dim} table"
+            f"need {table.n_pointers} pointers (one per weakly measured observable), "
+            f"got {cfg.n_pointers}"
         )
     dq = cfg.g * table.W.real
     dp = 2.0 * cfg.g * table.W.imag * cfg.sigma_p**2
@@ -300,7 +307,7 @@ def postselect_probability(rho, post: StateVector, cfg: PointerConfig, weak_valu
     w = np.asarray(weak_values, dtype=complex)
     if w.size != cfg.n_pointers:
         raise DimensionMismatchError("need one weak value per pointer")
-    mat = _as_density_matrix(rho)
+    mat = _as_density(rho)
     base = np.vdot(post.amplitudes, mat @ post.amplitudes).real
     factor = 1.0 + 2.0 * float(np.sum(cfg.g * w.imag * cfg.mean_p))
     return float(min(max(base * factor, 0.0), 1.0))
@@ -349,7 +356,7 @@ def exact_joint_evolution(rho, observables, cfg: PointerConfig, grid: PointerGri
     UndefinedShiftError
         If the exact post-selection probability is below 1e-14.
     """
-    mat = _as_density_matrix(rho)
+    mat = _as_density(rho)
     d = mat.shape[0]
     n = cfg.n_pointers
     if len(observables) != n:
@@ -517,72 +524,40 @@ def _sample_cells(P, dq, dp, cfg: PointerConfig, shots: int, seed: int,
             per_trial.sum(axis=(1, 2)))
 
 
-def _table_law(rho, basis_a: OrthonormalBasis, basis_b: OrthonormalBasis,
-               cfg: PointerConfig):
-    """Outcome law and first-order readout shifts for a full table run."""
-    table = weak_value_table(rho, basis_a, basis_b)
-    if cfg.n_pointers != table.dim:
-        raise DimensionMismatchError(
-            f"need {table.dim} pointers (one per basis-A projector), got {cfg.n_pointers}"
-        )
+def _law(rho, measured, basis_b: OrthonormalBasis, cfg: PointerConfig):
+    """Outcome law and first-order readout shifts of a sampled run."""
+    table = weak_value_table(rho, measured, basis_b)
     dq, dp = table_shifts(table, cfg)
     return table.P, dq, dp
 
 
-def _observable_law(rho, observable: Observable, basis_b: OrthonormalBasis,
-                    cfg: PointerConfig):
-    """Outcome law and first-order readout shifts for a single-pointer run."""
-    if cfg.n_pointers != 1:
-        raise DimensionMismatchError("single-observable sampling uses exactly one pointer")
-    mat = _as_density_matrix(rho)
-    d = mat.shape[0]
-    bv = basis_b.vectors
-    P = np.einsum("ij,ji->i", bv.conj().T, mat @ bv).real
-    numer = np.einsum("ij,ji->i", bv.conj().T, observable.matrix @ mat @ bv)
-    w = np.zeros(d, dtype=complex)
-    defined = P > PROB_FLOOR
-    w[defined] = numer[defined] / P[defined]
-    dq = (cfg.g[0] * w.real)[:, None]
-    dp = (2.0 * cfg.g[0] * w.imag * cfg.sigma_p[0] ** 2)[:, None]
-    return np.clip(P, 0.0, 1.0), dq, dp
+def sample_records(rho, measured, basis_b: OrthonormalBasis, cfg: PointerConfig,
+                   shots: int, seed: int, noise: NoiseModel | None = None) -> RecordStream:
+    """Simulate a weak-measurement run, one pointer per measured observable.
 
-
-def sample_records(rho, basis_a: OrthonormalBasis, basis_b: OrthonormalBasis,
-                   cfg: PointerConfig, shots: int, seed: int,
-                   noise: NoiseModel | None = None) -> RecordStream:
-    """Simulate a full tomography run: one pointer per projector of basis A.
-
-    Each trial draws its post-selection outcome j from the exact outcome law,
+    ``measured`` is what ``weak_value_table`` accepts: a basis A, with one
+    pointer per projector, or a single Observable on one pointer.  Each
+    trial draws its post-selection outcome j from the exact outcome law,
     then emits one readout per pointer from a Gaussian centered on the
-    first-order shifted mean for (j, i).  Masked (zero-probability) outcomes
-    are never drawn.  The stream holds d rows per trial; it is built for
-    callers that need the rows themselves, such as ``simulate --sampled``.
-    An in-memory sampled ``run_reconstruction`` draws the same trials but
-    keeps only per-cell count, sum and sum of squares, so its memory does
-    not grow with ``shots``.
+    first-order shifted mean for (j, i).  Masked (zero-probability)
+    outcomes are never drawn.  The stream holds n_pointers rows per trial;
+    it is built for callers that need the rows themselves, such as
+    ``simulate --sampled``.  An in-memory sampled ``run_reconstruction``
+    draws the same trials but keeps only per-cell count, sum and sum of
+    squares, so its memory does not grow with ``shots``.
     """
-    return _sample_stream(*_table_law(rho, basis_a, basis_b, cfg), cfg, shots, seed, noise)
-
-
-def sample_observable_records(rho, observable: Observable, basis_b: OrthonormalBasis,
-                              cfg: PointerConfig, shots: int, seed: int,
-                              noise: NoiseModel | None = None) -> RecordStream:
-    """Simulate a run with a single pointer coupled to one observable.
-
-    Outcomes still range over all of basis B; the lone pointer's readout mean
-    for outcome j follows the weak value of ``observable`` at that outcome.
-    Rows whose post-selection probability vanishes are never drawn.
-    """
-    return _sample_stream(*_observable_law(rho, observable, basis_b, cfg),
-                          cfg, shots, seed, noise)
+    return _sample_stream(*_law(rho, measured, basis_b, cfg), cfg, shots, seed, noise)
 
 
 def _record_cells(records: RecordStream, dim: int, n_pointers: int):
     """Per-cell count, sum and sum of squares of a checked record stream.
 
     Cells are (outcome, pointer, quadrature); trials per outcome are counted
-    from the pointer-0 rows.  The first row (numbered from 1) with an
-    out-of-range index or a non-finite readout raises InvalidRecordsError.
+    from the pointer-0 rows.  Rows are numbered from 1; the first row with
+    an out-of-range index or a non-finite readout raises InvalidRecordsError,
+    and so does the first row that breaks the layout ``sample_records``
+    writes: trials 0, 1, ... in order, each one outcome and n_pointers rows
+    for pointers 0..n_pointers-1, even trials reading q and odd trials p.
     """
     for name, col, bound in (("outcome", records.outcome, dim),
                              ("pointer", records.pointer, n_pointers),
@@ -595,10 +570,38 @@ def _record_cells(records: RecordStream, dim: int, n_pointers: int):
         row = int(np.argmax(~np.isfinite(records.readout)))
         raise InvalidRecordsError(
             f"records row {row + 1}: readout {records.readout[row]} is not finite")
-    idx = ((records.outcome * n_pointers + records.pointer) * 2
+    n = n_pointers
+    n_full = len(records) // n                   # rows of complete trials
+    t = np.arange(n_full)[:, None]
+
+    def by_trial(col):
+        return col[:n_full * n].reshape(n_full, n)
+
+    outcome = by_trial(records.outcome)
+    checks = (("trial", by_trial(records.trial), t),
+              ("pointer", by_trial(records.pointer), np.arange(n)),
+              ("outcome", outcome, outcome[:, :1]),
+              ("quadrature", by_trial(records.quadrature), t % 2))
+    bad = [col != expected for _, col, expected in checks]
+    any_bad = np.logical_or.reduce(bad)
+    if any_bad.any():
+        cell = np.unravel_index(np.argmax(any_bad), any_bad.shape)
+        name, col, expected = next(c for c, b in zip(checks, bad) if b[cell])
+        got, want = col[cell], np.broadcast_to(expected, col.shape)[cell]
+        if name == "quadrature":
+            got, want = _QUAD_NAMES[got], _QUAD_NAMES[want]
+        raise InvalidRecordsError(
+            f"records row {cell[0] * n + cell[1] + 1}: {name} {got} where {want} "
+            f"belongs (trials run 0, 1, ... in order, each with one outcome and "
+            f"{n} pointer rows; even trials read q and odd trials p)")
+    if len(records) % n:
+        raise InvalidRecordsError(
+            f"records row {len(records)}: the last trial has "
+            f"{len(records) % n} of {n} pointer rows")
+    idx = ((records.outcome * n + records.pointer) * 2
            + records.quadrature.astype(np.int64))
-    n_cells = dim * n_pointers * 2
-    shape = (dim, n_pointers, 2)
+    n_cells = dim * n * 2
+    shape = (dim, n, 2)
     counts = np.bincount(idx, minlength=n_cells).reshape(shape)
     sums = np.bincount(idx, weights=records.readout, minlength=n_cells).reshape(shape)
     sumsq = np.bincount(idx, weights=records.readout**2, minlength=n_cells).reshape(shape)
@@ -606,10 +609,8 @@ def _record_cells(records: RecordStream, dim: int, n_pointers: int):
     return counts, sums, sumsq, trials
 
 
-def _estimate_cells(cells, cfg: PointerConfig):
-    """The estimate both estimators share, from per-cell sums of either
-    source: (W, P, defined, stderr_re, stderr_im, n_trials), with W and the
-    standard errors of shape (d, n_pointers)."""
+def _estimate_cells(cells, cfg: PointerConfig) -> WeakValueTable:
+    """The estimate shared by records and in-memory sampled cells."""
     if np.any(cfg.g <= 0):
         raise PreconditionError("estimation divides by g; all couplings must be positive")
     counts, sums, sumsq, trials = cells
@@ -627,72 +628,29 @@ def _estimate_cells(cells, cfg: PointerConfig):
     im_scale = 2.0 * cfg.g * cfg.sigma_p**2
     re = (means[:, :, QUAD_POSITION] - cfg.mean_q) / cfg.g
     im = (means[:, :, QUAD_MOMENTUM] - cfg.mean_p) / im_scale
-    W = re + 1j * im
-    W[~defined] = 0.0
-    return (W, trials / n_trials, defined, stderr[:, :, QUAD_POSITION] / cfg.g,
-            stderr[:, :, QUAD_MOMENTUM] / im_scale, n_trials)
-
-
-def _table_from_cells(cells, cfg: PointerConfig) -> WeakValueTable:
-    W, P, defined, stderr_re, stderr_im, _ = _estimate_cells(cells, cfg)
-    return WeakValueTable(dim=P.size, W=W, P=P, defined=defined,
-                          stderr_re=stderr_re, stderr_im=stderr_im)
+    return WeakValueTable(dim=trials.size, W=re + 1j * im, P=trials / n_trials,
+                          defined=defined, stderr_re=stderr[:, :, QUAD_POSITION] / cfg.g,
+                          stderr_im=stderr[:, :, QUAD_MOMENTUM] / im_scale,
+                          n_trials=n_trials)
 
 
 def estimate_weak_values(records: RecordStream, cfg: PointerConfig, dim: int) -> WeakValueTable:
     """Invert the first-order shift model on a record stream.
 
-    Produces an estimated weak-value table: Re W[j,i] from position cells,
-    Im W[j,i] from momentum cells, P[j] from outcome frequencies, and
-    per-entry standard errors.  Rows with any empty (pointer, quadrature)
-    cell are masked undefined; cells with fewer than two records report a
-    zero standard error.  An out-of-range outcome, pointer or quadrature,
-    or a non-finite readout, raises InvalidRecordsError naming its row.
+    Produces an estimated d x n_pointers weak-value table, with n_pointers
+    taken from ``cfg``: Re W[j,i] from position cells, Im W[j,i] from
+    momentum cells, P[j] from outcome frequencies, and per-entry standard
+    errors.  Rows with any empty (pointer, quadrature) cell are masked
+    undefined; cells with fewer than two records report a zero standard
+    error.  An out-of-range outcome, pointer or quadrature, a non-finite
+    readout, or a row out of the trial layout ``sample_records`` writes
+    raises InvalidRecordsError naming the first such row.
     """
-    if cfg.n_pointers != dim:
-        raise DimensionMismatchError(
-            f"need {dim} pointers for a dim-{dim} table, got {cfg.n_pointers}")
-    return _table_from_cells(_record_cells(records, dim, dim), cfg)
+    return _estimate_cells(_record_cells(records, dim, cfg.n_pointers), cfg)
 
 
-def _sampled_table(rho, basis_a: OrthonormalBasis, basis_b: OrthonormalBasis,
-                   cfg: PointerConfig, shots: int, seed: int,
-                   noise: NoiseModel | None) -> WeakValueTable:
+def _sampled_table(rho, measured, basis_b: OrthonormalBasis, cfg: PointerConfig,
+                   shots: int, seed: int, noise: NoiseModel | None) -> WeakValueTable:
     """``estimate_weak_values(sample_records(...))`` without building records."""
-    P, dq, dp = _table_law(rho, basis_a, basis_b, cfg)
-    return _table_from_cells(_sample_cells(P, dq, dp, cfg, shots, seed, noise), cfg)
-
-
-@dataclass(frozen=True)
-class ColumnEstimate:
-    """Estimated weak values of a single observable across outcomes."""
-
-    w: np.ndarray
-    P: np.ndarray
-    defined: np.ndarray
-    stderr_re: np.ndarray
-    stderr_im: np.ndarray
-    n_trials: int
-
-
-def _column_from_cells(cells, cfg: PointerConfig) -> ColumnEstimate:
-    w, P, defined, stderr_re, stderr_im, n_trials = _estimate_cells(cells, cfg)
-    return ColumnEstimate(w=w[:, 0], P=P, defined=defined, stderr_re=stderr_re[:, 0],
-                          stderr_im=stderr_im[:, 0], n_trials=n_trials)
-
-
-def estimate_weak_value_column(records: RecordStream, cfg: PointerConfig,
-                               dim: int) -> ColumnEstimate:
-    """Single-pointer counterpart of estimate_weak_values."""
-    if cfg.n_pointers != 1:
-        raise DimensionMismatchError("column estimation expects a single pointer")
-    return _column_from_cells(_record_cells(records, dim, 1), cfg)
-
-
-def _sampled_column(rho, observable: Observable, basis_b: OrthonormalBasis,
-                    cfg: PointerConfig, shots: int, seed: int,
-                    noise: NoiseModel | None) -> ColumnEstimate:
-    """``estimate_weak_value_column(sample_observable_records(...))`` without
-    building records."""
-    P, dq, dp = _observable_law(rho, observable, basis_b, cfg)
-    return _column_from_cells(_sample_cells(P, dq, dp, cfg, shots, seed, noise), cfg)
+    P, dq, dp = _law(rho, measured, basis_b, cfg)
+    return _estimate_cells(_sample_cells(P, dq, dp, cfg, shots, seed, noise), cfg)

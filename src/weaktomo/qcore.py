@@ -24,6 +24,11 @@ def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} holds a non-finite value")
+
+
 def _check_dim(dim: int) -> None:
     if not isinstance(dim, (int, np.integer)) or dim < 2:
         raise InvalidDimensionError(f"dimension must be an integer >= 2, got {dim!r}")
@@ -52,6 +57,7 @@ class StateVector:
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         _check_dim(amp.size)
+        _check_finite(amp, "state vector")
         norm = np.linalg.norm(amp)
         if abs(norm - 1.0) > ATOL_EXACT:
             raise ValueError(f"state vector norm {norm} is not 1 within {ATOL_EXACT}")
@@ -78,9 +84,6 @@ class StateVector:
             raise DimensionMismatchError(f"dims {self.dim} and {other.dim} differ")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def phase_fixed(self) -> "StateVector":
-        return StateVector(fix_global_phase(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -93,6 +96,7 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         _check_dim(mat.shape[0])
+        _check_finite(mat, "density matrix")
         if np.max(np.abs(mat - mat.conj().T)) > ATOL_EXACT:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         if abs(np.trace(mat).real - 1.0) > ATOL_EXACT:
@@ -106,9 +110,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.elements.shape[0]
 
-    def expectation(self, operator: np.ndarray) -> complex:
-        return complex(np.trace(operator @ self.elements))
-
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
@@ -121,6 +122,7 @@ class OrthonormalBasis:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"basis must be a square matrix, got shape {mat.shape}")
         _check_dim(mat.shape[0])
+        _check_finite(mat, "basis")
         gram = mat.conj().T @ mat
         if np.max(np.abs(gram - np.eye(mat.shape[0]))) > ATOL_EXACT:
             raise ValueError("basis columns are not orthonormal within 1e-12")
@@ -179,6 +181,8 @@ class Observable:
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         vals = np.asarray(self.eigenvalues, dtype=float)
+        _check_finite(mat, "observable")
+        _check_finite(vals, "observable eigenvalues")
         if np.max(np.abs(mat - mat.conj().T)) > ATOL_EXACT:
             raise ValueError("observable is not Hermitian within 1e-12")
         if mat.shape[0] != vals.size or mat.shape[0] != self.eigenbasis.dim:

@@ -12,9 +12,8 @@ import json
 
 import numpy as np
 
-from .qcore import DensityMatrix, OrthonormalBasis, StateVector
+from .qcore import DensityMatrix, StateVector
 from .weakval import WeakValueTable
-from .pointer import ColumnEstimate
 from .harness import ExperimentConfig, PhaseDemoReport, ResultBundle
 from .recon import DensityEstimate, ElementPair
 
@@ -55,11 +54,8 @@ def decode_state(obj):
     return StateVector(arr) if arr.ndim == 1 else DensityMatrix(arr)
 
 
-def decode_basis(obj) -> OrthonormalBasis:
-    return OrthonormalBasis(array_from_json(obj))
-
-
 def table_to_json(table: WeakValueTable) -> dict:
+    """Encode a d x n_pointers table; W rows are lists of n_pointers entries."""
     out = {
         "dim": table.dim,
         "W_re": table.W.real.tolist(),
@@ -89,7 +85,7 @@ def table_from_json(obj) -> WeakValueTable:
 
 
 def table_to_csv(table: WeakValueTable) -> str:
-    """Flat CSV export, one line per defined (j, i) cell.
+    """Flat CSV export, one line per defined (outcome j, pointer i) cell.
 
     Undefined rows are omitted rather than written as zeros; the JSON codec
     is the lossless one.
@@ -104,7 +100,7 @@ def table_to_csv(table: WeakValueTable) -> str:
     for j in range(table.dim):
         if not table.defined[j]:
             continue
-        for i in range(table.dim):
+        for i in range(table.n_pointers):
             row = [j, i, repr(float(table.W[j, i].real)),
                    repr(float(table.W[j, i].imag)), repr(float(table.P[j]))]
             if has_err:
@@ -189,15 +185,20 @@ def _estimate_to_json(estimate) -> dict:
     raise TypeError(f"cannot serialize estimate of type {type(estimate).__name__}")
 
 
-def _column_to_json(column: ColumnEstimate) -> dict:
+def _column_to_json(table: WeakValueTable) -> dict:
+    """A one-pointer table in the bundle's "column" layout: flat lists, zero
+    standard errors for exact data, and the trial count."""
+    zeros = np.zeros((table.dim, 1))
+    stderr_re = zeros if table.stderr_re is None else table.stderr_re
+    stderr_im = zeros if table.stderr_im is None else table.stderr_im
     return {
-        "w_re": column.w.real.tolist(),
-        "w_im": column.w.imag.tolist(),
-        "P": column.P.tolist(),
-        "defined": column.defined.tolist(),
-        "stderr_re": column.stderr_re.tolist(),
-        "stderr_im": column.stderr_im.tolist(),
-        "n_trials": int(column.n_trials),
+        "w_re": table.W[:, 0].real.tolist(),
+        "w_im": table.W[:, 0].imag.tolist(),
+        "P": table.P.tolist(),
+        "defined": table.defined.tolist(),
+        "stderr_re": stderr_re[:, 0].tolist(),
+        "stderr_im": stderr_im[:, 0].tolist(),
+        "n_trials": table.n_trials,
     }
 
 
@@ -218,15 +219,18 @@ def _diagnostics(bundle: ResultBundle) -> dict:
 
 def bundle_to_json(bundle: ResultBundle) -> dict:
     """Serialize a run.  Wall time is deliberately left out so that repeated
-    seeded runs produce byte-identical files."""
+    seeded runs produce byte-identical files.  A one-pointer table goes
+    under "column", any other under "table"."""
+    table = bundle.table
+    column = table is not None and table.n_pointers == 1
     return {
         "scheme": bundle.scheme,
         "config": config_to_dict(bundle.config),
         "estimate": _estimate_to_json(bundle.estimate),
         "metrics": {k: float(v) for k, v in sorted(bundle.metrics.items())},
         "diagnostics": _diagnostics(bundle),
-        "table": None if bundle.table is None else table_to_json(bundle.table),
-        "column": None if bundle.column is None else _column_to_json(bundle.column),
+        "table": None if table is None or column else table_to_json(table),
+        "column": _column_to_json(table) if column else None,
     }
 
 
@@ -267,7 +271,7 @@ def comparison_to_csv(rows) -> str:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def dump_path(obj, path) -> None:

@@ -1,9 +1,11 @@
 """Weak values and the post-selected weak-value table.
 
-The central object is the d x d table W[j, i]: the weak value of the
-projector onto the i-th vector of basis A, measured on outcome j of a
-post-selection in basis B, together with the outcome probabilities P_j.
-Rows whose post-selection probability vanishes are masked, not errored.
+The central object is the d x n table W[j, i]: the weak value of the i-th
+weakly measured observable on outcome j of a post-selection in basis B,
+together with the outcome probabilities P_j.  A basis-A table measures the
+d projectors onto the vectors of basis A (n = d); a single-observable table
+measures one observable (n = 1).  Rows whose post-selection probability
+vanishes are masked, not errored.
 """
 
 from dataclasses import dataclass
@@ -18,6 +20,8 @@ from .qcore import (
     Observable,
     OrthonormalBasis,
     StateVector,
+    _as_density,
+    _check_finite,
 )
 
 
@@ -25,9 +29,12 @@ from .qcore import (
 class WeakValueTable:
     """Weak values W[j, i] with outcome probabilities P[j] and a row mask.
 
+    W has one row per post-selection outcome and one column per pointer.
     Masked (undefined) rows hold zeros in W; ``defined`` carries the
     information.  Estimated tables additionally hold per-entry standard
-    errors for the real and imaginary parts.
+    errors for the real and imaginary parts and the number of trials they
+    were estimated from; exact tables have no standard errors and
+    ``n_trials`` 0.
     """
 
     dim: int
@@ -36,16 +43,20 @@ class WeakValueTable:
     defined: np.ndarray
     stderr_re: np.ndarray | None = None
     stderr_im: np.ndarray | None = None
+    n_trials: int = 0
 
     def __post_init__(self):
         d = self.dim
         W = np.array(self.W, dtype=complex)
         P = np.array(self.P, dtype=float)
         defined = np.array(self.defined, dtype=bool)
-        if W.shape != (d, d) or P.shape != (d,) or defined.shape != (d,):
+        if (W.ndim != 2 or W.shape[0] != d or W.shape[1] < 1
+                or P.shape != (d,) or defined.shape != (d,)):
             raise DimensionMismatchError(
                 f"table shapes {W.shape}/{P.shape}/{defined.shape} do not match dim {d}"
             )
+        _check_finite(W, "weak-value table")
+        _check_finite(P, "outcome probabilities")
         if P.min() < -ATOL_EXACT or P.max() > 1.0 + ATOL_EXACT:
             raise ValueError("outcome probabilities leave [0, 1]")
         if abs(P.sum() - 1.0) > ATOL_EXACT:
@@ -56,8 +67,9 @@ class WeakValueTable:
             err = getattr(self, name)
             if err is not None:
                 err = np.array(err, dtype=float)
-                if err.shape != (d, d):
-                    raise DimensionMismatchError(f"{name} shape {err.shape} != ({d}, {d})")
+                if err.shape != W.shape:
+                    raise DimensionMismatchError(f"{name} shape {err.shape} != {W.shape}")
+                _check_finite(err, name)
                 err[~defined] = 0.0
                 err.setflags(write=False)
                 object.__setattr__(self, name, err)
@@ -66,16 +78,8 @@ class WeakValueTable:
             object.__setattr__(self, name, arr)
 
     @property
-    def estimated(self) -> bool:
-        return self.stderr_re is not None
-
-
-def _as_density_matrix(rho) -> np.ndarray:
-    if isinstance(rho, StateVector):
-        return np.outer(rho.amplitudes, rho.amplitudes.conj())
-    if isinstance(rho, DensityMatrix):
-        return rho.elements
-    raise TypeError(f"expected StateVector or DensityMatrix, got {type(rho).__name__}")
+    def n_pointers(self) -> int:
+        return self.W.shape[1]
 
 
 def weak_value(rho, observable: Observable, post: StateVector) -> complex:
@@ -95,7 +99,7 @@ def weak_value(rho, observable: Observable, post: StateVector) -> complex:
     UndefinedWeakValueError
         If the post-selection probability tr(Pi rho) is below 1e-14.
     """
-    mat = _as_density_matrix(rho)
+    mat = _as_density(rho)
     d = mat.shape[0]
     if observable.dim != d or post.dim != d:
         raise DimensionMismatchError(
@@ -110,26 +114,32 @@ def weak_value(rho, observable: Observable, post: StateVector) -> complex:
     return complex(np.vdot(b, observable.matrix @ mat @ b) / prob)
 
 
-def weak_value_table(rho, basis_a: OrthonormalBasis, basis_b: OrthonormalBasis) -> WeakValueTable:
-    """Full weak-value table over projectors of basis A and outcomes of basis B.
+def weak_value_table(rho, measured, basis_b: OrthonormalBasis) -> WeakValueTable:
+    """Weak-value table of what is weakly measured, over the outcomes of basis B.
 
-    Entry W[j, i] = <b_j|a_i><a_i|rho|b_j> / <b_j|rho|b_j> and
-    P[j] = <b_j|rho|b_j>.  Rows with P[j] <= 1e-14 are masked.
+    ``measured`` is an OrthonormalBasis A, whose d projectors give the d
+    columns W[j, i] = <b_j|a_i><a_i|rho|b_j> / <b_j|rho|b_j>, or a single
+    Observable, whose one column is W[j, 0] = <b_j|A rho|b_j> / <b_j|rho|b_j>.
+    P[j] = <b_j|rho|b_j>; rows with P[j] <= 1e-14 are masked.
     """
-    mat = _as_density_matrix(rho)
+    mat = _as_density(rho)
     d = mat.shape[0]
-    if basis_a.dim != d or basis_b.dim != d:
+    if measured.dim != d or basis_b.dim != d:
         raise DimensionMismatchError(
-            f"dims rho={d}, A={basis_a.dim}, B={basis_b.dim} do not agree"
+            f"dims rho={d}, A={measured.dim}, B={basis_b.dim} do not agree"
         )
-    av, bv = basis_a.vectors, basis_b.vectors
-    beta = bv.conj().T @ av                      # beta[j, i] = <b_j|a_i>
-    cross = av.conj().T @ mat @ bv               # cross[i, j] = <a_i|rho|b_j>
+    bv = basis_b.vectors
+    if isinstance(measured, Observable):
+        numer = np.einsum("ij,ji->i", bv.conj().T, measured.matrix @ mat @ bv)[:, None]
+    else:
+        av = measured.vectors
+        beta = bv.conj().T @ av                  # beta[j, i] = <b_j|a_i>
+        cross = av.conj().T @ mat @ bv           # cross[i, j] = <a_i|rho|b_j>
+        numer = beta * cross.T
     P = np.einsum("ij,ji->i", bv.conj().T, mat @ bv).real
     defined = P > PROB_FLOOR
-    W = np.zeros((d, d), dtype=complex)
-    rows = np.where(defined)[0]
-    W[rows] = beta[rows] * cross.T[rows] / P[rows, None]
+    W = np.zeros(numer.shape, dtype=complex)
+    W[defined] = numer[defined] / P[defined, None]
     return WeakValueTable(dim=d, W=W, P=np.clip(P, 0.0, 1.0), defined=defined)
 
 
@@ -165,8 +175,13 @@ def check_sum_rules(
     to one, and the P-weighted column sums reproduce the diagonal of rho in
     basis A (real, so their imaginary part must vanish).  When ``rho`` is
     given the diagonal is cross-checked explicitly; ``basis_a`` defaults to
-    the computational reference basis.
+    the computational reference basis.  The rules hold for a basis-A table
+    only; any other pointer count raises DimensionMismatchError.
     """
+    if table.n_pointers != table.dim:
+        raise DimensionMismatchError(
+            f"sum rules need one pointer per basis-A projector ({table.dim}), "
+            f"got {table.n_pointers}")
     rows = table.defined
     if rows.any():
         row_sum_dev = float(np.max(np.abs(table.W[rows].sum(axis=1) - 1.0)))

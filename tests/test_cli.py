@@ -128,6 +128,15 @@ def test_verify_non_json_file(tmp_path):
     assert json.loads(proc.stderr)["error"] == "parse-error"
 
 
+def test_verify_rejects_non_finite_state(tmp_path):
+    f = tmp_path / "state.json"
+    f.write_text('{"dim": 2, "re": [NaN, 1.0], "im": [0.0, 0.0]}')
+    proc = run_cli("verify", str(f))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "non-finite" in json.loads(proc.stderr)["message"]
+
+
 # ------------------------------------------------------------------ pipeline
 
 
@@ -167,27 +176,19 @@ def test_sampled_pipeline_runs(tmp_path):
 
 
 def test_single_pointer_records_column_route(tmp_path):
-    # single-observable records go through the column estimator; noiseless
-    # readouts make the reconstruction exact
-    from weaktomo import (
-        DensityMatrix, NoiseModel, Observable, PointerConfig, fourier_basis,
-        reference_basis, sample_observable_records,
-    )
+    # single-observable records carry one pointer; noiseless readouts make
+    # the reconstruction exact
     psi = np.array([np.sqrt(3.0) / 2.0, 0.5], dtype=complex)
-    rho = DensityMatrix(np.outer(psi, psi.conj()))
-    obs = Observable.from_eigensystem(np.arange(2, dtype=float), reference_basis(2))
-    pcfg = PointerConfig.uniform(1, g=0.05)
-    stream = sample_observable_records(rho, obs, fourier_basis(2), pcfg,
-                                       shots=2048, seed=0,
-                                       noise=NoiseModel(readout_sigma_scale=0.0))
-    records = tmp_path / "records.csv"
-    records.write_text(stream.to_csv())
-
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "dim": 2, "scheme": "single_observable", "state_spec": "explicit",
         "state": {"dim": 2, "re": psi.real.tolist(), "im": psi.imag.tolist()},
+        "noise_sigma_scale": 0.0,
     }))
+    records = tmp_path / "records.csv"
+    proc = run_cli("simulate", "--config", str(cfg_path), "--sampled", "--shots", "2048",
+                   "--seed", "0", "--out", str(records), "--quiet")
+    assert proc.returncode == 0, proc.stderr
     proc = run_cli("reconstruct", "--config", str(cfg_path), "--records",
                    str(records), "--out", str(tmp_path / "b.json"), "--quiet")
     assert proc.returncode == 0
@@ -195,6 +196,38 @@ def test_single_pointer_records_column_route(tmp_path):
     assert bundle["metrics"]["fidelity"] >= 1.0 - 1e-10
     assert bundle["column"]["n_trials"] == 2048
     assert bundle["diagnostics"]["kernel_dim"] == 1
+
+
+@pytest.mark.parametrize("scheme", ["single_projector", "single_observable"])
+def test_simulate_single_pointer_schemes_round_trip(tmp_path, scheme):
+    # simulate writes the d x 1 data the scheme reads, in both modes
+    common = ("--set", "dim=3", "--set", f"scheme={scheme}", "--seed", "1")
+    table, records = tmp_path / "table.json", tmp_path / "records.csv"
+    assert run_cli("simulate", *common, "--exact", "--out", str(table)).returncode == 0
+    assert np.array(json.loads(table.read_text())["W_re"]).shape == (3, 1)
+    proc = run_cli("reconstruct", *common, "--exact", "--table", str(table), "--quiet")
+    assert proc.returncode == 0, proc.stderr
+    exact = json.loads(proc.stdout)
+    assert exact["metrics"]["fidelity"] >= 1.0 - 1e-10
+    assert exact["column"]["n_trials"] == 0
+    assert run_cli("simulate", *common, "--sampled", "--shots", "5000",
+                   "--out", str(records)).returncode == 0
+    assert {line.split(",")[2] for line in records.read_text().splitlines()[1:]} == {"0"}
+    proc = run_cli("reconstruct", *common, "--sampled", "--shots", "5000",
+                   "--records", str(records), "--quiet")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["column"]["n_trials"] == 5000
+    # the sum rules hold for a basis-A table only
+    proc = run_cli("verify", str(table))
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "dimension-mismatch"
+
+
+def test_simulate_partial_is_inapplicable():
+    proc = run_cli("simulate", "--set", "dim=2", "--set", "scheme=partial",
+                   "--set", "state_spec=ginibre")
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "scheme-inapplicable"
 
 
 def test_reconstruct_inapplicable_scheme_exit_code(tmp_path):
@@ -224,6 +257,27 @@ def test_reconstruct_bad_records_exit_code(tmp_path, case):
     error = json.loads(proc.stderr)
     assert error["error"] == "invalid-records"
     assert error["message"].startswith("records row 3:")
+
+
+@pytest.mark.parametrize("defect, row", [("line 6 deleted", 5), ("row 2 reads p", 2)])
+def test_reconstruct_rejects_records_out_of_trial_layout(tmp_path, defect, row):
+    records = tmp_path / "records.csv"
+    assert run_cli("simulate", "--set", "dim=2", "--set", "scheme=mixed_a",
+                   "--set", "state_spec=ginibre", "--sampled", "--shots", "1000",
+                   "--out", str(records)).returncode == 0
+    lines = records.read_text().splitlines(keepends=True)
+    if defect == "line 6 deleted":
+        del lines[5]
+    else:
+        t, j, i, _, r = lines[2].split(",")
+        lines[2] = ",".join([t, j, i, "p", r])
+    records.write_text("".join(lines))
+    proc = run_cli("reconstruct", "--set", "dim=2", "--set", "scheme=mixed_a",
+                   "--set", "state_spec=ginibre", "--records", str(records))
+    assert proc.returncode == 1
+    error = json.loads(proc.stderr)
+    assert error["error"] == "invalid-records"
+    assert error["message"].startswith(f"records row {row}:")
 
 
 def test_reconstruct_seeded_rerun_byte_identical(tmp_path):

@@ -4,8 +4,9 @@ The digests were captured once from the record-stream implementation of
 the sampler and estimators.  Any change to how trials are drawn, how
 readouts are formed or how cell sums are accumulated must keep these bytes
 identical; a mismatch here means seeded outputs changed.  None of the
-pinned outputs goes through an eigendecomposition, so thread counts of the
-linear-algebra backend do not enter them.
+sampler and estimator outputs goes through an eigendecomposition, so thread
+counts of the linear-algebra backend do not enter them.  The result-bundle
+digests at the end pin whole seeded runs of every scheme.
 """
 
 import hashlib
@@ -20,13 +21,11 @@ from weaktomo import (
     Observable,
     PointerConfig,
     StateVector,
-    estimate_weak_value_column,
     estimate_weak_values,
     fourier_basis,
     random_density_matrix,
     reference_basis,
     run_reconstruction,
-    sample_observable_records,
     sample_records,
     serialize,
 )
@@ -59,9 +58,10 @@ def _sha(text: str) -> str:
 
 
 def _column_digest(col) -> str:
+    # The bytes of a one-pointer table's column, laid out as flat arrays.
     h = hashlib.sha256()
-    for arr, dtype in ((col.w, "<c16"), (col.P, "<f8"), (col.defined, "|b1"),
-                       (col.stderr_re, "<f8"), (col.stderr_im, "<f8")):
+    for arr, dtype in ((col.W[:, 0], "<c16"), (col.P, "<f8"), (col.defined, "|b1"),
+                       (col.stderr_re[:, 0], "<f8"), (col.stderr_im[:, 0], "<f8")):
         h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
     h.update(str(int(col.n_trials)).encode())
     return h.hexdigest()
@@ -79,9 +79,9 @@ def _column_run(d: int):
     rho = random_density_matrix(d, d, 200 + d)
     obs = Observable.from_eigensystem(np.arange(d, dtype=float), reference_basis(d))
     cfg = PointerConfig.uniform(1, g=0.2)
-    records = sample_observable_records(rho, obs, fourier_basis(d), cfg,
-                                        shots=SHOTS, seed=SEED, noise=NOISE)
-    return estimate_weak_value_column(records, cfg, d)
+    records = sample_records(rho, obs, fourier_basis(d), cfg,
+                             shots=SHOTS, seed=SEED, noise=NOISE)
+    return estimate_weak_values(records, cfg, d)
 
 
 @pytest.mark.parametrize("d", [2, 3, 8])
@@ -111,7 +111,10 @@ def test_golden_masked_row_table():
 # Unlike the digests above these go through eigendecompositions (fidelity,
 # physical projection), so they pin the LAPACK build as well; at d <= 3
 # no BLAS threading enters.  Keys are "scheme/mode/d"; "partial_orth" is
-# the orthogonal-pair route of the partial scheme.
+# the orthogonal-pair route of the partial scheme.  The four exact
+# single_projector/single_observable digests were re-captured once, when the
+# exact one-pointer column moved to the vectorised weak-value arithmetic the
+# sampler uses (every value within 1e-15 of the per-outcome loop before).
 PURE = ("postselected", "all_data", "single_projector", "single_observable")
 BUNDLE = {
     "postselected/exact/2": "5cc79257aba5653d3caa4f3c6f9ece453392be6ee76b680b53b5f4496b52e5f9",
@@ -122,12 +125,12 @@ BUNDLE = {
     "all_data/exact/3": "b04922ef577c86a6a0bd3404413a77926890022cd19e8ab92700da551ea6550f",
     "all_data/sampled/2": "d81509adb9393b97e08bb3fb7e87f9915825d948304da002b297c8f95a5f10c0",
     "all_data/sampled/3": "342dcfea4272de640b17e2b300098db78f5d7a0edd7c6f8f8330c8e1fa76e090",
-    "single_projector/exact/2": "99898e96e34bca3bccbf017782ad6695bdda2828a73ad73ae68000dd9ac97426",
-    "single_projector/exact/3": "61fb8d542987df6dbb42a9351d5354a7eb17d6bda696be430f169c6d7526a6c7",
+    "single_projector/exact/2": "a9cf6a70fb19eb302e700d67f022855086a8704c5ce1e27d838d07c037031776",
+    "single_projector/exact/3": "0d4802e039a576fc00a19f2b017c9a71d9f664e512367305c9f940e74f1f3a54",
     "single_projector/sampled/2": "a744cf458e8538a79748d4a09269e9164e67c3a35218fbece0e9f027b138c8ae",
     "single_projector/sampled/3": "f53e1b3807226ee06ef65864e7d4d2d91f384c865a82a1682a06ffa54598c780",
-    "single_observable/exact/2": "84598e7c12791a76753560bcb668485c2dba5929147d089cdae887c7cdb749a7",
-    "single_observable/exact/3": "45eae6931c82d3c99ab97058921a97e6fa7d3afacd8c792f120e5b9293d154bb",
+    "single_observable/exact/2": "8295ca43aa1af928c0faf6d51ce4e7e1654c460391101e3330698e2c0fd36494",
+    "single_observable/exact/3": "54443defe5f6f8c495718da5baedaebf9058251bd456b4d5b3fddbbfbed5bc8f",
     "single_observable/sampled/2": "db88ceecbbd3dcdbb3a19223265d5d254f1e1bdb315e7b93867992a5f01323ad",
     "single_observable/sampled/3": "7c8eb52a693a115cdfcebbee55df58bf315a79ec37aa59bc30ea3df9e9980935",
     "mixed_a/exact/2": "cc3b73434e4d014952e0605e31107aee2a89900c9ffb8b1d1f6c82f8700cb184",

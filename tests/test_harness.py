@@ -18,7 +18,6 @@ from weaktomo import (
     fourier_basis,
     ramp_probe,
     reference_basis,
-    run_experiment,
     run_reconstruction,
     thread_cap,
     transition_matrix,
@@ -36,7 +35,7 @@ PSI_EXAMPLE = np.array([np.sqrt(3.0) / 2.0, 0.5], dtype=complex)
 @pytest.mark.parametrize("scheme", PURE_SCHEMES)
 def test_pure_schemes_exact_recovery(scheme):
     cfg = ExperimentConfig(dim=4, scheme=scheme, state_seed=1)
-    bundle = run_experiment(cfg)
+    bundle = run_reconstruction(cfg)
     assert bundle.metrics["fidelity"] >= 1.0 - 1e-10
     assert bundle.metrics["trace_distance"] < 1e-5
     assert bundle.scheme == scheme
@@ -46,7 +45,7 @@ def test_pure_schemes_exact_recovery(scheme):
 def test_mixed_scheme_explicit_state_exact():
     cfg = ExperimentConfig(dim=2, scheme="mixed_a", state_spec="explicit",
                            state=RHO_EXAMPLE)
-    bundle = run_experiment(cfg)
+    bundle = run_reconstruction(cfg)
     assert bundle.metrics["trace_distance"] < 1e-10
     assert bundle.metrics["hermiticity_gap"] < 1e-12
     assert np.max(np.abs(bundle.estimate.physical.elements - RHO_EXAMPLE)) < 1e-10
@@ -56,22 +55,22 @@ def test_mixed_scheme_ginibre_exact():
     for scheme in ("mixed_a", "mixed_b"):
         cfg = ExperimentConfig(dim=3, scheme=scheme, state_spec="ginibre",
                                state_rank=2, state_seed=5)
-        bundle = run_experiment(cfg)
+        bundle = run_reconstruction(cfg)
         assert bundle.metrics["trace_distance"] < 1e-10
 
 
 def test_single_observable_reports_kernel():
     cfg = ExperimentConfig(dim=3, scheme="single_observable", state_seed=2)
-    bundle = run_experiment(cfg)
+    bundle = run_reconstruction(cfg)
     assert bundle.metrics["kernel_residual"] < 1e-12
     assert bundle.kernel is not None
-    assert bundle.column is not None
-    assert bundle.column.n_trials == 0
+    assert bundle.table.n_pointers == 1
+    assert bundle.table.n_trials == 0
 
 
 def test_exact_mode_ignores_shots_and_noise():
-    a = run_experiment(ExperimentConfig(dim=3, scheme="all_data", state_seed=3))
-    b = run_experiment(ExperimentConfig(dim=3, scheme="all_data", state_seed=3,
+    a = run_reconstruction(ExperimentConfig(dim=3, scheme="all_data", state_seed=3))
+    b = run_reconstruction(ExperimentConfig(dim=3, scheme="all_data", state_seed=3,
                                         shots=999, noise_sigma_scale=7.0,
                                         noise_offset=1.5))
     assert a.metrics == b.metrics
@@ -82,7 +81,7 @@ def test_pure_scheme_rejects_mixed_state():
     cfg = ExperimentConfig(dim=3, scheme="all_data", state_spec="ginibre",
                            state_rank=2, state_seed=4)
     with pytest.raises(SchemeInapplicableError):
-        run_experiment(cfg)
+        run_reconstruction(cfg)
 
 
 def test_postselected_undefined_row():
@@ -90,7 +89,7 @@ def test_postselected_undefined_row():
     cfg = ExperimentConfig(dim=2, scheme="postselected", state_spec="explicit",
                            state=psi, postselect_row=1)
     with pytest.raises(MissingDataError):
-        run_experiment(cfg)
+        run_reconstruction(cfg)
 
 
 # ------------------------------------------------------------- provided data
@@ -108,14 +107,14 @@ def test_reconstruction_accepts_precomputed_table():
 
 def test_reconstruction_rejects_mismatched_payloads():
     cfg_table = ExperimentConfig(dim=2, scheme="all_data", state_seed=1)
-    table = run_experiment(cfg_table).table
+    table = run_reconstruction(cfg_table).table
     with pytest.raises(SchemeInapplicableError):
         run_reconstruction(ExperimentConfig(dim=2, scheme="single_projector",
                                             state_seed=1), table=table)
-    column = run_experiment(ExperimentConfig(dim=2, scheme="single_observable",
-                                             state_seed=1)).column
+    column = run_reconstruction(ExperimentConfig(dim=2, scheme="single_observable",
+                                                 state_seed=1)).table
     with pytest.raises(SchemeInapplicableError):
-        run_reconstruction(cfg_table, column=column)
+        run_reconstruction(cfg_table, table=column)
     with pytest.raises(SchemeInapplicableError):
         run_reconstruction(ExperimentConfig(dim=3, scheme="all_data",
                                             state_seed=1), table=table)
@@ -136,7 +135,7 @@ def test_partial_scheme_generates_its_own_data():
 def test_partial_default_pair_qubit_example():
     cfg = ExperimentConfig(dim=2, scheme="partial", state_spec="explicit",
                            state=RHO_EXAMPLE)
-    bundle = run_experiment(cfg)
+    bundle = run_reconstruction(cfg)
     # <a_0|rho|b> with b = (e0 + e1)/sqrt2
     assert bundle.estimate == pytest.approx(0.7071 + 0j, abs=5e-5)
     assert bundle.metrics["element_error"] < 1e-12
@@ -147,7 +146,7 @@ def test_partial_orthogonal_pair_qubit_example():
                            state=RHO_EXAMPLE,
                            partial_a=np.array([1.0, 0.0], dtype=complex),
                            partial_b=np.array([0.0, 1.0], dtype=complex))
-    bundle = run_experiment(cfg)
+    bundle = run_reconstruction(cfg)
     assert isinstance(bundle.estimate, ElementPair)
     assert bundle.estimate.element_ba == pytest.approx(0.25 + 0j, abs=1e-12)
     assert bundle.metrics["element_error"] < 1e-12
@@ -161,14 +160,14 @@ def test_partial_sampled_routes():
     cfg = ExperimentConfig(dim=2, scheme="partial", state_spec="explicit",
                            state=RHO_EXAMPLE, data_mode="sampled",
                            shots=200_000, seed=0, pointer_g=0.4)
-    bundle = run_experiment(cfg)
+    bundle = run_reconstruction(cfg)
     assert bundle.metrics["element_error"] < 0.06
     ortho = ExperimentConfig(dim=2, scheme="partial", state_spec="explicit",
                              state=RHO_EXAMPLE, data_mode="sampled",
                              shots=200_000, seed=0, pointer_g=0.4,
                              partial_a=np.array([1.0, 0.0], dtype=complex),
                              partial_b=np.array([0.0, 1.0], dtype=complex))
-    bundle2 = run_experiment(ortho)
+    bundle2 = run_reconstruction(ortho)
     assert bundle2.metrics["element_error"] < 0.09
 
 
@@ -180,7 +179,7 @@ def test_sampled_all_data_error_bound():
     # configuration (dim 4, one million shots, seed 0)
     cfg = ExperimentConfig(dim=4, scheme="all_data", data_mode="sampled",
                            shots=1_000_000, seed=0, state_seed=0)
-    bundle = run_experiment(cfg)
+    bundle = run_reconstruction(cfg)
     assert bundle.metrics["trace_distance"] < 0.28
     assert bundle.metrics["fidelity"] > 0.9
 
@@ -191,18 +190,18 @@ def test_sampled_mixed_error_bound():
     cfg = ExperimentConfig(dim=2, scheme="mixed_a", data_mode="sampled",
                            shots=100_000, seed=0, state_spec="explicit",
                            state=RHO_EXAMPLE)
-    bundle = run_experiment(cfg)
+    bundle = run_reconstruction(cfg)
     assert bundle.metrics["trace_distance"] < 0.40
 
 
 def test_sampled_runs_are_deterministic():
     cfg = ExperimentConfig(dim=3, scheme="all_data", data_mode="sampled",
                            shots=20_000, seed=7, state_seed=1)
-    a = run_experiment(cfg)
-    b = run_experiment(cfg)
+    a = run_reconstruction(cfg)
+    b = run_reconstruction(cfg)
     assert a.metrics == b.metrics
     assert np.array_equal(a.table.W, b.table.W)
-    c = run_experiment(ExperimentConfig(dim=3, scheme="all_data",
+    c = run_reconstruction(ExperimentConfig(dim=3, scheme="all_data",
                                         data_mode="sampled", shots=20_000,
                                         seed=8, state_seed=1))
     assert not np.array_equal(a.table.W, c.table.W)
@@ -212,7 +211,7 @@ def test_sampled_table_carries_standard_errors():
     cfg = ExperimentConfig(dim=2, scheme="mixed_a", data_mode="sampled",
                            shots=50_000, seed=2, state_spec="explicit",
                            state=RHO_EXAMPLE)
-    bundle = run_experiment(cfg)
+    bundle = run_reconstruction(cfg)
     assert bundle.table.stderr_re is not None
     assert np.all(bundle.table.stderr_re[bundle.table.defined] > 0)
 

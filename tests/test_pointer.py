@@ -16,7 +16,6 @@ from weaktomo import (
     ResourceLimitError,
     StateVector,
     UndefinedShiftError,
-    estimate_weak_value_column,
     estimate_weak_values,
     exact_joint_evolution,
     first_order_shifts,
@@ -26,7 +25,6 @@ from weaktomo import (
     postselect_probability,
     random_density_matrix,
     reference_basis,
-    sample_observable_records,
     sample_records,
     table_shifts,
     weak_value_table,
@@ -418,7 +416,30 @@ def test_bad_records_in_memory_stream_are_rejected():
     single = RecordStream(trial=[0, 1], outcome=[0, 1], pointer=[0, 1],
                           quadrature=[0, 1], readout=[0.1, 0.2])
     with pytest.raises(InvalidRecordsError, match="records row 2: pointer 1"):
-        estimate_weak_value_column(single, PointerConfig.uniform(1, g=0.1), 2)
+        estimate_weak_values(single, PointerConfig.uniform(1, g=0.1), 2)
+
+
+# Each case edits VALID_RECORDS out of the per-trial layout: the text
+# replaced, its replacement, and the first bad row with what is wrong there.
+BAD_TRIALS = {
+    "row missing": ("0,0,1,q,0.2\n", "", "records row 2: trial 1 where 0 belongs"),
+    "pointers swapped": ("0,0,0,q,0.1\n0,0,1,q,0.2", "0,0,1,q,0.2\n0,0,0,q,0.1",
+                         "records row 1: pointer 1 where 0 belongs"),
+    "two outcomes": ("0,0,1,q,0.2", "0,1,1,q,0.2", "records row 2: outcome 1 where 0 belongs"),
+    "trial skipped": ("1,1,0,p,0.3\n1,1,1,p,0.4", "2,1,0,p,0.3\n2,1,1,p,0.4",
+                      "records row 3: trial 2 where 1 belongs"),
+    "quadrature": ("0,0,1,q,0.2", "0,0,1,p,0.2", "records row 2: quadrature p where q belongs"),
+    "last trial short": ("1,1,1,p,0.4\n", "",
+                         "records row 3: the last trial has 1 of 2 pointer rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRIALS))
+def test_records_out_of_trial_layout_are_rejected(case):
+    old, new, message = BAD_TRIALS[case]
+    records = RecordStream.from_csv(VALID_RECORDS.replace(old, new))
+    with pytest.raises(InvalidRecordsError, match=message):
+        estimate_weak_values(records, PointerConfig.uniform(2, g=0.1), 2)
 
 
 def test_single_observable_sampling_and_column_estimate():
@@ -426,14 +447,15 @@ def test_single_observable_sampling_and_column_estimate():
     obs = Observable.from_matrix(np.diag([1.0, -1.0]).astype(complex))
     cfg = PointerConfig.uniform(1, g=0.05)
     quiet = NoiseModel(readout_sigma_scale=0.0)
-    records = sample_observable_records(rho, obs, fourier_basis(2), cfg,
-                                        shots=2048, seed=6, noise=quiet)
-    col = estimate_weak_value_column(records, cfg, 2)
+    records = sample_records(rho, obs, fourier_basis(2), cfg,
+                             shots=2048, seed=6, noise=quiet)
+    col = estimate_weak_values(records, cfg, 2)
+    assert col.W.shape == (2, 1)
     bv = fourier_basis(2).vectors
     for j in range(2):
         b = bv[:, j]
         expect = np.vdot(b, obs.matrix @ RHO_EXAMPLE @ b) / np.vdot(b, RHO_EXAMPLE @ b)
-        assert col.w[j] == pytest.approx(complex(expect), abs=1e-12)
+        assert col.W[j, 0] == pytest.approx(complex(expect), abs=1e-12)
     assert col.n_trials == 2048
 
 

@@ -5,6 +5,10 @@ import pytest
 
 from weaktomo import (
     DensityMatrix,
+    ExperimentConfig,
+    NoiseModel,
+    PointerConfig,
+    WeakValueTable,
     DimensionMismatchError,
     InvalidDimensionError,
     Observable,
@@ -18,9 +22,36 @@ from weaktomo import (
     reference_basis,
     trace_distance,
     transition_matrix,
+    serialize,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+NAN, INF = float("nan"), float("inf")
+DIAG_NAN = np.diag([NAN, 1.0])
+TABLE = dict(dim=2, W=np.zeros((2, 2)), P=[0.5, 0.5], defined=[True, True])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: StateVector([NAN, 1.0]),
+    lambda: DensityMatrix(DIAG_NAN),
+    lambda: OrthonormalBasis(np.diag([INF, 1.0])),
+    lambda: Observable(DIAG_NAN, [0.0, 1.0], reference_basis(2), True),
+    lambda: Observable(np.diag([0.0, 1.0]), [NAN, 1.0], reference_basis(2), True),
+    lambda: WeakValueTable(**{**TABLE, "W": DIAG_NAN}),
+    lambda: WeakValueTable(**{**TABLE, "P": [NAN, 0.5]}),
+    lambda: WeakValueTable(**TABLE, stderr_re=DIAG_NAN, stderr_im=np.zeros((2, 2))),
+    lambda: PointerConfig.uniform(2, g=NAN),
+    lambda: PointerConfig.uniform(2, mean_q=INF),
+    lambda: NoiseModel(readout_sigma_scale=INF),
+    lambda: NoiseModel(systematic_offset=NAN),
+    lambda: ExperimentConfig(dim=2, scheme="all_data", pointer_g=NAN),
+    lambda: serialize.dumps({"x": NAN}),
+], ids=["state", "density", "basis", "observable", "eigenvalues", "table_W", "table_P",
+        "table_stderr", "pointer_g", "pointer_mean_q", "noise_scale", "noise_offset",
+        "config", "dumps"])
+def test_non_finite_input_is_rejected(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_fourier_basis_d2_columns():

@@ -20,17 +20,15 @@ from weaktomo import (
     NoiseModel,
     Observable,
     PointerConfig,
-    estimate_weak_value_column,
     estimate_weak_values,
     fourier_basis,
     random_density_matrix,
     reference_basis,
     run_reconstruction,
-    sample_observable_records,
     sample_records,
     serialize,
 )
-from weaktomo.pointer import _sampled_column, _sampled_table
+from weaktomo.pointer import _sampled_table
 
 SHOTS = 50_001
 NOISE = NoiseModel(readout_sigma_scale=1.3, systematic_offset=0.01)
@@ -56,11 +54,11 @@ def test_in_memory_column_equals_records_path(d):
     rho = random_density_matrix(d, d, 50 + d)
     obs = Observable.from_eigensystem(np.arange(d, dtype=float), reference_basis(d))
     args = (rho, obs, fourier_basis(d), PointerConfig.uniform(1, g=0.2))
-    via_records = estimate_weak_value_column(
-        sample_observable_records(*args, shots=SHOTS, seed=5, noise=NOISE), args[3], d)
-    in_memory = _sampled_column(*args, SHOTS, 5, NOISE)
+    via_records = estimate_weak_values(
+        sample_records(*args, shots=SHOTS, seed=5, noise=NOISE), args[3], d)
+    in_memory = _sampled_table(*args, SHOTS, 5, NOISE)
     _assert_same(in_memory, via_records,
-                 ("w", "P", "defined", "stderr_re", "stderr_im", "n_trials"))
+                 ("W", "P", "defined", "stderr_re", "stderr_im", "n_trials"))
 
 
 def test_in_memory_path_raises_what_sample_then_estimate_raises():
@@ -79,22 +77,23 @@ def test_in_memory_path_raises_what_sample_then_estimate_raises():
 
 
 def test_in_memory_run_equals_cli_records_round_trip(tmp_path):
-    data = {"dim": 3, "scheme": "mixed_a", "state_spec": "ginibre",
-            "data_mode": "sampled", "shots": SHOTS, "seed": 7, "pointer_g": 0.2,
-            "noise_sigma_scale": 1.3, "noise_offset": 0.01}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(data))
-    records, bundle = tmp_path / "records.csv", tmp_path / "bundle.json"
-    for argv in (("simulate", "--config", str(cfg_path), "--sampled",
-                  "--out", str(records), "--quiet"),
-                 ("reconstruct", "--config", str(cfg_path), "--records", str(records),
-                  "--out", str(bundle), "--quiet")):
-        proc = subprocess.run([sys.executable, "-m", "weaktomo", *argv],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-    from_cli = json.loads(bundle.read_text())["table"]
-    in_memory = run_reconstruction(serialize.config_from_dict(data)).table
-    assert serialize.dumps(from_cli) == serialize.dumps(serialize.table_to_json(in_memory))
+    # a d-pointer table scheme and a one-pointer scheme
+    for scheme, state_spec in (("mixed_a", "ginibre"), ("single_observable", "haar-pure")):
+        data = {"dim": 3, "scheme": scheme, "state_spec": state_spec,
+                "data_mode": "sampled", "shots": SHOTS, "seed": 7, "pointer_g": 0.2,
+                "noise_sigma_scale": 1.3, "noise_offset": 0.01}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        records, bundle = tmp_path / "records.csv", tmp_path / "bundle.json"
+        for argv in (("simulate", "--config", str(cfg_path), "--sampled",
+                      "--out", str(records), "--quiet"),
+                     ("reconstruct", "--config", str(cfg_path), "--records", str(records),
+                      "--out", str(bundle), "--quiet")):
+            proc = subprocess.run([sys.executable, "-m", "weaktomo", *argv],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        in_memory = run_reconstruction(serialize.config_from_dict(data))
+        assert bundle.read_text() == serialize.dumps(serialize.bundle_to_json(in_memory))
 
 
 def _traced_peak_mb(shots: int) -> float:

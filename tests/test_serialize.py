@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from weaktomo import ExperimentConfig, run_experiment, demo_phase_detection
+from weaktomo import ExperimentConfig, run_reconstruction, demo_phase_detection
 from weaktomo import serialize as ser
 
 RHO_EXAMPLE = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
@@ -54,14 +54,14 @@ def test_decode_state_by_shape():
 
 
 def _exact_table():
-    bundle = run_experiment(ExperimentConfig(dim=2, scheme="mixed_a",
+    bundle = run_reconstruction(ExperimentConfig(dim=2, scheme="mixed_a",
                                              state_spec="explicit",
                                              state=RHO_EXAMPLE))
     return bundle.table
 
 
 def _sampled_table():
-    bundle = run_experiment(ExperimentConfig(dim=2, scheme="mixed_a",
+    bundle = run_reconstruction(ExperimentConfig(dim=2, scheme="mixed_a",
                                              state_spec="explicit",
                                              state=RHO_EXAMPLE,
                                              data_mode="sampled",
@@ -183,7 +183,7 @@ def test_config_rejects_unknown_keys():
 
 
 def test_bundle_json_shape_and_no_wall_time():
-    bundle = run_experiment(ExperimentConfig(dim=2, scheme="mixed_a",
+    bundle = run_reconstruction(ExperimentConfig(dim=2, scheme="mixed_a",
                                              state_spec="explicit",
                                              state=RHO_EXAMPLE))
     obj = ser.bundle_to_json(bundle)
@@ -197,11 +197,11 @@ def test_bundle_json_shape_and_no_wall_time():
 
 
 def test_bundle_json_estimate_kinds():
-    state_bundle = run_experiment(ExperimentConfig(dim=2, scheme="all_data",
+    state_bundle = run_reconstruction(ExperimentConfig(dim=2, scheme="all_data",
                                                    state_seed=1))
     assert ser.bundle_to_json(state_bundle)["estimate"]["kind"] == "state_vector"
 
-    kernel_bundle = run_experiment(ExperimentConfig(dim=2, scheme="single_observable",
+    kernel_bundle = run_reconstruction(ExperimentConfig(dim=2, scheme="single_observable",
                                                     state_seed=1))
     obj = ser.bundle_to_json(kernel_bundle)
     assert obj["estimate"]["kind"] == "state_vector"
@@ -209,12 +209,12 @@ def test_bundle_json_estimate_kinds():
     assert obj["diagnostics"]["kernel_dim"] == 1
     assert obj["column"]["n_trials"] == 0
 
-    element_bundle = run_experiment(ExperimentConfig(dim=2, scheme="partial",
+    element_bundle = run_reconstruction(ExperimentConfig(dim=2, scheme="partial",
                                                      state_spec="explicit",
                                                      state=RHO_EXAMPLE))
     assert ser.bundle_to_json(element_bundle)["estimate"]["kind"] == "element"
 
-    pair_bundle = run_experiment(ExperimentConfig(
+    pair_bundle = run_reconstruction(ExperimentConfig(
         dim=2, scheme="partial", state_spec="explicit", state=RHO_EXAMPLE,
         partial_a=np.array([1.0, 0.0], dtype=complex),
         partial_b=np.array([0.0, 1.0], dtype=complex)))
@@ -227,8 +227,8 @@ def test_bundle_json_byte_identical_reruns():
     cfg = ExperimentConfig(dim=2, scheme="mixed_a", state_spec="explicit",
                            state=RHO_EXAMPLE, data_mode="sampled",
                            shots=10_000, seed=5)
-    a = ser.dumps(ser.bundle_to_json(run_experiment(cfg)))
-    b = ser.dumps(ser.bundle_to_json(run_experiment(cfg)))
+    a = ser.dumps(ser.bundle_to_json(run_reconstruction(cfg)))
+    b = ser.dumps(ser.bundle_to_json(run_reconstruction(cfg)))
     assert a == b
 
 
@@ -236,7 +236,7 @@ def test_config_survives_bundle_round_trip():
     cfg = ExperimentConfig(dim=2, scheme="mixed_a", state_spec="explicit",
                            state=RHO_EXAMPLE, data_mode="sampled",
                            shots=10_000, seed=5)
-    obj = json.loads(ser.dumps(ser.bundle_to_json(run_experiment(cfg))))
+    obj = json.loads(ser.dumps(ser.bundle_to_json(run_reconstruction(cfg))))
     back = ser.config_from_dict(obj["config"])
     for name in cfg.__dataclass_fields__:
         mine, theirs = getattr(cfg, name), getattr(back, name)

@@ -5,6 +5,7 @@ import pytest
 
 from weaktomo import (
     DensityMatrix,
+    DimensionMismatchError,
     Observable,
     StateVector,
     UndefinedWeakValueError,
@@ -136,6 +137,21 @@ def test_table_dual_route_agreement():
             proj = np.outer(a, a.conj())
             direct = oracle_weak_value(rho.elements, proj, b.amplitudes)
             assert abs(table.W[j, i] - direct) < 1e-13
+
+
+def test_single_observable_table_matches_trace_form():
+    # one pointer: W[j, 0] is the weak value of the observable at outcome j
+    rho = random_density_matrix(4, 4, 22)
+    obs = Observable.from_eigensystem(np.arange(4.0), reference_basis(4))
+    basis_b = fourier_basis(4)
+    table = weak_value_table(rho, obs, basis_b)
+    assert table.W.shape == (4, 1) and table.n_pointers == 1
+    for j in range(4):
+        b = basis_b.vectors[:, j]
+        assert abs(table.W[j, 0] - oracle_weak_value(rho.elements, obs.matrix, b)) < 1e-13
+    assert np.array_equal(table.P, weak_value_table(rho, reference_basis(4), basis_b).P)
+    with pytest.raises(DimensionMismatchError):
+        check_sum_rules(table)
 
 
 def test_table_masks_zero_probability_row():
