@@ -174,15 +174,14 @@ def reconstruct_pure_all_data(table: WeakValueTable, beta: TransitionMatrix) -> 
     norm = np.linalg.norm(merged)
     if norm == 0:
         raise DegenerateDataError("candidates cancel; merged state is the zero vector")
-    consistency = 0.0
-    for a_idx in range(len(usable)):
-        for b_idx in range(a_idx + 1, len(usable)):
-            ov = per_row[usable[a_idx]].overlap(per_row[usable[b_idx]])
-            consistency = max(consistency, 1.0 - abs(ov) ** 2)
+    # Pairwise overlaps <c_a|c_b>, a < b, from one Gram matrix of the candidates.
+    cand = np.stack([per_row[j].amplitudes for j in usable], axis=1)
+    upper = np.triu_indices(len(usable), 1)
+    overlaps = (cand.conj().T @ cand)[upper]
     return PureStateEstimate(
         merged=StateVector(fix_global_phase(merged / norm)),
         per_row=per_row,
-        consistency=float(consistency),
+        consistency=float(np.max(1.0 - np.abs(overlaps) ** 2, initial=0.0)),
     )
 
 

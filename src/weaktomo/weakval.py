@@ -129,14 +129,15 @@ def weak_value_table(rho, measured, basis_b: OrthonormalBasis) -> WeakValueTable
             f"dims rho={d}, A={measured.dim}, B={basis_b.dim} do not agree"
         )
     bv = basis_b.vectors
+    rho_b = mat @ bv                             # rho_b[:, j] = rho|b_j>
     if isinstance(measured, Observable):
         numer = np.einsum("ij,ji->i", bv.conj().T, measured.matrix @ mat @ bv)[:, None]
     else:
         av = measured.vectors
         beta = bv.conj().T @ av                  # beta[j, i] = <b_j|a_i>
-        cross = av.conj().T @ mat @ bv           # cross[i, j] = <a_i|rho|b_j>
+        cross = av.conj().T @ rho_b              # cross[i, j] = <a_i|rho|b_j>
         numer = beta * cross.T
-    P = np.einsum("ij,ji->i", bv.conj().T, mat @ bv).real
+    P = np.einsum("ij,ji->i", bv.conj().T, rho_b).real
     defined = P > PROB_FLOOR
     W = np.zeros(numer.shape, dtype=complex)
     W[defined] = numer[defined] / P[defined, None]
