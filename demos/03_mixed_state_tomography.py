@@ -45,8 +45,9 @@ def main():
     print(f"  smallest raw eigenvalue:   {est_a.min_eig_raw:.6f}")
     print()
 
-    # Noisy raw matrices can leave the physical set; the projection
-    # hermitizes, clips negative eigenvalues, and renormalizes the trace.
+    # Noisy raw matrices can leave the physical set; the projection returns
+    # the nearest state: it hermitizes and shifts the eigenvalues down by one
+    # threshold, clipped at zero, so that they sum to one.
     noisy = est_a.raw.copy()
     noisy[0, 1] += 0.3
     fixed = project_to_physical(noisy)

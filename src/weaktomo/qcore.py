@@ -87,9 +87,16 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Mixed state: Hermitian, positive semidefinite, unit trace."""
+    """Mixed state: Hermitian, positive semidefinite, unit trace.
+
+    ``min_eigenvalue`` is the smallest eigenvalue found by the PSD check.
+    """
 
     elements: np.ndarray
+    min_eigenvalue: float = field(init=False, repr=False, compare=False)
+    # (eigenvalues, eigenvectors) of ``elements`` when the matrix was built
+    # from its eigendecomposition; fidelity reuses it instead of calling eigh.
+    _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.elements, dtype=complex)
@@ -102,13 +109,24 @@ class DensityMatrix:
         if abs(np.trace(mat).real - 1.0) > ATOL_EXACT:
             raise ValueError(f"trace {np.trace(mat)} is not 1 within {ATOL_EXACT}")
         # PSD check goes through eigh, so it gets the looser tolerance.
-        if np.linalg.eigvalsh(mat).min() < -ATOL_EIG:
+        min_eig = float(np.linalg.eigvalsh(mat).min())
+        if min_eig < -ATOL_EIG:
             raise ValueError("density matrix has an eigenvalue below -1e-10")
         object.__setattr__(self, "elements", _frozen(mat, complex))
+        object.__setattr__(self, "min_eigenvalue", min_eig)
 
     @property
     def dim(self) -> int:
         return self.elements.shape[0]
+
+
+def _density_from_spectrum(vals: np.ndarray, vecs: np.ndarray) -> DensityMatrix:
+    """The validated DensityMatrix V diag(vals) V^dag, carrying (vals, vecs)."""
+    rho = DensityMatrix((vecs * vals) @ vecs.conj().T)
+    vals, vecs = _frozen(vals, float), np.asarray(vecs, dtype=complex)
+    vecs.setflags(write=False)
+    object.__setattr__(rho, "_spectrum", (vals, vecs))
+    return rho
 
 
 @dataclass(frozen=True)
@@ -277,7 +295,8 @@ def fidelity(x, y) -> float:
     """Fidelity between two states (pure or mixed, in any combination).
 
     Pure-pure pairs use |<x|y>|^2; a pure-mixed pair uses <psi|rho|psi>;
-    the general case is (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
+    the general case is (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, with rho = x
+    and sqrt(rho) taken from the eigendecomposition x carries, if it does.
     """
     if isinstance(x, StateVector) and isinstance(y, StateVector):
         return float(abs(x.overlap(y)) ** 2)
@@ -292,7 +311,7 @@ def fidelity(x, y) -> float:
     rho, sigma = _as_density(x), _as_density(y)
     if rho.shape != sigma.shape:
         raise DimensionMismatchError(f"shapes {rho.shape} and {sigma.shape} differ")
-    vals, vecs = np.linalg.eigh(rho)
+    vals, vecs = x._spectrum if x._spectrum is not None else np.linalg.eigh(rho)
     sq = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
     inner = np.linalg.eigvalsh(sq @ sigma @ sq)
     root = np.sqrt(np.clip(inner, 0.0, None)).sum()

@@ -40,6 +40,7 @@ from .qcore import (
     OrthonormalBasis,
     StateVector,
     TransitionMatrix,
+    _density_from_spectrum,
     fix_global_phase,
 )
 from .weakval import WeakValueTable
@@ -69,8 +70,9 @@ class PureStateEstimate:
 class DensityEstimate:
     """Raw reassembled matrix plus its physical projection.
 
+    physical is the nearest state to raw (see ``project_to_physical``);
     hermiticity_defect = max |raw - raw^dag| entrywise; min_eig_raw is the
-    smallest eigenvalue of the Hermitized raw matrix before clipping.
+    smallest eigenvalue of the Hermitized raw matrix before projection.
     """
 
     raw: np.ndarray
@@ -263,11 +265,10 @@ def reconstruct_pure_single_observable(w, observable: Observable, beta: Transiti
 
 def _project_pipeline(raw: np.ndarray) -> DensityEstimate:
     defect = float(np.max(np.abs(raw - raw.conj().T)))
-    hermitized = (raw + raw.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(hermitized).min())
+    physical, min_eig = _nearest_state(raw)
     return DensityEstimate(
         raw=raw,
-        physical=project_to_physical(raw),
+        physical=physical,
         hermiticity_defect=defect,
         min_eig_raw=min_eig,
     )
@@ -353,18 +354,39 @@ def estimate_element_orthogonal(w: complex, w_prime: complex,
     )
 
 
-def project_to_physical(raw: np.ndarray) -> DensityMatrix:
-    """Nearest-physical projection: Hermitize, clip negatives, renormalize.
+def _simplex_projection(vals: np.ndarray) -> np.ndarray:
+    """Euclidean projection of ascending eigenvalues onto the probability simplex.
 
-    Raises DegenerateDataError when nothing positive remains to normalize.
+    Shifts every eigenvalue down by one threshold and clips at zero, with the
+    threshold chosen so the result sums to one; (0.7, 0.5, -0.2) becomes
+    (0.6, 0.4, 0).
     """
+    desc = vals[::-1]
+    k = np.arange(1, vals.size + 1)
+    shifts = (np.cumsum(desc) - 1.0) / k
+    # The condition holds for a leading run of k (always k = 1); use its end.
+    last = np.flatnonzero(desc - shifts > 0)[-1]
+    return np.clip(vals - shifts[last], 0.0, None)
+
+
+def _nearest_state(raw) -> tuple[DensityMatrix, float]:
+    """Nearest state to raw, plus the smallest eigenvalue of its Hermitian part."""
     raw = np.asarray(raw, dtype=complex)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {raw.shape}")
     hermitized = (raw + raw.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(hermitized)
-    clipped = np.clip(vals, 0.0, None)
-    total = clipped.sum()
-    if total <= PROB_FLOOR:
+    if np.clip(vals, 0.0, None).sum() <= PROB_FLOOR:
         raise DegenerateDataError("matrix has no positive spectral weight to normalize")
-    return DensityMatrix((vecs * (clipped / total)) @ vecs.conj().T)
+    return _density_from_spectrum(_simplex_projection(vals), vecs), float(vals[0])
+
+
+def project_to_physical(raw: np.ndarray) -> DensityMatrix:
+    """Nearest state to raw in Frobenius norm.
+
+    Hermitizes raw and projects its eigenvalues onto the probability simplex
+    in the same eigenbasis (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)),
+    which gives the unit-trace PSD matrix closest to raw.
+    Raises DegenerateDataError when raw has no positive spectral weight.
+    """
+    return _nearest_state(raw)[0]

@@ -49,3 +49,20 @@ def align_phase(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if abs(inner) == 0:
         return x
     return x * (inner.conjugate() / abs(inner))
+
+
+def oracle_consistency(candidates: list) -> float:
+    """Largest pairwise infidelity 1 - |<c_a|c_b>|^2, a < b, by a scalar loop."""
+    worst = 0.0
+    for a in range(len(candidates)):
+        for b in range(a + 1, len(candidates)):
+            inner = sum(x.conjugate() * y for x, y in zip(candidates[a], candidates[b]))
+            worst = max(worst, 1.0 - abs(inner) ** 2)
+    return worst
+
+
+def oracle_clip_renormalise(h: np.ndarray) -> np.ndarray:
+    """Hermitize, clip negative eigenvalues and rescale to unit trace."""
+    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    clipped = np.clip(vals, 0.0, None)
+    return (vecs * (clipped / clipped.sum())) @ vecs.conj().T

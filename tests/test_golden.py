@@ -115,6 +115,10 @@ def test_golden_masked_row_table():
 # single_projector/single_observable digests were re-captured once, when the
 # exact one-pointer column moved to the vectorised weak-value arithmetic the
 # sampler uses (every value within 1e-15 of the per-outcome loop before).
+# The eight mixed_a/mixed_b digests were re-captured once, when the physical
+# projection became the nearest-state projection and its eigendecomposition
+# began to supply min_eig_raw and the estimate's square root in fidelity
+# (exact values within 4e-14 of before; sampled ones moved by the projection).
 PURE = ("postselected", "all_data", "single_projector", "single_observable")
 BUNDLE = {
     "postselected/exact/2": "5cc79257aba5653d3caa4f3c6f9ece453392be6ee76b680b53b5f4496b52e5f9",
@@ -133,14 +137,14 @@ BUNDLE = {
     "single_observable/exact/3": "54443defe5f6f8c495718da5baedaebf9058251bd456b4d5b3fddbbfbed5bc8f",
     "single_observable/sampled/2": "db88ceecbbd3dcdbb3a19223265d5d254f1e1bdb315e7b93867992a5f01323ad",
     "single_observable/sampled/3": "7c8eb52a693a115cdfcebbee55df58bf315a79ec37aa59bc30ea3df9e9980935",
-    "mixed_a/exact/2": "cc3b73434e4d014952e0605e31107aee2a89900c9ffb8b1d1f6c82f8700cb184",
-    "mixed_a/exact/3": "265a19d4d54dd9d6ceef8a2b677aa2bfd997e79ad76688a575568910bf390542",
-    "mixed_a/sampled/2": "fd70cf19c089fac452c83ea189b8a381baa54bd0a77356b69808ffc691ece712",
-    "mixed_a/sampled/3": "c7bb8a858b686933e99c6ea9c0dc2d11ee08af500dda0e36598aa07c99921a08",
-    "mixed_b/exact/2": "eaa7083a2a0c7013fd7a9a0c9369b01fce1e819f119eebe5ea8d3952154da21a",
-    "mixed_b/exact/3": "0a173729af3cf20b7eaa7d66ec56126cfb07f8356d5607c33497aabf3764a4ca",
-    "mixed_b/sampled/2": "cc3ca9e93bead39f88075bd52d5b260b482e82653c159e3ac0d299f8566aea62",
-    "mixed_b/sampled/3": "9325b268ce685ba029a05737455a6408f806812ebde3a56d32f40baa42b61d81",
+    "mixed_a/exact/2": "c07a348c44e7aebfa179e14566341c26d4800950d686d7bac2f5812e9f922db9",
+    "mixed_a/exact/3": "b9052b6fd020ff39b6d9ce1975e343e519aa608bd5e769a985d88a9b9d129f38",
+    "mixed_a/sampled/2": "9d054f1f7c4536e8c10cd24d0b061cff77b59bedffccaf5d0944075917be630b",
+    "mixed_a/sampled/3": "d2ce0ee31723f94e3dd80adcd619c3debff3d37dfa4d80b547935f79eb00fd1c",
+    "mixed_b/exact/2": "4304ebc2b66fdcd8668bba164c457e2685354e5a9b256775ead50eeb83adf13e",
+    "mixed_b/exact/3": "aac8db4543a1ca9558920363e408c8e9e9a3a34767b48081ef70bab99494cd6a",
+    "mixed_b/sampled/2": "994d7afb0f9a312bc6f9a5817925eb4b93757f99ca005558dbb373690767de88",
+    "mixed_b/sampled/3": "340efa402229491b5e4670bdca5126c83eb70ef04bbf81b0ce71f99b84a04f8b",
     "partial/exact/2": "45c9e91438734e92028f7bbd68502d2414266a9b8a80a395ccc201f8c322e090",
     "partial/exact/3": "a8fdf379efac94094070bebf3e0f6c6b61e3b81aa3e068e939dc68fab843d0d6",
     "partial/sampled/2": "d035bf4920c11780b810c75a636eee5d70e1c94f3372a20582c75cdb09125965",

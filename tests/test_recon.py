@@ -2,18 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from oracles import oracle_clip_renormalise, oracle_consistency
 from weaktomo import (
     AmbiguousReconstructionError,
     DegenerateDataError,
     DensityMatrix,
     DimensionMismatchError,
+    ExperimentConfig,
     MissingDataError,
     Observable,
+    OrthonormalBasis,
     PreconditionError,
     SchemeInapplicableError,
     StateVector,
     UnusablePostselectionError,
+    WeakValueTable,
     estimate_element_nonorthogonal,
     estimate_element_orthogonal,
     fidelity,
@@ -28,6 +34,7 @@ from weaktomo import (
     reconstruct_pure_single_observable,
     reconstruct_pure_single_projector,
     reference_basis,
+    run_reconstruction,
     transition_matrix,
     weak_value,
     weak_value_table,
@@ -388,3 +395,124 @@ def test_project_physical_rejects_nonsquare():
 def test_project_physical_rejects_negative_weight():
     with pytest.raises(DegenerateDataError):
         project_to_physical(-np.eye(2, dtype=complex))
+
+
+def test_project_physical_is_nearest_state():
+    # Clip-and-renormalise would give (7/12, 5/12, 0), farther from the input.
+    raw = np.diag([0.7, 0.5, -0.2]).astype(complex)
+    out = project_to_physical(raw)
+    assert np.max(np.abs(out.elements - np.diag([0.6, 0.4, 0.0]))) < 1e-12
+
+
+# ------------------------------------------- one eigendecomposition per estimate
+
+
+def _count_eigen_calls(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("scheme", ["mixed_a", "mixed_b"])
+def test_exact_mixed_run_makes_one_eigh_and_four_eigvalsh(monkeypatch, scheme):
+    # eigh: the physical projection. eigvalsh: the PSD checks of the truth
+    # and of the estimate, the inner root of fidelity, and trace_distance.
+    calls = _count_eigen_calls(monkeypatch)
+    run_reconstruction(ExperimentConfig(scheme=scheme, dim=16, state_spec="ginibre", seed=5))
+    assert calls == {"eigh": 1, "eigvalsh": 4}
+
+
+def test_all_data_reconstruction_makes_no_eigendecomposition(monkeypatch):
+    psi = random_pure_state(16, 5)
+    basis_a, basis_b = reference_basis(16), fourier_basis(16)
+    table = weak_value_table(psi, basis_a, basis_b)
+    beta = transition_matrix(basis_a, basis_b)
+    calls = _count_eigen_calls(monkeypatch)
+    reconstruct_pure_all_data(table, beta)
+    assert calls == {"eigh": 0, "eigvalsh": 0}
+
+
+# ------------------------------------------------------------ property tests
+
+SEEDS = st.integers(0, 2**32 - 1)
+DIMS = st.integers(2, 6)
+
+
+def _random_unitary(rng, d: int) -> np.ndarray:
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return np.linalg.qr(g)[0]
+
+
+def _noisy_table(table: WeakValueTable, rng, scale: float) -> WeakValueTable:
+    shape = table.W.shape
+    noise = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return WeakValueTable(dim=table.dim, W=table.W + noise, P=table.P,
+                          defined=table.defined)
+
+
+@given(seed=SEEDS, d=DIMS, scale=st.floats(0.0, 0.5))
+def test_all_data_consistency_matches_pairwise_oracle(seed, d, scale):
+    rng = np.random.default_rng(seed)
+    psi = random_pure_state(d, seed)
+    basis_a, basis_b = reference_basis(d), OrthonormalBasis(_random_unitary(rng, d))
+    beta = transition_matrix(basis_a, basis_b)
+    table = _noisy_table(weak_value_table(psi, basis_a, basis_b), rng, scale)
+    est = reconstruct_pure_all_data(table, beta)
+    candidates = [c.amplitudes for c in est.per_row if c is not None]
+    assert abs(est.consistency - oracle_consistency(candidates)) <= 1e-12
+
+
+@given(seed=SEEDS, vals=st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=6))
+def test_projection_returns_the_nearest_state(seed, vals):
+    vals = np.array(vals)
+    assume(np.clip(vals, 0.0, None).sum() > 1e-3)
+    rng = np.random.default_rng(seed)
+    v = _random_unitary(rng, vals.size)
+    raw = (v * vals) @ v.conj().T
+    out = project_to_physical(raw).elements
+    assert abs(np.trace(out) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(out).min() >= -1e-12
+    clipped = oracle_clip_renormalise(raw)
+    assert np.linalg.norm(out - raw) <= np.linalg.norm(clipped - raw) + 1e-12
+
+
+@given(seed=SEEDS, d=DIMS, rank=st.integers(1, 6))
+def test_projection_is_the_identity_on_states(seed, d, rank):
+    rho = random_density_matrix(d, min(rank, d), seed)
+    out = project_to_physical(rho.elements)
+    assert np.max(np.abs(out.elements - rho.elements)) <= 1e-12
+
+
+@given(seed=SEEDS, d=DIMS, scale=st.floats(0.0, 0.3))
+def test_min_eig_raw_is_the_least_eigenvalue_of_the_raw_estimate(seed, d, scale):
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(d, d, seed)
+    basis_a, basis_b = reference_basis(d), fourier_basis(d)
+    table = _noisy_table(weak_value_table(rho, basis_a, basis_b), rng, scale)
+    est = reconstruct_mixed_abasis(table, transition_matrix(basis_a, basis_b))
+    hermitized = (est.raw + est.raw.conj().T) / 2.0
+    assert abs(est.min_eig_raw - np.linalg.eigvalsh(hermitized).min()) <= 1e-12
+
+
+@given(seed=SEEDS, d=DIMS, scale=st.floats(0.0, 0.01))
+def test_fidelity_with_carried_spectrum_equals_fresh_matrix(seed, d, scale):
+    # Full-rank projections only: on a rank-deficient one, eigh of the fresh
+    # matrix returns rounding-level eigenvalues where the carried spectrum
+    # holds exact zeros, and their square roots (about 1e-8) enter fidelity.
+    rng = np.random.default_rng(seed)
+    spectrum = rng.uniform(1.0, 2.0, d)
+    v = _random_unitary(rng, d)
+    noise = scale * rng.standard_normal((d, d))
+    raw = (v * (spectrum / spectrum.sum())) @ v.conj().T + noise
+    carried = project_to_physical(raw)
+    assert carried._spectrum is not None
+    truth = random_density_matrix(d, d, seed + 1)
+    fresh = DensityMatrix(carried.elements)
+    assert abs(fidelity(carried, truth) - fidelity(fresh, truth)) <= 1e-12
