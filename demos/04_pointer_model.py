@@ -20,9 +20,9 @@ from weaktomo import (
     PointerGrid,
     StateVector,
     exact_joint_evolution,
-    first_order_shifts,
     fourier_basis,
-    weak_value,
+    table_shifts,
+    weak_value_table,
 )
 
 
@@ -30,15 +30,17 @@ def main():
     psi = StateVector.normalized(np.array([0.8, 0.3 + 0.52j]))
     post = fourier_basis(2).column(1)
     proj = Observable.projector(StateVector(np.eye(2, dtype=complex)[:, 0]))
-    w = weak_value(psi.projector(), proj, post)
+    # One pointer measures proj; post-selection outcome 1 of the Fourier basis.
+    table = weak_value_table(psi.projector(), proj, fourier_basis(2))
+    w = table.W[1, 0]
     print(f"weak value W = {w:.6f}")
     print()
 
     cfg = PointerConfig.uniform(1, g=0.02, sigma_q=1.0)
-    shift = first_order_shifts(w, cfg, 0)
+    dq, dp = table_shifts(table, cfg)
     print(f"first-order prediction at g={cfg.g[0]}:")
-    print(f"  dq = g Re W            = {shift.dq[0]:+.6f}")
-    print(f"  dp = 2 g Im W sigma_p^2 = {shift.dp[0]:+.6f}")
+    print(f"  dq = g Re W            = {dq[1, 0]:+.6f}")
+    print(f"  dp = 2 g Im W sigma_p^2 = {dp[1, 0]:+.6f}")
     print()
 
     print("exact joint evolution on a 256-point grid, residual vs g:")

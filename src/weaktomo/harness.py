@@ -35,7 +35,7 @@ from .qcore import (
     transition_matrix,
     _check_finite,
 )
-from .weakval import WeakValueTable, weak_value, weak_value_table
+from .weakval import WeakValueTable, weak_value_table
 from .pointer import (
     BLOCK_TRIALS,
     NoiseModel,
@@ -323,6 +323,25 @@ def _measurement(cfg: ExperimentConfig) -> tuple[object, PointerConfig]:
     return measured, cfg.pointer_config(1 if isinstance(measured, Observable) else cfg.dim)
 
 
+def _table(cfg: ExperimentConfig, rho: DensityMatrix, measured, basis_b: OrthonormalBasis,
+           pcfg: PointerConfig) -> WeakValueTable:
+    """The weak-value table of ``measured`` over basis B: in closed form in
+    exact mode, estimated from ``cfg.shots`` sampled trials otherwise."""
+    if cfg.data_mode == "exact":
+        return weak_value_table(rho, measured, basis_b)
+    return _sampled_table(rho, measured, basis_b, pcfg, cfg.shots, cfg.seed,
+                          _resolve_noise(cfg))
+
+
+def _resolve_truth(cfg: ExperimentConfig) -> tuple[DensityMatrix, StateVector | None]:
+    """The true state; a mixed one raises for a scheme that needs a pure one."""
+    rho, psi = _resolve_state(cfg)
+    if SCHEMES[cfg.scheme].pure and psi is None:
+        raise SchemeInapplicableError(f"scheme {cfg.scheme!r} reconstructs a pure state; "
+                                      "the configured state is mixed")
+    return rho, psi
+
+
 def simulate(cfg: ExperimentConfig) -> WeakValueTable | RecordStream:
     """The data the configured scheme consumes, as ``weaktomo simulate`` writes it.
 
@@ -330,10 +349,11 @@ def simulate(cfg: ExperimentConfig) -> WeakValueTable | RecordStream:
     schemes, d x 1 for the single-observable ones); sampled mode gives the
     pointer records of ``cfg.shots`` trials.  Partial tomography raises
     SchemeInapplicableError: its data depend on the configured vector pair.
+    So does a pure-state scheme on a mixed truth, which it could not read.
     """
     if SCHEMES[cfg.scheme].measured is None:
         raise SchemeInapplicableError(f"{_OWN_DATA}; there is nothing to simulate")
-    rho, _ = _resolve_state(cfg)
+    rho, _ = _resolve_truth(cfg)
     measured, pcfg = _measurement(cfg)
     basis_b = _resolve_basis(cfg)
     if cfg.data_mode == "exact":
@@ -364,23 +384,17 @@ def run_reconstruction(cfg: ExperimentConfig, *,
     """
     t0 = time.perf_counter()
     scheme = SCHEMES[cfg.scheme]
-    rho, psi = _resolve_state(cfg)
-    if scheme.pure and psi is None:
-        raise SchemeInapplicableError(f"scheme {cfg.scheme!r} reconstructs a pure state; "
-                                      "the configured state is mixed")
+    rho, psi = _resolve_truth(cfg)
     basis_b = _resolve_basis(cfg)
-    noise = _resolve_noise(cfg)
     kernel = None
     if scheme.measured is None:
         if table is not None:
             raise SchemeInapplicableError(f"{_OWN_DATA}; it cannot consume a table")
-        estimate, metrics = _run_partial(cfg, rho, noise)
+        estimate, metrics = _run_partial(cfg, rho)
     else:
         measured, pcfg = _measurement(cfg)
-        if table is None and cfg.data_mode == "sampled":
-            table = _sampled_table(rho, measured, basis_b, pcfg, cfg.shots, cfg.seed, noise)
-        elif table is None:
-            table = weak_value_table(rho, measured, basis_b)
+        if table is None:
+            table = _table(cfg, rho, measured, basis_b, pcfg)
         elif (table.dim, table.n_pointers) != (cfg.dim, pcfg.n_pointers):
             raise SchemeInapplicableError(
                 f"scheme {cfg.scheme!r} consumes a {cfg.dim} x {pcfg.n_pointers} table, "
@@ -407,22 +421,19 @@ def run_reconstruction(cfg: ExperimentConfig, *,
 
 
 def _pair_data(cfg: ExperimentConfig, rho: DensityMatrix, observable: Observable,
-               posts: list[StateVector], noise: NoiseModel):
-    """Weak values of ``observable`` and outcome probabilities at ``posts``."""
-    if cfg.data_mode == "exact":
-        return ([weak_value(rho, observable, post) for post in posts],
-                [float(np.vdot(post.amplitudes, rho.elements @ post.amplitudes).real)
-                 for post in posts])
+               posts: list[StateVector]):
+    """Weak values of ``observable`` and outcome probabilities at ``posts``,
+    read from the table over a basis that the posts begin."""
     n = len(posts)
     basis = _complete_basis([post.amplitudes for post in posts], cfg.dim)
-    table = _sampled_table(rho, observable, basis, cfg.pointer_config(1),
-                           cfg.shots, cfg.seed, noise)
+    table = _table(cfg, rho, observable, basis, cfg.pointer_config(1))
     if not table.defined[:n].all():
-        raise MissingDataError("a post-selection outcome of the pair received no records")
+        raise MissingDataError("a post-selection outcome of the pair is undefined: "
+                               "zero probability, or no sampled trial reached it")
     return table.W[:n, 0], table.P[:n]
 
 
-def _run_partial(cfg: ExperimentConfig, rho: DensityMatrix, noise: NoiseModel):
+def _run_partial(cfg: ExperimentConfig, rho: DensityMatrix):
     """Estimate the single element <a|rho|b>, routing on the pair's overlap.
 
     A non-orthogonal pair weakly measures |a><a| and post-selects on b; an
@@ -433,13 +444,12 @@ def _run_partial(cfg: ExperimentConfig, rho: DensityMatrix, noise: NoiseModel):
     overlap_ba = b.overlap(a)
     mat = rho.elements
     if abs(overlap_ba) > 1e-12:
-        (w,), (p_b,) = _pair_data(cfg, rho, Observable.projector(a), [b], noise)
+        (w,), (p_b,) = _pair_data(cfg, rho, Observable.projector(a), [b])
         element = estimate_element_nonorthogonal(w, p_b, overlap_ba)
         true_ab = complex(np.vdot(a.amplitudes, mat @ b.amplitudes))
         return element, {"element_error": abs(element - true_ab)}
     bridge = StateVector.normalized(a.amplitudes + b.amplitudes)
-    (w, w_prime), (p_a, p_b) = _pair_data(cfg, rho, Observable.projector(bridge),
-                                          [a, b], noise)
+    (w, w_prime), (p_a, p_b) = _pair_data(cfg, rho, Observable.projector(bridge), [a, b])
     pair = estimate_element_orthogonal(w, w_prime, p_a, p_b)
     true_ba = complex(np.vdot(b.amplitudes, mat @ a.amplitudes))
     return pair, {"element_error": abs(pair.element_ba - true_ba),
@@ -543,7 +553,7 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
         cfg_base = replace(cfg_base, state_seed=cfg_base.seed)
     rho, psi = _resolve_state(cfg_base)
     basis_b = _resolve_basis(cfg_base)
-    rows: list[dict] = []
+    skipped: dict[str, str] = {}
     jobs: dict[tuple, ExperimentConfig] = {}
     exact = cfg_base.data_mode == "exact"
     seeds = [cfg_base.seed] if exact else [cfg_base.seed + s for s in range(n_seeds)]
@@ -552,33 +562,26 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}; options: {tuple(SCHEMES)}")
         if SCHEMES[scheme].measured is None:
-            rows.append({"scheme": scheme, "skipped": "estimates one element, "
-                         "no state-level trace distance"})
+            skipped[scheme] = "estimates one element, no state-level trace distance"
             continue
         if SCHEMES[scheme].pure and psi is None:
-            rows.append({"scheme": scheme, "skipped": "state is mixed"})
+            skipped[scheme] = "state is mixed"
             continue
         for shots in shot_grid:
             for s_idx, seed in enumerate(seeds):
                 jobs[(scheme, int(shots), s_idx)] = replace(
                     cfg_base, scheme=scheme, shots=int(shots), seed=seed)
 
-    results: dict[tuple, float] = {}
-    workers = thread_cap()
     keys = sorted(jobs)
-    if workers > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for key, value in zip(keys, pool.map(lambda k: _comparison_metric(jobs[k]), keys)):
-                results[key] = value
-    else:
-        for key in keys:
-            results[key] = _comparison_metric(jobs[key])
+    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
+        results = dict(zip(keys, pool.map(lambda k: _comparison_metric(jobs[k]), keys)))
 
     # Discard fraction: the postselected scheme keeps one outcome of B.
-    p_kept = float(np.vdot(basis_b.vectors[:, cfg_base.postselect_row],
-                           rho.elements @ basis_b.vectors[:, cfg_base.postselect_row]).real)
+    p_kept = float(weak_value_table(rho, reference_basis(cfg_base.dim),
+                                    basis_b).P[cfg_base.postselect_row])
+    rows = [{"scheme": scheme, "skipped": reason} for scheme, reason in skipped.items()]
     for scheme in schemes:
-        if any(row["scheme"] == scheme and "skipped" in row for row in rows):
+        if scheme in skipped:
             continue
         for shots in shot_grid:
             values = np.array([results[(scheme, int(shots), s_idx)]

@@ -20,7 +20,9 @@ per pointer readout, which is what ``weaktomo simulate --sampled`` writes.
 An in-memory sampled run never builds those rows: it adds each block into
 per-cell count, sum and sum of squares, one cell per (outcome, pointer,
 quadrature), so its memory is O(d * n_pointers) and does not depend on the
-number of shots.  Both routes give bit-identical estimates.
+number of shots.  Estimating from records checks the rows and then feeds
+them, as one block, to the same reducer (``_cell_sums``), so both routes give
+bit-identical estimates by construction.
 """
 
 import io
@@ -274,18 +276,6 @@ class RecordStream:
         )
 
 
-def first_order_shifts(W: complex, cfg: PointerConfig, pointer_index: int) -> PointerShift:
-    """First-order readout shifts for one pointer given weak value W."""
-    i = int(pointer_index)
-    if not 0 <= i < cfg.n_pointers:
-        raise IndexError(f"pointer index {i} out of range for {cfg.n_pointers} pointers")
-    g = cfg.g[i]
-    return PointerShift(
-        dq=[g * W.real],
-        dp=[2.0 * g * W.imag * cfg.sigma_p[i] ** 2],
-    )
-
-
 def table_shifts(table: WeakValueTable, cfg: PointerConfig) -> tuple[np.ndarray, np.ndarray]:
     """First-order mean shifts for every (outcome j, pointer i) cell."""
     if cfg.n_pointers != table.n_pointers:
@@ -497,16 +487,12 @@ def _sample_stream(P, dq, dp, cfg: PointerConfig, shots: int, seed: int,
                         quadrature=quad_col, readout=readout_col, n_trials=shots)
 
 
-def _sample_cells(P, dq, dp, cfg: PointerConfig, shots: int, seed: int,
-                  noise: NoiseModel | None):
-    """Sampled trials reduced block by block to per-cell sums.
-
-    Returns what ``_record_cells`` returns for the same trials, bit for bit:
-    np.add.at adds each readout into its cell in trial order, the order in
-    which a whole-stream np.bincount adds them.
+def _cell_sums(blocks, d: int, n: int):
+    """Per-cell count, sum and sum of squares, shape (d, n, 2), and trials per
+    outcome, of blocks laid out as ``_sample_blocks`` yields them.  np.add.at
+    adds each readout into its (outcome, pointer, quadrature) cell in trial
+    order, so the sums do not depend on how the trials are split into blocks.
     """
-    blocks = _sample_blocks(P, dq, dp, cfg, shots, seed, noise)
-    d, n = dq.shape
     per_trial = np.zeros(d * 2, dtype=np.int64)  # trials per (outcome, quadrature)
     sums = np.zeros(d * n * 2)
     sumsq = np.zeros(d * n * 2)
@@ -550,14 +536,13 @@ def sample_records(rho, measured, basis_b: OrthonormalBasis, cfg: PointerConfig,
 
 
 def _record_cells(records: RecordStream, dim: int, n_pointers: int):
-    """Per-cell count, sum and sum of squares of a checked record stream.
+    """``_cell_sums`` of a record stream, whose checked rows are one block.
 
-    Cells are (outcome, pointer, quadrature); trials per outcome are counted
-    from the pointer-0 rows.  Rows are numbered from 1; the first row with
-    an out-of-range index or a non-finite readout raises InvalidRecordsError,
-    and so does the first row that breaks the layout ``sample_records``
-    writes: trials 0, 1, ... in order, each one outcome and n_pointers rows
-    for pointers 0..n_pointers-1, even trials reading q and odd trials p.
+    Rows are numbered from 1; the first row with an out-of-range index or a
+    non-finite readout raises InvalidRecordsError, and so does the first row
+    that breaks the layout ``sample_records`` writes: trials 0, 1, ... in
+    order, each one outcome and n_pointers rows for pointers
+    0..n_pointers-1, even trials reading q and odd trials p.
     """
     for name, col, bound in (("outcome", records.outcome, dim),
                              ("pointer", records.pointer, n_pointers),
@@ -577,11 +562,11 @@ def _record_cells(records: RecordStream, dim: int, n_pointers: int):
     def by_trial(col):
         return col[:n_full * n].reshape(n_full, n)
 
-    outcome = by_trial(records.outcome)
+    outcome, quad = by_trial(records.outcome), by_trial(records.quadrature)
     checks = (("trial", by_trial(records.trial), t),
               ("pointer", by_trial(records.pointer), np.arange(n)),
               ("outcome", outcome, outcome[:, :1]),
-              ("quadrature", by_trial(records.quadrature), t % 2))
+              ("quadrature", quad, t % 2))
     bad = [col != expected for _, col, expected in checks]
     any_bad = np.logical_or.reduce(bad)
     if any_bad.any():
@@ -598,15 +583,7 @@ def _record_cells(records: RecordStream, dim: int, n_pointers: int):
         raise InvalidRecordsError(
             f"records row {len(records)}: the last trial has "
             f"{len(records) % n} of {n} pointer rows")
-    idx = ((records.outcome * n + records.pointer) * 2
-           + records.quadrature.astype(np.int64))
-    n_cells = dim * n * 2
-    shape = (dim, n, 2)
-    counts = np.bincount(idx, minlength=n_cells).reshape(shape)
-    sums = np.bincount(idx, weights=records.readout, minlength=n_cells).reshape(shape)
-    sumsq = np.bincount(idx, weights=records.readout**2, minlength=n_cells).reshape(shape)
-    trials = np.bincount(records.outcome[records.pointer == 0], minlength=dim)
-    return counts, sums, sumsq, trials
+    return _cell_sums([(0, outcome[:, 0], quad[:, 0], by_trial(records.readout))], dim, n)
 
 
 def _estimate_cells(cells, cfg: PointerConfig) -> WeakValueTable:
@@ -653,4 +630,5 @@ def _sampled_table(rho, measured, basis_b: OrthonormalBasis, cfg: PointerConfig,
                    shots: int, seed: int, noise: NoiseModel | None) -> WeakValueTable:
     """``estimate_weak_values(sample_records(...))`` without building records."""
     P, dq, dp = _law(rho, measured, basis_b, cfg)
-    return _estimate_cells(_sample_cells(P, dq, dp, cfg, shots, seed, noise), cfg)
+    blocks = _sample_blocks(P, dq, dp, cfg, shots, seed, noise)
+    return _estimate_cells(_cell_sums(blocks, *dq.shape), cfg)

@@ -3,7 +3,8 @@
 All JSON is emitted with sorted keys and two-space indent so that equal
 objects serialize to identical bytes.  Floats go through Python's repr,
 which round-trips exactly; complex arrays are stored as separate re/im
-parts, row-major for matrices.
+parts, row-major for matrices.  Every weak-value table, d x d or d x 1,
+exact or estimated, has one JSON layout (``table_to_json``).
 """
 
 import csv
@@ -55,13 +56,16 @@ def decode_state(obj):
 
 
 def table_to_json(table: WeakValueTable) -> dict:
-    """Encode a d x n_pointers table; W rows are lists of n_pointers entries."""
+    """Encode a d x n_pointers table losslessly; W rows are lists of n_pointers
+    entries, and ``n_trials`` (0 for exact data) goes next to the standard
+    errors of an estimated table."""
     out = {
         "dim": table.dim,
         "W_re": table.W.real.tolist(),
         "W_im": table.W.imag.tolist(),
         "P": table.P.tolist(),
         "defined": table.defined.tolist(),
+        "n_trials": table.n_trials,
     }
     if table.stderr_re is not None:
         out["stderr_re"] = table.stderr_re.tolist()
@@ -70,6 +74,7 @@ def table_to_json(table: WeakValueTable) -> dict:
 
 
 def table_from_json(obj) -> WeakValueTable:
+    """Decode ``table_to_json`` output; files without ``n_trials`` read as 0."""
     w = np.asarray(obj["W_re"], dtype=float) + 1j * np.asarray(obj["W_im"], dtype=float)
     kwargs = {}
     if "stderr_re" in obj:
@@ -80,6 +85,7 @@ def table_from_json(obj) -> WeakValueTable:
         W=w,
         P=np.asarray(obj["P"], dtype=float),
         defined=np.asarray(obj["defined"], dtype=bool),
+        n_trials=int(obj.get("n_trials", 0)),
         **kwargs,
     )
 
@@ -185,23 +191,6 @@ def _estimate_to_json(estimate) -> dict:
     raise TypeError(f"cannot serialize estimate of type {type(estimate).__name__}")
 
 
-def _column_to_json(table: WeakValueTable) -> dict:
-    """A one-pointer table in the bundle's "column" layout: flat lists, zero
-    standard errors for exact data, and the trial count."""
-    zeros = np.zeros((table.dim, 1))
-    stderr_re = zeros if table.stderr_re is None else table.stderr_re
-    stderr_im = zeros if table.stderr_im is None else table.stderr_im
-    return {
-        "w_re": table.W[:, 0].real.tolist(),
-        "w_im": table.W[:, 0].imag.tolist(),
-        "P": table.P.tolist(),
-        "defined": table.defined.tolist(),
-        "stderr_re": stderr_re[:, 0].tolist(),
-        "stderr_im": stderr_im[:, 0].tolist(),
-        "n_trials": table.n_trials,
-    }
-
-
 def _diagnostics(bundle: ResultBundle) -> dict:
     out = {"scheme": bundle.scheme}
     for key in ("consistency", "hermiticity_gap", "element_error"):
@@ -219,18 +208,17 @@ def _diagnostics(bundle: ResultBundle) -> dict:
 
 def bundle_to_json(bundle: ResultBundle) -> dict:
     """Serialize a run.  Wall time is deliberately left out so that repeated
-    seeded runs produce byte-identical files.  A one-pointer table goes
-    under "column", any other under "table"."""
+    seeded runs produce byte-identical files.  The table the scheme read, of
+    any pointer count, goes under "table" in the ``table_to_json`` layout,
+    with its trial count; partial tomography writes None."""
     table = bundle.table
-    column = table is not None and table.n_pointers == 1
     return {
         "scheme": bundle.scheme,
         "config": config_to_dict(bundle.config),
         "estimate": _estimate_to_json(bundle.estimate),
         "metrics": {k: float(v) for k, v in sorted(bundle.metrics.items())},
         "diagnostics": _diagnostics(bundle),
-        "table": None if table is None or column else table_to_json(table),
-        "column": _column_to_json(table) if column else None,
+        "table": None if table is None else table_to_json(table),
     }
 
 

@@ -194,7 +194,7 @@ def test_single_pointer_records_column_route(tmp_path):
     assert proc.returncode == 0
     bundle = json.loads((tmp_path / "b.json").read_text())
     assert bundle["metrics"]["fidelity"] >= 1.0 - 1e-10
-    assert bundle["column"]["n_trials"] == 2048
+    assert bundle["table"]["n_trials"] == 2048
     assert bundle["diagnostics"]["kernel_dim"] == 1
 
 
@@ -209,14 +209,14 @@ def test_simulate_single_pointer_schemes_round_trip(tmp_path, scheme):
     assert proc.returncode == 0, proc.stderr
     exact = json.loads(proc.stdout)
     assert exact["metrics"]["fidelity"] >= 1.0 - 1e-10
-    assert exact["column"]["n_trials"] == 0
+    assert exact["table"]["n_trials"] == 0
     assert run_cli("simulate", *common, "--sampled", "--shots", "5000",
                    "--out", str(records)).returncode == 0
     assert {line.split(",")[2] for line in records.read_text().splitlines()[1:]} == {"0"}
     proc = run_cli("reconstruct", *common, "--sampled", "--shots", "5000",
                    "--records", str(records), "--quiet")
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["column"]["n_trials"] == 5000
+    assert json.loads(proc.stdout)["table"]["n_trials"] == 5000
     # the sum rules hold for a basis-A table only
     proc = run_cli("verify", str(table))
     assert proc.returncode == 1
@@ -228,6 +228,17 @@ def test_simulate_partial_is_inapplicable():
                    "--set", "state_spec=ginibre")
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["error"] == "scheme-inapplicable"
+
+
+@pytest.mark.parametrize("mode", ["--exact", "--sampled"])
+def test_simulate_pure_scheme_on_mixed_truth_is_inapplicable(mode):
+    # the default scheme, all_data, reconstructs a pure state; reconstruct
+    # would refuse the data, so simulate refuses to write them
+    proc = run_cli("simulate", "--set", "dim=2", "--set", "state_spec=ginibre",
+                   "--shots", "100", mode)
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "scheme-inapplicable"
+    assert proc.stdout == ""
 
 
 def test_reconstruct_inapplicable_scheme_exit_code(tmp_path):

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from weaktomo import (
     ElementPair,
@@ -169,6 +171,46 @@ def test_partial_sampled_routes():
                              partial_b=np.array([0.0, 1.0], dtype=complex))
     bundle2 = run_reconstruction(ortho)
     assert bundle2.metrics["element_error"] < 0.09
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("orthogonal", [False, True])
+def test_partial_unreachable_post_selection_is_missing_data(mode, orthogonal):
+    # <b|rho|b> = 0, so no weak value exists at b in either mode
+    if orthogonal:
+        state = np.array([1.0, 0.0], dtype=complex)
+        pair = dict(partial_a=np.array([1.0, 0.0], dtype=complex),
+                    partial_b=np.array([0.0, 1.0], dtype=complex))
+    else:
+        # the default pair: a = e0, b = (e0 + e1)/sqrt2, orthogonal to the truth
+        state, pair = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0), {}
+    cfg = ExperimentConfig(dim=2, scheme="partial", state_spec="explicit", state=state,
+                           data_mode=mode, shots=2_000, seed=0, **pair)
+    with pytest.raises(MissingDataError):
+        run_reconstruction(cfg)
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), rank=st.integers(1, 5),
+       orthogonal=st.booleans())
+def test_exact_partial_returns_the_matrix_element(seed, d, rank, orthogonal):
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+    a /= np.linalg.norm(a)
+    if orthogonal:
+        b -= np.vdot(a, b) * a
+    b /= np.linalg.norm(b)
+    assume(orthogonal or abs(np.vdot(b, a)) > 1e-2)
+    cfg = ExperimentConfig(dim=d, scheme="partial", state_spec="ginibre",
+                           state_rank=min(rank, d), state_seed=seed,
+                           partial_a=a, partial_b=b)
+    rho = _resolve_state(cfg)[0].elements
+    estimate = run_reconstruction(cfg).estimate
+    if orthogonal:
+        assert isinstance(estimate, ElementPair)
+        assert abs(estimate.element_ab - np.vdot(a, rho @ b)) <= 1e-12
+        assert abs(estimate.element_ba - np.vdot(b, rho @ a)) <= 1e-12
+    else:
+        assert abs(estimate - np.vdot(a, rho @ b)) <= 1e-12
 
 
 # ------------------------------------------------------------------- sampling

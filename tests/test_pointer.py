@@ -16,9 +16,9 @@ from weaktomo import (
     ResourceLimitError,
     StateVector,
     UndefinedShiftError,
+    WeakValueTable,
     estimate_weak_values,
     exact_joint_evolution,
-    first_order_shifts,
     fourier_basis,
     gaussian_pointer,
     pointer_covariance,
@@ -42,31 +42,32 @@ def _phase_probe_state(theta=0.1):
 # ---------------------------------------------------------------- first order
 
 
-def test_first_order_shift_values():
-    # g = 0.01, sigma_p = 0.5: dq = g Re W, dp = 2 g sigma_p^2 Im W
-    cfg = PointerConfig.uniform(1, g=0.01, sigma_q=1.0)
-    w = complex(0.5, -0.5 / np.tan(0.05))
-    shift = first_order_shifts(w, cfg, 0)
-    assert shift.dq[0] == pytest.approx(0.005, abs=1e-15)
-    assert shift.dp[0] == pytest.approx(-0.049958, abs=1e-6)
-    assert shift.probability is None
-    dq_ref, dp_ref = oracle_shifts(w, 0.01, 0.5)
-    assert shift.dq[0] == pytest.approx(dq_ref, abs=1e-15)
-    assert shift.dp[0] == pytest.approx(dp_ref, abs=1e-15)
+# (W, g, expected dq, expected dp) at sigma_q = 1, so sigma_p = 1/2.
+FIRST_ORDER_CASES = {
+    # dq = g Re W, dp = 2 g sigma_p^2 Im W, checked against the oracle
+    "values": (complex(0.5, -0.5 / np.tan(0.05)), 0.01, 0.005, -0.049958),
+    "zero_coupling": (3.0 + 4.0j, 0.0, 0.0, 0.0),
+    "real_w_moves_q_only": (2.5 + 0.0j, 0.05, 0.125, 0.0),
+}
 
 
-def test_first_order_zero_coupling():
-    cfg = PointerConfig.uniform(2, g=0.0)
-    shift = first_order_shifts(3.0 + 4.0j, cfg, 1)
-    assert shift.dq[0] == 0.0
-    assert shift.dp[0] == 0.0
-
-
-def test_first_order_real_weak_value_moves_position_only():
-    cfg = PointerConfig.uniform(1, g=0.05)
-    shift = first_order_shifts(2.5 + 0.0j, cfg, 0)
-    assert shift.dq[0] == pytest.approx(0.125, abs=1e-15)
-    assert shift.dp[0] == 0.0
+@pytest.mark.parametrize("case", FIRST_ORDER_CASES)
+def test_table_shifts_on_single_pointer_table(case):
+    w, g, dq_want, dp_want = FIRST_ORDER_CASES[case]
+    # a d x 1 table: outcome 0 carries W, outcome 1 a second weak value
+    table = WeakValueTable(dim=2, W=[[w], [1.0 - 2.0j]], P=[0.5, 0.5], defined=[True, True])
+    dq, dp = table_shifts(table, PointerConfig.uniform(1, g=g, sigma_q=1.0))
+    assert dq.shape == dp.shape == (2, 1)
+    assert dq[0, 0] == pytest.approx(dq_want, abs=1e-15)
+    assert dp[0, 0] == pytest.approx(dp_want, abs=1e-6)
+    for row in range(2):
+        dq_ref, dp_ref = oracle_shifts(table.W[row, 0], g, 0.5)
+        assert dq[row, 0] == pytest.approx(dq_ref, abs=1e-15)
+        assert dp[row, 0] == pytest.approx(dp_ref, abs=1e-15)
+    if g == 0.0:
+        assert not dq.any() and not dp.any()
+    if w.imag == 0.0:
+        assert dp[0, 0] == 0.0
 
 
 def test_table_shifts_elementwise():

@@ -87,6 +87,8 @@ def test_table_json_round_trip_with_errors():
     assert np.array_equal(back.W, table.W)
     assert np.array_equal(back.stderr_re, table.stderr_re)
     assert np.array_equal(back.stderr_im, table.stderr_im)
+    assert table.n_trials == 5_000
+    assert back.n_trials == table.n_trials
 
 
 def test_table_csv_layout():
@@ -187,13 +189,13 @@ def test_bundle_json_shape_and_no_wall_time():
                                              state_spec="explicit",
                                              state=RHO_EXAMPLE))
     obj = ser.bundle_to_json(bundle)
-    assert sorted(obj) == ["column", "config", "diagnostics", "estimate",
+    assert sorted(obj) == ["config", "diagnostics", "estimate",
                            "metrics", "scheme", "table"]
     assert "wall_time" not in ser.dumps(obj)
     assert obj["estimate"]["kind"] == "density_estimate"
     assert obj["diagnostics"]["scheme"] == "mixed_a"
     assert "min_eig_raw" in obj["diagnostics"]
-    assert obj["column"] is None
+    assert obj["table"]["n_trials"] == 0
 
 
 def test_bundle_json_estimate_kinds():
@@ -207,7 +209,7 @@ def test_bundle_json_estimate_kinds():
     assert obj["estimate"]["kind"] == "state_vector"
     assert "smallest_eig" in obj["diagnostics"]
     assert obj["diagnostics"]["kernel_dim"] == 1
-    assert obj["column"]["n_trials"] == 0
+    assert obj["table"]["n_trials"] == 0
 
     element_bundle = run_reconstruction(ExperimentConfig(dim=2, scheme="partial",
                                                      state_spec="explicit",
@@ -221,6 +223,26 @@ def test_bundle_json_estimate_kinds():
     obj = ser.bundle_to_json(pair_bundle)
     assert obj["estimate"]["kind"] == "element_pair"
     assert "hermiticity_gap" in obj["diagnostics"]
+
+
+def test_table_json_reads_older_files_without_n_trials():
+    obj = ser.table_to_json(_sampled_table())
+    del obj["n_trials"]
+    assert ser.table_from_json(obj).n_trials == 0
+
+
+def test_single_pointer_bundle_table_loads_back():
+    # one layout for every table: a sampled one-pointer run's table reloads
+    # from the bundle as the table the run read
+    bundle = run_reconstruction(ExperimentConfig(dim=3, scheme="single_observable",
+                                                 data_mode="sampled", shots=5_000,
+                                                 seed=2, state_seed=1))
+    obj = json.loads(ser.dumps(ser.bundle_to_json(bundle)))
+    back = ser.table_from_json(obj["table"])
+    assert back.n_pointers == 1
+    for name in ("W", "P", "defined", "stderr_re", "stderr_im", "n_trials"):
+        assert np.array_equal(getattr(back, name), getattr(bundle.table, name)), name
+    assert back.n_trials == 5_000
 
 
 def test_bundle_json_byte_identical_reruns():
