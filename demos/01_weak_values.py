@@ -34,7 +34,7 @@ def main():
     # second Fourier vector (|0> - |1>)/sqrt2. The result is real here but
     # lies far outside the projector's spectrum [0, 1].
     proj0 = Observable.projector(basis_a.column(0))
-    w = weak_value(psi.projector(), proj0, basis_b.column(1))
+    w = weak_value(psi, proj0, basis_b.column(1))
     print(f"weak value of |0><0| post-selected on (|0>-|1>)/sqrt2: {w:.4f}")
     print("  an 'anomalous' value: outside [0, 1], impossible for a")
     print("  projective average, routine for a post-selected weak one")
@@ -42,7 +42,7 @@ def main():
 
     # The full table W[j, i]: every projector |a_i><a_i| against every
     # post-selection outcome b_j, with the outcome probabilities P_j.
-    table = weak_value_table(psi.projector(), basis_a, basis_b)
+    table = weak_value_table(psi, basis_a, basis_b)
     print("weak-value table (rows are post-selection outcomes):")
     for j in range(table.dim):
         row = ", ".join(f"{z:.4f}" for z in table.W[j])
@@ -51,7 +51,7 @@ def main():
 
     # Exact tables are rigid: each defined row sums to one, and the
     # P-weighted column sums rebuild the state's diagonal in basis A.
-    report = check_sum_rules(table, psi.projector())
+    report = check_sum_rules(table, psi)
     print("sum-rule deviations (machine zero on exact data):")
     print(f"  row sums vs 1:          {report.row_sum_dev:.2e}")
     print(f"  weighted-column imag:   {report.imag_dev:.2e}")
@@ -66,7 +66,7 @@ def main():
             np.array([1.0, np.exp(1j * theta)], dtype=complex))
         post = StateVector.normalized(np.array([1.0, -1.0], dtype=complex))
         proj1 = Observable.projector(basis_a.column(1))
-        w = weak_value(pre.projector(), proj1, post)
+        w = weak_value(pre, proj1, post)
         print(f"  theta={theta:<4}  W = {w.real:.3f}{w.imag:+.3f}i   "
               f"|Im W| ~ 1/theta for small theta")
 

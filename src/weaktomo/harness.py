@@ -33,6 +33,7 @@ from .qcore import (
     reference_basis,
     trace_distance,
     transition_matrix,
+    _as_density,
     _check_finite,
 )
 from .weakval import WeakValueTable, weak_value_table
@@ -123,8 +124,9 @@ class ExperimentConfig:
         _check_finite(np.array([self.pointer_g, self.pointer_sigma_q, self.pointer_mean_q,
                                 self.pointer_mean_p, self.noise_sigma_scale,
                                 self.noise_offset], dtype=float), "config")
-        if self.pointer_g < 0 or self.pointer_sigma_q <= 0:
-            raise ValueError("pointer_g must be >= 0 and pointer_sigma_q > 0")
+        if self.pointer_g < 0 or self.pointer_sigma_q <= 0 or self.noise_sigma_scale < 0:
+            raise ValueError("pointer_g and noise_sigma_scale must be >= 0 "
+                             "and pointer_sigma_q > 0")
         if not 0 <= self.postselect_row < self.dim:
             raise ValueError(f"postselect_row {self.postselect_row} outside [0, {self.dim})")
 
@@ -139,19 +141,18 @@ class ExperimentConfig:
         )
 
 
-def _resolve_state(cfg: ExperimentConfig) -> tuple[DensityMatrix, StateVector | None]:
+def _resolve_state(cfg: ExperimentConfig) -> StateVector | DensityMatrix:
+    """The configured true state as it was given: a StateVector for a
+    Haar-random or explicit vector, a DensityMatrix for a Ginibre or explicit
+    matrix.  A pure truth stays a vector; every consumer takes either type."""
     seed = cfg.seed if cfg.state_seed is None else cfg.state_seed
     if cfg.state_spec == "haar-pure":
-        psi = random_pure_state(cfg.dim, seed)
-        return psi.projector(), psi
+        return random_pure_state(cfg.dim, seed)
     if cfg.state_spec == "ginibre":
         rank = cfg.dim if cfg.state_rank is None else cfg.state_rank
-        return random_density_matrix(cfg.dim, rank, seed), None
+        return random_density_matrix(cfg.dim, rank, seed)
     arr = np.asarray(cfg.state, dtype=complex)
-    if arr.ndim == 1:
-        psi = StateVector(arr)
-        return psi.projector(), psi
-    return DensityMatrix(arr), None
+    return StateVector(arr) if arr.ndim == 1 else DensityMatrix(arr)
 
 
 def _resolve_basis(cfg: ExperimentConfig) -> OrthonormalBasis:
@@ -194,27 +195,15 @@ def _resolve_partial_pair(cfg: ExperimentConfig) -> tuple[StateVector, StateVect
     return StateVector.normalized(a), StateVector.normalized(b)
 
 
-def _complete_basis(columns: list[np.ndarray], dim: int) -> OrthonormalBasis:
-    """Orthonormal basis whose first columns are the given (orthonormal) ones."""
-    mat = np.zeros((dim, dim), dtype=complex)
-    have = len(columns)
-    for idx, col in enumerate(columns):
-        mat[:, idx] = col
-    # Fill the complement from identity columns via Gram-Schmidt.
-    fill = have
-    for k in range(dim):
-        if fill == dim:
-            break
-        cand = np.zeros(dim, dtype=complex)
-        cand[k] = 1.0
-        cand -= mat[:, :fill] @ (mat[:, :fill].conj().T @ cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1e-9:
-            mat[:, fill] = cand / norm
-            fill += 1
-    if fill != dim:
-        raise PreconditionError("could not complete the basis")
-    return OrthonormalBasis(mat)
+def _complete_basis(columns: list[np.ndarray]) -> OrthonormalBasis:
+    """Orthonormal basis whose first columns are the given orthonormal ones,
+    kept verbatim.  The rest are the left singular vectors of the given
+    columns past the first len(columns), which span their orthogonal
+    complement.  Columns that are not orthonormal fail the OrthonormalBasis
+    check."""
+    given = np.column_stack(columns)
+    complement = np.linalg.svd(given)[0][:, len(columns):]
+    return OrthonormalBasis(np.hstack([given, complement]))
 
 
 @dataclass(frozen=True)
@@ -323,23 +312,23 @@ def _measurement(cfg: ExperimentConfig) -> tuple[object, PointerConfig]:
     return measured, cfg.pointer_config(1 if isinstance(measured, Observable) else cfg.dim)
 
 
-def _table(cfg: ExperimentConfig, rho: DensityMatrix, measured, basis_b: OrthonormalBasis,
-           pcfg: PointerConfig) -> WeakValueTable:
+def _table(cfg: ExperimentConfig, truth: StateVector | DensityMatrix, measured,
+           basis_b: OrthonormalBasis, pcfg: PointerConfig) -> WeakValueTable:
     """The weak-value table of ``measured`` over basis B: in closed form in
     exact mode, estimated from ``cfg.shots`` sampled trials otherwise."""
     if cfg.data_mode == "exact":
-        return weak_value_table(rho, measured, basis_b)
-    return _sampled_table(rho, measured, basis_b, pcfg, cfg.shots, cfg.seed,
+        return weak_value_table(truth, measured, basis_b)
+    return _sampled_table(truth, measured, basis_b, pcfg, cfg.shots, cfg.seed,
                           _resolve_noise(cfg))
 
 
-def _resolve_truth(cfg: ExperimentConfig) -> tuple[DensityMatrix, StateVector | None]:
+def _resolve_truth(cfg: ExperimentConfig) -> StateVector | DensityMatrix:
     """The true state; a mixed one raises for a scheme that needs a pure one."""
-    rho, psi = _resolve_state(cfg)
-    if SCHEMES[cfg.scheme].pure and psi is None:
+    truth = _resolve_state(cfg)
+    if SCHEMES[cfg.scheme].pure and not isinstance(truth, StateVector):
         raise SchemeInapplicableError(f"scheme {cfg.scheme!r} reconstructs a pure state; "
                                       "the configured state is mixed")
-    return rho, psi
+    return truth
 
 
 def simulate(cfg: ExperimentConfig) -> WeakValueTable | RecordStream:
@@ -353,12 +342,12 @@ def simulate(cfg: ExperimentConfig) -> WeakValueTable | RecordStream:
     """
     if SCHEMES[cfg.scheme].measured is None:
         raise SchemeInapplicableError(f"{_OWN_DATA}; there is nothing to simulate")
-    rho, _ = _resolve_truth(cfg)
+    truth = _resolve_truth(cfg)
     measured, pcfg = _measurement(cfg)
     basis_b = _resolve_basis(cfg)
     if cfg.data_mode == "exact":
-        return weak_value_table(rho, measured, basis_b)
-    return sample_records(rho, measured, basis_b, pcfg, cfg.shots, cfg.seed,
+        return weak_value_table(truth, measured, basis_b)
+    return sample_records(truth, measured, basis_b, pcfg, cfg.shots, cfg.seed,
                           _resolve_noise(cfg))
 
 
@@ -380,21 +369,23 @@ def run_reconstruction(cfg: ExperimentConfig, *,
     ones) bypasses data generation.  Partial tomography always generates its
     own data: its post-selection geometry depends on the configured pair.
     Metrics include fidelity and trace distance for state schemes and the
-    element error for partial tomography.
+    element error for partial tomography.  Every scheme is scored against the
+    truth as it was resolved, so a mixed estimate of a pure truth gets the
+    fidelity <psi|rho|psi>.
     """
     t0 = time.perf_counter()
     scheme = SCHEMES[cfg.scheme]
-    rho, psi = _resolve_truth(cfg)
+    truth = _resolve_truth(cfg)
     basis_b = _resolve_basis(cfg)
     kernel = None
     if scheme.measured is None:
         if table is not None:
             raise SchemeInapplicableError(f"{_OWN_DATA}; it cannot consume a table")
-        estimate, metrics = _run_partial(cfg, rho)
+        estimate, metrics = _run_partial(cfg, truth)
     else:
         measured, pcfg = _measurement(cfg)
         if table is None:
-            table = _table(cfg, rho, measured, basis_b, pcfg)
+            table = _table(cfg, truth, measured, basis_b, pcfg)
         elif (table.dim, table.n_pointers) != (cfg.dim, pcfg.n_pointers):
             raise SchemeInapplicableError(
                 f"scheme {cfg.scheme!r} consumes a {cfg.dim} x {pcfg.n_pointers} table, "
@@ -404,7 +395,6 @@ def run_reconstruction(cfg: ExperimentConfig, *,
                    else reference_basis(cfg.dim))
         beta = transition_matrix(basis_a, basis_b)
         estimate, metrics, kernel = scheme.reconstruct(cfg, table, beta, basis_b)
-        truth = psi if scheme.pure else rho
         state = estimate if scheme.pure else estimate.physical
         metrics["fidelity"] = fidelity(state, truth)
         metrics["trace_distance"] = trace_distance(state, truth)
@@ -420,20 +410,20 @@ def run_reconstruction(cfg: ExperimentConfig, *,
     )
 
 
-def _pair_data(cfg: ExperimentConfig, rho: DensityMatrix, observable: Observable,
-               posts: list[StateVector]):
+def _pair_data(cfg: ExperimentConfig, truth: StateVector | DensityMatrix,
+               observable: Observable, posts: list[StateVector]):
     """Weak values of ``observable`` and outcome probabilities at ``posts``,
     read from the table over a basis that the posts begin."""
     n = len(posts)
-    basis = _complete_basis([post.amplitudes for post in posts], cfg.dim)
-    table = _table(cfg, rho, observable, basis, cfg.pointer_config(1))
+    basis = _complete_basis([post.amplitudes for post in posts])
+    table = _table(cfg, truth, observable, basis, cfg.pointer_config(1))
     if not table.defined[:n].all():
         raise MissingDataError("a post-selection outcome of the pair is undefined: "
                                "zero probability, or no sampled trial reached it")
     return table.W[:n, 0], table.P[:n]
 
 
-def _run_partial(cfg: ExperimentConfig, rho: DensityMatrix):
+def _run_partial(cfg: ExperimentConfig, truth: StateVector | DensityMatrix):
     """Estimate the single element <a|rho|b>, routing on the pair's overlap.
 
     A non-orthogonal pair weakly measures |a><a| and post-selects on b; an
@@ -442,14 +432,14 @@ def _run_partial(cfg: ExperimentConfig, rho: DensityMatrix):
     """
     a, b = _resolve_partial_pair(cfg)
     overlap_ba = b.overlap(a)
-    mat = rho.elements
+    mat = _as_density(truth)
     if abs(overlap_ba) > 1e-12:
-        (w,), (p_b,) = _pair_data(cfg, rho, Observable.projector(a), [b])
+        (w,), (p_b,) = _pair_data(cfg, truth, Observable.projector(a), [b])
         element = estimate_element_nonorthogonal(w, p_b, overlap_ba)
         true_ab = complex(np.vdot(a.amplitudes, mat @ b.amplitudes))
         return element, {"element_error": abs(element - true_ab)}
     bridge = StateVector.normalized(a.amplitudes + b.amplitudes)
-    (w, w_prime), (p_a, p_b) = _pair_data(cfg, rho, Observable.projector(bridge), [a, b])
+    (w, w_prime), (p_a, p_b) = _pair_data(cfg, truth, Observable.projector(bridge), [a, b])
     pair = estimate_element_orthogonal(w, w_prime, p_a, p_b)
     true_ba = complex(np.vdot(b.amplitudes, mat @ a.amplitudes))
     return pair, {"element_error": abs(pair.element_ba - true_ba),
@@ -551,7 +541,7 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
         # Every cell must score against the same true state even though the
         # sampling seed varies.
         cfg_base = replace(cfg_base, state_seed=cfg_base.seed)
-    rho, psi = _resolve_state(cfg_base)
+    truth = _resolve_state(cfg_base)
     basis_b = _resolve_basis(cfg_base)
     skipped: dict[str, str] = {}
     jobs: dict[tuple, ExperimentConfig] = {}
@@ -564,7 +554,7 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
         if SCHEMES[scheme].measured is None:
             skipped[scheme] = "estimates one element, no state-level trace distance"
             continue
-        if SCHEMES[scheme].pure and psi is None:
+        if SCHEMES[scheme].pure and not isinstance(truth, StateVector):
             skipped[scheme] = "state is mixed"
             continue
         for shots in shot_grid:
@@ -577,7 +567,7 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
         results = dict(zip(keys, pool.map(lambda k: _comparison_metric(jobs[k]), keys)))
 
     # Discard fraction: the postselected scheme keeps one outcome of B.
-    p_kept = float(weak_value_table(rho, reference_basis(cfg_base.dim),
+    p_kept = float(weak_value_table(truth, reference_basis(cfg_base.dim),
                                     basis_b).P[cfg_base.postselect_row])
     rows = [{"scheme": scheme, "skipped": reason} for scheme, reason in skipped.items()]
     for scheme in schemes:

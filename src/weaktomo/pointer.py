@@ -288,21 +288,6 @@ def table_shifts(table: WeakValueTable, cfg: PointerConfig) -> tuple[np.ndarray,
     return dq, dp
 
 
-def postselect_probability(rho, post: StateVector, cfg: PointerConfig, weak_values) -> float:
-    """Post-selection probability corrected to first order in the couplings.
-
-    P = tr(Pi rho) * (1 + 2 sum_i g_i Im(W_i) <p_i>), clamped to [0, 1].
-    The correction vanishes for the default zero-mean pointers.
-    """
-    w = np.asarray(weak_values, dtype=complex)
-    if w.size != cfg.n_pointers:
-        raise DimensionMismatchError("need one weak value per pointer")
-    mat = _as_density(rho)
-    base = np.vdot(post.amplitudes, mat @ post.amplitudes).real
-    factor = 1.0 + 2.0 * float(np.sum(cfg.g * w.imag * cfg.mean_p))
-    return float(min(max(base * factor, 0.0), 1.0))
-
-
 def gaussian_pointer(grid: PointerGrid, mean_q: float, mean_p: float,
                      sigma_q: float) -> np.ndarray:
     """Unit-norm Gaussian pointer samples on the position grid."""

@@ -167,7 +167,7 @@ class SumRuleReport:
 
 def check_sum_rules(
     table: WeakValueTable,
-    rho: DensityMatrix | None = None,
+    rho: StateVector | DensityMatrix | None = None,
     basis_a: OrthonormalBasis | None = None,
 ) -> SumRuleReport:
     """Evaluate the weak-value sum rules on a table.
@@ -175,9 +175,10 @@ def check_sum_rules(
     For every defined row the weak values of a complete projector family sum
     to one, and the P-weighted column sums reproduce the diagonal of rho in
     basis A (real, so their imaginary part must vanish).  When ``rho`` is
-    given the diagonal is cross-checked explicitly; ``basis_a`` defaults to
-    the computational reference basis.  The rules hold for a basis-A table
-    only; any other pointer count raises DimensionMismatchError.
+    given, as a StateVector or a DensityMatrix, the diagonal is cross-checked
+    explicitly; ``basis_a`` defaults to the computational reference basis.
+    The rules hold for a basis-A table only; any other pointer count raises
+    DimensionMismatchError.
     """
     if table.n_pointers != table.dim:
         raise DimensionMismatchError(
@@ -193,6 +194,6 @@ def check_sum_rules(
     diag_dev = None
     if rho is not None:
         av = basis_a.vectors if basis_a is not None else np.eye(table.dim, dtype=complex)
-        diag = np.einsum("ij,ji->i", av.conj().T, rho.elements @ av).real
+        diag = np.einsum("ij,ji->i", av.conj().T, _as_density(rho) @ av).real
         diag_dev = float(np.max(np.abs(weighted - diag)))
     return SumRuleReport(row_sum_dev=row_sum_dev, imag_dev=imag_dev, diag_dev=diag_dev)

@@ -19,6 +19,14 @@ def oracle_post_probability(rho: np.ndarray, post: np.ndarray) -> float:
     return float(np.trace(pi @ rho).real)
 
 
+def oracle_first_order_probability(rho: np.ndarray, post: np.ndarray, obs: np.ndarray,
+                                   g: float, mean_p: float) -> float:
+    """Post-selection probability after one weak coupling g to obs, to first
+    order in g: tr(Pi rho) (1 + 2 g Im(W) <p>), with W the weak value of obs."""
+    w = oracle_weak_value(rho, obs, post)
+    return oracle_post_probability(rho, post) * (1.0 + 2.0 * g * w.imag * mean_p)
+
+
 def oracle_table(rho: np.ndarray, basis_a: np.ndarray, basis_b: np.ndarray):
     """Weak values of every reference projector |a_i><a_i| for every
     post-selection |b_j>, via the trace formula entry by entry."""

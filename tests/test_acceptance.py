@@ -105,7 +105,7 @@ def test_sum_rules_on_every_exact_table(pure_runs, mixed_runs):
     bundles += list(mixed_runs[0].values())
     worst = 0.0
     for bundle in bundles:
-        rho, _ = _resolve_state(bundle.config)
+        rho = _resolve_state(bundle.config)
         report = check_sum_rules(bundle.table, rho)
         worst = max(worst, report.row_sum_dev, report.imag_dev, report.diag_dev)
     ok = worst <= 1e-10

@@ -404,6 +404,17 @@ def test_unknown_config_key_is_usage_error():
     assert "usage error" in proc.stderr
 
 
+@pytest.mark.parametrize("mode", ["--exact", "--sampled"])
+def test_negative_noise_scale_is_usage_error(mode, tmp_path):
+    out = tmp_path / "b.json"
+    proc = run_cli("reconstruct", "--set", "dim=2", "--set", "scheme=all_data",
+                   "--set", "noise_sigma_scale=-1", "--shots", "100", mode,
+                   "--out", str(out))
+    assert proc.returncode == 2
+    assert "usage error" in proc.stderr
+    assert not out.exists()
+
+
 def test_dotted_set_reaches_nested_fields(tmp_path):
     out = tmp_path / "b.json"
     proc = run_cli("reconstruct", "--set", "dim=2", "--set", "scheme=mixed_a",

@@ -10,10 +10,12 @@ digests at the end pin whole seeded runs of every scheme.
 
 Run as a script (``PYTHONPATH=src python tests/test_golden.py``) it prints
 every pinned key with the digest this tree computes and ``ok`` or ``MOVED``,
-so a deliberate re-capture is a reviewed diff of the printed digests.
+so a deliberate re-capture is a reviewed diff of the printed digests.  It
+exits 1 when any digest moved, so it can gate a refactor from the shell.
 """
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -213,5 +215,8 @@ def _current_digests():
 
 
 if __name__ == "__main__":
+    moved = 0
     for name, pinned, current in _current_digests():
+        moved += current != pinned
         print(f"{name:38} {current} {'ok' if current == pinned else 'MOVED'}")
+    sys.exit(1 if moved else 0)

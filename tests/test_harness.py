@@ -5,19 +5,21 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from weaktomo import (
     ElementPair,
     ExperimentConfig,
     MissingDataError,
+    OrthonormalBasis,
     PreconditionError,
     PURE_SCHEMES,
     SchemeInapplicableError,
     compare_schemes,
     demo_phase_detection,
     fourier_basis,
+    random_pure_state,
     ramp_probe,
     reference_basis,
     run_reconstruction,
@@ -25,7 +27,7 @@ from weaktomo import (
     transition_matrix,
     weak_value_table,
 )
-from weaktomo.harness import _resolve_state
+from weaktomo.harness import _complete_basis, _resolve_state
 
 RHO_EXAMPLE = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
 PSI_EXAMPLE = np.array([np.sqrt(3.0) / 2.0, 0.5], dtype=complex)
@@ -125,7 +127,7 @@ def test_reconstruction_rejects_mismatched_payloads():
 def test_partial_scheme_generates_its_own_data():
     cfg = ExperimentConfig(dim=2, scheme="partial", state_spec="explicit",
                            state=RHO_EXAMPLE)
-    table = weak_value_table(_resolve_state(cfg)[0], reference_basis(2),
+    table = weak_value_table(_resolve_state(cfg), reference_basis(2),
                              fourier_basis(2))
     with pytest.raises(SchemeInapplicableError):
         run_reconstruction(cfg, table=table)
@@ -203,7 +205,7 @@ def test_exact_partial_returns_the_matrix_element(seed, d, rank, orthogonal):
     cfg = ExperimentConfig(dim=d, scheme="partial", state_spec="ginibre",
                            state_rank=min(rank, d), state_seed=seed,
                            partial_a=a, partial_b=b)
-    rho = _resolve_state(cfg)[0].elements
+    rho = _resolve_state(cfg).elements
     estimate = run_reconstruction(cfg).estimate
     if orthogonal:
         assert isinstance(estimate, ElementPair)
@@ -211,6 +213,30 @@ def test_exact_partial_returns_the_matrix_element(seed, d, rank, orthogonal):
         assert abs(estimate.element_ba - np.vdot(b, rho @ a)) <= 1e-12
     else:
         assert abs(estimate - np.vdot(a, rho @ b)) <= 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 16), n=st.integers(1, 2))
+def test_complete_basis_keeps_the_given_columns(seed, d, n):
+    rng = np.random.default_rng(seed)
+    given_cols = np.linalg.qr(rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n)))[0]
+    basis = _complete_basis([given_cols[:, k] for k in range(n)])
+    assert isinstance(basis, OrthonormalBasis)
+    assert basis.vectors[:, :n].tobytes() == np.ascontiguousarray(given_cols).tobytes()
+    assert np.max(np.abs(basis.vectors.conj().T @ basis.vectors - np.eye(d))) <= 1e-12
+
+
+@given(state_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1),
+       d=st.integers(2, 6), scheme=st.sampled_from(["mixed_a", "mixed_b"]),
+       mode=st.sampled_from(["exact", "sampled"]))
+# the general square-root fidelity read 0.8248158395 here
+@example(state_seed=9, seed=7, d=3, scheme="mixed_a", mode="sampled")
+def test_mixed_scheme_on_pure_truth_scores_the_overlap(state_seed, seed, d, scheme, mode):
+    cfg = ExperimentConfig(dim=d, scheme=scheme, data_mode=mode, state_seed=state_seed,
+                           seed=seed, shots=20_001)
+    bundle = run_reconstruction(cfg)
+    psi = random_pure_state(d, state_seed).amplitudes
+    overlap = np.vdot(psi, bundle.estimate.physical.elements @ psi).real
+    assert abs(bundle.metrics["fidelity"] - overlap) <= 1e-14
 
 
 # ------------------------------------------------------------------- sampling
@@ -408,6 +434,8 @@ def test_config_validation():
         ExperimentConfig(dim=2, scheme="postselected", postselect_row=2)
     with pytest.raises(ValueError):
         ExperimentConfig(dim=2, scheme="all_data", pointer_g=-0.1)
+    with pytest.raises(ValueError):
+        ExperimentConfig(dim=2, scheme="all_data", noise_sigma_scale=-1.0)
 
 
 def test_ramp_probe_overlaps_every_fourier_vector():

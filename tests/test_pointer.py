@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weaktomo import (
     DensityMatrix,
@@ -22,7 +24,6 @@ from weaktomo import (
     fourier_basis,
     gaussian_pointer,
     pointer_covariance,
-    postselect_probability,
     random_density_matrix,
     reference_basis,
     sample_records,
@@ -30,7 +31,7 @@ from weaktomo import (
     weak_value_table,
 )
 
-from oracles import oracle_shifts
+from oracles import oracle_first_order_probability, oracle_shifts
 
 RHO_EXAMPLE = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
 
@@ -86,27 +87,17 @@ def test_table_shifts_pointer_count_mismatch():
         table_shifts(table, PointerConfig.uniform(3, g=0.05))
 
 
-def test_postselect_probability_zero_mean_momentum():
-    cfg = PointerConfig.uniform(2, g=0.05)
-    rho = DensityMatrix(RHO_EXAMPLE)
-    b0 = fourier_basis(2).column(0)
-    table = weak_value_table(rho, reference_basis(2), fourier_basis(2))
-    p = postselect_probability(rho, b0, cfg, table.W[0])
-    assert p == pytest.approx(0.75, abs=1e-12)
-
-
-def test_postselect_probability_momentum_offset_correction():
-    # nonzero <p> shifts P by 2 sum_i g_i Im(W_i) <p_i> at first order;
-    # check the corrected value against the exact joint evolution.
+def test_exact_probability_moves_with_mean_momentum():
+    # nonzero <p> shifts P by 2 g Im(W) <p> at first order, which the exact
+    # joint evolution reproduces.
     psi = StateVector.normalized(np.array([0.8, 0.3 + 0.52j]))
     post = fourier_basis(2).column(1)
     proj = Observable.projector(StateVector(np.eye(2, dtype=complex)[:, 0]))
     cfg = PointerConfig.uniform(1, g=0.01, sigma_q=1.0, mean_p=0.3)
-    w = np.vdot(post.amplitudes, proj.matrix @ psi.amplitudes) / np.vdot(
-        post.amplitudes, psi.amplitudes)
-    approx = postselect_probability(psi.projector(), post, cfg, [w])
+    rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    approx = oracle_first_order_probability(rho, post.amplitudes, proj.matrix, 0.01, 0.3)
     grid = PointerGrid.for_config(cfg)
-    exact = exact_joint_evolution(psi.projector(), [proj], cfg, grid, post)
+    exact = exact_joint_evolution(psi, [proj], cfg, grid, post)
     base = np.abs(np.vdot(post.amplitudes, psi.amplitudes)) ** 2
     assert approx != pytest.approx(base, abs=1e-4)  # the correction is active
     assert approx == pytest.approx(exact.probability, abs=2e-3 * base)
@@ -369,6 +360,27 @@ def test_record_csv_round_trip():
     assert np.array_equal(back.quadrature, records.quadrature)
     assert np.array_equal(back.readout, records.readout)
     assert back.n_trials == records.n_trials
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), one_pointer=st.booleans(),
+       shots=st.integers(1, 300), sigma_scale=st.floats(0.0, 3.0),
+       offset=st.floats(-1.0, 1.0))
+def test_record_csv_round_trip_property(seed, d, one_pointer, shots, sigma_scale, offset):
+    if one_pointer:
+        measured = Observable.from_eigensystem(np.arange(d, dtype=float), reference_basis(d))
+    else:
+        measured = reference_basis(d)
+    cfg = PointerConfig.uniform(1 if one_pointer else d, g=0.2)
+    records = sample_records(random_density_matrix(d, d, seed), measured, fourier_basis(d),
+                             cfg, shots=shots, seed=seed,
+                             noise=NoiseModel(sigma_scale, offset))
+    text = records.to_csv()
+    back = RecordStream.from_csv(text)
+    for name in ("trial", "outcome", "pointer", "quadrature", "readout"):
+        mine, theirs = getattr(records, name), getattr(back, name)
+        assert theirs.dtype == mine.dtype and theirs.tobytes() == mine.tobytes()
+    assert back.n_trials == records.n_trials == shots
+    assert back.to_csv() == text
 
 
 def test_record_csv_rejects_foreign_header():

@@ -5,8 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from weaktomo import ExperimentConfig, run_reconstruction, demo_phase_detection
+from weaktomo import (
+    ExperimentConfig,
+    WeakValueTable,
+    demo_phase_detection,
+    run_reconstruction,
+)
 from weaktomo import serialize as ser
 
 RHO_EXAMPLE = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
@@ -89,6 +96,42 @@ def test_table_json_round_trip_with_errors():
     assert np.array_equal(back.stderr_im, table.stderr_im)
     assert table.n_trials == 5_000
     assert back.n_trials == table.n_trials
+
+
+@st.composite
+def _tables(draw):
+    """d x d and d x 1 tables with masked rows, exact or estimated."""
+    d = draw(st.integers(2, 6))
+    n = draw(st.sampled_from([d, 1]))
+
+    def grid(elements, size):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)))
+
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    defined = grid(st.booleans(), d)
+    defined[draw(st.integers(0, d - 1))] = True
+    weights = grid(st.floats(1e-3, 1.0), d) * defined
+    w = grid(finite, 2 * d * n).reshape(2, d, n)
+    kwargs = {}
+    if draw(st.booleans()):
+        errors = st.floats(0.0, 1e300)
+        kwargs = dict(stderr_re=grid(errors, d * n).reshape(d, n),
+                      stderr_im=grid(errors, d * n).reshape(d, n),
+                      n_trials=draw(st.integers(1, 2**62)))
+    return WeakValueTable(dim=d, W=w[0] + 1j * w[1], P=weights / weights.sum(),
+                          defined=defined, **kwargs)
+
+
+@given(table=_tables())
+def test_table_json_round_trip_property(table):
+    back = ser.table_from_json(json.loads(ser.dumps(ser.table_to_json(table))))
+    assert (back.dim, back.n_trials) == (table.dim, table.n_trials)
+    for name in ("W", "P", "defined", "stderr_re", "stderr_im"):
+        mine, theirs = getattr(table, name), getattr(back, name)
+        if mine is None:
+            assert theirs is None
+        else:
+            assert theirs.dtype == mine.dtype and theirs.tobytes() == mine.tobytes()
 
 
 def test_table_csv_layout():
