@@ -272,7 +272,7 @@ def _add_common(p, config=True):
         mode.add_argument("--exact", action="store_true",
                           help="closed-form weak values, no sampling")
         mode.add_argument("--sampled", action="store_true",
-                          help="simulate shot records and estimate from them")
+                          help="estimate from sampled shots (simulate writes their records)")
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--quiet", action="store_true", help="suppress progress text")
 

@@ -363,9 +363,13 @@ def run_reconstruction(cfg: ExperimentConfig, *,
     """Run the configured scheme and score it against the truth.
 
     Without ``table`` the data are generated: in closed form in exact mode;
-    in sampled mode by drawing the shots, reducing them to per-cell readout
-    sums as they come and estimating the weak values from those sums.  A
-    provided ``table`` (d x d for basis-A schemes, d x 1 for single-observable
+    in sampled mode by drawing, from ``cfg.seed``, the per-cell readout
+    count, sum and sum of squares of ``cfg.shots`` trials straight from
+    their law and estimating the weak values from them, in time and memory
+    that do not grow with the shots.  That table has the law of estimating
+    from ``simulate(cfg)``'s records, not their bits; pass
+    ``estimate_weak_values`` of those records as ``table`` to reproduce the
+    records route.  A provided ``table`` (d x d for basis-A schemes, d x 1 for single-observable
     ones) bypasses data generation.  Partial tomography always generates its
     own data: its post-selection geometry depends on the configured pair.
     Metrics include fidelity and trace distance for state schemes and the

@@ -13,16 +13,18 @@ can be validated against it.
 
 Shot sampling draws from one law: the exact weak-value table of what is
 weakly measured (the d projectors of a basis, one pointer each, or a single
-observable on one pointer) shifted by ``table_shifts``.  Trials come block
-by block, each block from its own (seed, block) RNG, and the blocks feed one
-of two consumers.  ``sample_records`` fills a ``RecordStream`` with one row
-per pointer readout, which is what ``weaktomo simulate --sampled`` writes.
-An in-memory sampled run never builds those rows: it adds each block into
-per-cell count, sum and sum of squares, one cell per (outcome, pointer,
-quadrature), so its memory is O(d * n_pointers) and does not depend on the
-number of shots.  Estimating from records checks the rows and then feeds
-them, as one block, to the same reducer (``_cell_sums``), so both routes give
-bit-identical estimates by construction.
+observable on one pointer) shifted by ``table_shifts``.  Even trials read
+positions, odd trials momenta; each trial draws one outcome and one
+Gaussian readout per pointer.  ``sample_records`` draws the trials themselves,
+block by block, each block from its own (seed, block) RNG, into a
+``RecordStream`` with one row per pointer readout, which is what
+``weaktomo simulate --sampled`` writes.  Estimation reads only per-cell
+count, sum and sum of squares, one cell per (outcome, pointer, quadrature).
+So an in-memory sampled run never draws trials: it draws those sufficient
+statistics directly from their joint law, in O(d * n_pointers) time and
+memory whatever the number of shots.  That draw has the law of reducing
+sampled records, not their bits; estimating from records reduces the rows
+to the same cells and feeds them to the same estimator (``_estimate_cells``).
 """
 
 import io
@@ -50,6 +52,8 @@ from .weakval import WeakValueTable, weak_value_table
 
 # Joint system-pointer state may not exceed d * N^n = 2^22 complex amplitudes.
 SIZE_LIMIT = 1 << 22
+# A record stream may hold at most this many rows (8.9 GB of columns).
+RECORD_ROW_LIMIT = 1 << 28
 # Trials are generated in fixed blocks, each with its own (seed, block) RNG,
 # so the merged stream never depends on how blocks are assigned to workers.
 BLOCK_TRIALS = 1 << 14
@@ -411,88 +415,116 @@ def exact_joint_evolution(rho, observables, cfg: PointerConfig, grid: PointerGri
     return PointerShift(dq=dq, dp=dp, probability=prob)
 
 
-def _sample_blocks(P: np.ndarray, dq: np.ndarray, dp: np.ndarray, cfg: PointerConfig,
-                   shots: int, seed: int, noise: NoiseModel | None):
-    """Draw ``shots`` trials from outcome law P with per-cell readout means.
-
-    dq/dp have shape (d, n_pointers).  Even trials read positions, odd trials
-    momenta, every pointer in the same trial using the same quadrature.
-    Trials come in fixed-size blocks seeded by (seed, block), so the draws
-    never depend on who consumes the blocks.  This is the only code that
-    draws from those RNGs.  Returns an iterator of (lo, outcomes, quad,
-    readout) per block: the first trial's index, then per trial its outcome,
-    its quadrature code and its (n_pointers,) readouts.  shots < 1 raises
-    before any block is drawn.
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+def _readout_law(dq: np.ndarray, dp: np.ndarray, cfg: PointerConfig,
+                 noise: NoiseModel | None) -> tuple[np.ndarray, np.ndarray]:
+    """Readout means, shape (d, 2, n_pointers), and spreads, shape
+    (2, n_pointers), of every (outcome, quadrature) from the (d, n_pointers)
+    shifts dq/dp, with the noise model applied."""
     noise = noise or NoiseModel()
-    cum = np.cumsum(P)
-    cum[-1] = 1.0
-    # Readout mean of (outcome j, quadrature c) in row 2j + c, spread in row c.
-    means = np.empty((P.size, 2, cfg.n_pointers))
+    means = np.empty((dq.shape[0], 2, cfg.n_pointers))
     means[:, QUAD_POSITION] = cfg.mean_q + dq + noise.systematic_offset
     means[:, QUAD_MOMENTUM] = cfg.mean_p + dp
-    means = means.reshape(2 * P.size, cfg.n_pointers)
     spreads = np.empty((2, cfg.n_pointers))
     spreads[QUAD_POSITION] = cfg.sigma_q * noise.readout_sigma_scale
     spreads[QUAD_MOMENTUM] = cfg.sigma_p * noise.readout_sigma_scale
+    return means, spreads
 
-    def blocks():
-        for block in range((shots + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
-            lo = block * BLOCK_TRIALS
-            hi = min(lo + BLOCK_TRIALS, shots)
-            rng = np.random.default_rng([seed, block])
-            outcomes = np.searchsorted(cum, rng.random(hi - lo), side="right")
-            readout = rng.standard_normal((hi - lo, cfg.n_pointers))
-            quad = np.where(np.arange(lo, hi) % 2 == 0, QUAD_POSITION, QUAD_MOMENTUM)
-            readout *= np.take(spreads, quad, axis=0)
-            readout += np.take(means, 2 * outcomes + quad, axis=0)
-            yield lo, outcomes, quad, readout
 
-    return blocks()
+def _check_shots(shots: int) -> None:
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
 
 
 def _sample_stream(P, dq, dp, cfg: PointerConfig, shots: int, seed: int,
                    noise: NoiseModel | None) -> RecordStream:
-    """Sampled trials as a record stream, one row per pointer readout."""
-    blocks = _sample_blocks(P, dq, dp, cfg, shots, seed, noise)
-    n = cfg.n_pointers
-    trial_col = np.repeat(np.arange(shots, dtype=np.int64), n)
-    outcome_col = np.empty(shots * n, dtype=np.int64)
-    pointer_col = np.tile(np.arange(n, dtype=np.int64), shots)
-    quad_col = np.empty(shots * n, dtype=np.uint8)
-    readout_col = np.empty(shots * n, dtype=np.float64)
-    for lo, outcomes, quad, readout in blocks:
-        sl = slice(lo * n, lo * n + readout.size)
-        outcome_col[sl] = np.repeat(outcomes, n)
-        quad_col[sl] = np.repeat(quad, n)
-        readout_col[sl] = readout.reshape(-1)
-    return RecordStream(trial=trial_col, outcome=outcome_col, pointer=pointer_col,
-                        quadrature=quad_col, readout=readout_col, n_trials=shots)
+    """Draw ``shots`` trials from outcome law P as a record stream, one row
+    per pointer readout.
 
-
-def _cell_sums(blocks, d: int, n: int):
-    """Per-cell count, sum and sum of squares, shape (d, n, 2), and trials per
-    outcome, of blocks laid out as ``_sample_blocks`` yields them.  np.add.at
-    adds each readout into its (outcome, pointer, quadrature) cell in trial
-    order, so the sums do not depend on how the trials are split into blocks.
+    Trials come in fixed-size blocks seeded by (seed, block), so the draws
+    never depend on how the stream is assembled.  shots < 1 raises
+    ValueError and more than RECORD_ROW_LIMIT rows raise ResourceLimitError,
+    both before anything is drawn.
     """
-    per_trial = np.zeros(d * 2, dtype=np.int64)  # trials per (outcome, quadrature)
+    _check_shots(shots)
+    n = cfg.n_pointers
+    if shots * n > RECORD_ROW_LIMIT:
+        raise ResourceLimitError(
+            f"{shots} trials x {n} pointers = {shots * n} record rows exceed the "
+            f"2^28 limit; an in-memory sampled run needs no records")
+    means, spreads = _readout_law(dq, dp, cfg, noise)
+    # Readout mean of (outcome j, quadrature c) in row 2j + c.
+    means = means.reshape(2 * P.size, n)
+    cum = np.cumsum(P)
+    cum[-1] = 1.0
+    outcomes = np.empty(shots, dtype=np.int64)
+    quad = (np.arange(shots) % 2).astype(np.uint8)
+    readout = np.empty((shots, n))
+    for block in range((shots + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
+        sl = slice(block * BLOCK_TRIALS, min((block + 1) * BLOCK_TRIALS, shots))
+        rng = np.random.default_rng([seed, block])
+        outcomes[sl] = np.searchsorted(cum, rng.random(sl.stop - sl.start), side="right")
+        values = rng.standard_normal((sl.stop - sl.start, n))
+        values *= np.take(spreads, quad[sl], axis=0)
+        values += np.take(means, 2 * outcomes[sl] + quad[sl], axis=0)
+        readout[sl] = values
+    return RecordStream(trial=np.repeat(np.arange(shots, dtype=np.int64), n),
+                        outcome=np.repeat(outcomes, n),
+                        pointer=np.tile(np.arange(n, dtype=np.int64), shots),
+                        quadrature=np.repeat(quad, n), readout=readout.reshape(-1),
+                        n_trials=shots)
+
+
+def _cell_sums(outcomes, quad, readout, d: int):
+    """Per-cell count, sum and sum of squares, shape (d, n, 2), and trials per
+    outcome, of trials given by outcome, quadrature code and (n,) readouts.
+    np.add.at adds each readout into its (outcome, pointer, quadrature) cell
+    in trial order.
+    """
+    n = readout.shape[1]
+    per_trial = np.bincount(2 * outcomes + quad, minlength=d * 2)
+    idx = ((2 * n * outcomes + quad)[:, None] + 2 * np.arange(n)).reshape(-1)
+    values = readout.reshape(-1)
     sums = np.zeros(d * n * 2)
     sumsq = np.zeros(d * n * 2)
-    pointer_offset = 2 * np.arange(n)
-    for _, outcomes, quad, readout in blocks:
-        per_trial += np.bincount(2 * outcomes + quad, minlength=d * 2)
-        idx = ((2 * n * outcomes + quad)[:, None] + pointer_offset).reshape(-1)
-        values = readout.reshape(-1)
-        np.add.at(sums, idx, values)
-        np.add.at(sumsq, idx, values**2)
+    np.add.at(sums, idx, values)
+    np.add.at(sumsq, idx, values**2)
     per_trial = per_trial.reshape(d, 1, 2)
     shape = (d, n, 2)
     # Every trial reads every pointer once, in the trial's quadrature.
     return (np.repeat(per_trial, n, axis=1), sums.reshape(shape), sumsq.reshape(shape),
             per_trial.sum(axis=(1, 2)))
+
+
+def _draw_cells(P, dq, dp, cfg: PointerConfig, shots: int, seed: int,
+                noise: NoiseModel | None):
+    """``_cell_sums`` of ``shots`` sampled trials, drawn from its law directly.
+
+    One generator seeded by ``seed`` draws the outcome counts of the
+    ceil(shots/2) position trials and of the floor(shots/2) momentum trials,
+    each as a multinomial over P.  A trial reads all its pointers in one
+    quadrature, so a cell's count is that of its (outcome, quadrature).  The
+    n readouts of a cell are i.i.d. N(mu, sigma^2), independent of the other
+    cells given the counts, so their mean is mu + sigma Z / sqrt(n) and, by
+    Cochran's theorem, independently of it, their sum of squared deviations
+    is sigma^2 times a chi^2 with n - 1 degrees of freedom.  Time and memory
+    are O(d * n_pointers), whatever ``shots`` is; shots beyond 2^63 - 1 raise
+    ResourceLimitError.
+    """
+    _check_shots(shots)
+    if shots > np.iinfo(np.int64).max:
+        raise ResourceLimitError(f"{shots} shots do not fit a 64-bit trial count")
+    means, spreads = _readout_law(dq, dp, cfg, noise)
+    rng = np.random.default_rng(seed)
+    p = P / P.sum()
+    per_trial = np.stack([rng.multinomial((shots + 1) // 2, p),
+                          rng.multinomial(shots // 2, p)], axis=1)    # (d, 2)
+    counts = np.broadcast_to(per_trial[:, :, None], means.shape)       # (d, 2, n)
+    filled = counts > 0
+    mean = means + spreads * rng.standard_normal(means.shape) / np.sqrt(np.maximum(counts, 1))
+    chi2 = 2.0 * rng.standard_gamma(np.maximum(counts - 1, 0) / 2.0)
+    sums = np.where(filled, counts * mean, 0.0)
+    sumsq = np.where(filled, spreads**2 * chi2 + counts * mean**2, 0.0)
+    return (*(a.transpose(0, 2, 1) for a in (counts, sums, sumsq)), per_trial.sum(axis=1))
 
 
 def _law(rho, measured, basis_b: OrthonormalBasis, cfg: PointerConfig):
@@ -513,15 +545,17 @@ def sample_records(rho, measured, basis_b: OrthonormalBasis, cfg: PointerConfig,
     first-order shifted mean for (j, i).  Masked (zero-probability)
     outcomes are never drawn.  The stream holds n_pointers rows per trial;
     it is built for callers that need the rows themselves, such as
-    ``simulate --sampled``.  An in-memory sampled ``run_reconstruction``
-    draws the same trials but keeps only per-cell count, sum and sum of
-    squares, so its memory does not grow with ``shots``.
+    ``simulate --sampled``, and its bytes are a function of the arguments.
+    More than RECORD_ROW_LIMIT rows raise ResourceLimitError before any
+    record is allocated.  An in-memory sampled ``run_reconstruction``
+    draws no trials: it draws the per-cell sums the estimator reads from
+    their law, so it matches this route in distribution, not bit for bit.
     """
     return _sample_stream(*_law(rho, measured, basis_b, cfg), cfg, shots, seed, noise)
 
 
 def _record_cells(records: RecordStream, dim: int, n_pointers: int):
-    """``_cell_sums`` of a record stream, whose checked rows are one block.
+    """``_cell_sums`` of a record stream's checked rows.
 
     Rows are numbered from 1; the first row with an out-of-range index or a
     non-finite readout raises InvalidRecordsError, and so does the first row
@@ -568,7 +602,7 @@ def _record_cells(records: RecordStream, dim: int, n_pointers: int):
         raise InvalidRecordsError(
             f"records row {len(records)}: the last trial has "
             f"{len(records) % n} of {n} pointer rows")
-    return _cell_sums([(0, outcome[:, 0], quad[:, 0], by_trial(records.readout))], dim, n)
+    return _cell_sums(outcome[:, 0], quad[:, 0], by_trial(records.readout), dim)
 
 
 def _estimate_cells(cells, cfg: PointerConfig) -> WeakValueTable:
@@ -613,7 +647,12 @@ def estimate_weak_values(records: RecordStream, cfg: PointerConfig, dim: int) ->
 
 def _sampled_table(rho, measured, basis_b: OrthonormalBasis, cfg: PointerConfig,
                    shots: int, seed: int, noise: NoiseModel | None) -> WeakValueTable:
-    """``estimate_weak_values(sample_records(...))`` without building records."""
-    P, dq, dp = _law(rho, measured, basis_b, cfg)
-    blocks = _sample_blocks(P, dq, dp, cfg, shots, seed, noise)
-    return _estimate_cells(_cell_sums(blocks, *dq.shape), cfg)
+    """A table with the law of ``estimate_weak_values(sample_records(...))``.
+
+    The estimator reads per-cell sums that ``_draw_cells`` draws directly,
+    so no trial is drawn and the cost does not depend on ``shots``.  The
+    table is a function of the arguments, but its bits differ from those of
+    the records route with the same seed.  It raises what that route raises.
+    """
+    return _estimate_cells(_draw_cells(*_law(rho, measured, basis_b, cfg), cfg, shots,
+                                       seed, noise), cfg)

@@ -241,6 +241,16 @@ def test_simulate_pure_scheme_on_mixed_truth_is_inapplicable(mode):
     assert proc.stdout == ""
 
 
+def test_simulate_refuses_a_record_stream_beyond_the_row_limit(tmp_path):
+    out = tmp_path / "records.csv"
+    proc = run_cli("simulate", "--set", "dim=2", "--set", "scheme=all_data", "--sampled",
+                   "--shots", str(10**12), "--out", str(out))
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "resource-limit"
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_reconstruct_inapplicable_scheme_exit_code(tmp_path):
     # the identity basis makes beta diagonal, so the a-basis formula divides
     # by hard zeros and the scheme refuses

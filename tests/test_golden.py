@@ -133,39 +133,42 @@ def test_golden_masked_row_table():
 # "table" in one layout with its trial count (the "column" key went) and
 # exact partial began reading its weak values from the table over the pair's
 # completed basis: 29 moved by layout only, partial/exact/2 also moved its
-# element by 5.6e-17.
+# element by 5.6e-17.  The 15 sampled digests were re-captured once, when
+# in-memory sampled runs began drawing per-cell sufficient statistics instead
+# of trials: the same law, different bits (tests/test_sampled_cells.py pins
+# the law); the records digests above did not move.
 PURE = ("postselected", "all_data", "single_projector", "single_observable")
 BUNDLE = {
     "postselected/exact/2": "45db3023f848af104fe0bc9214ee28ab9cbd6ce3a16de8b8e6656f9e586cde98",
     "postselected/exact/3": "7976c37eb8e29daf70abc2b3cdf3759dc1f2d86feb783608e88d0e42271bed59",
-    "postselected/sampled/2": "25448168998bf1fdab7f2153364e787af22d77c8066328c2897fc0e14445ef5f",
-    "postselected/sampled/3": "ab168309e6ad5a5b18d7f14f311b214ead661c9bfef3824f7cf10828602a9916",
+    "postselected/sampled/2": "fe72f470920b99de368f5c7f1c49d4d0032257dc4c1d69e4ffced9a8a6208609",
+    "postselected/sampled/3": "f0e54c005e14ce1a30965a8d61bb67a2d6d4b724f62a6ff29aa020836980d483",
     "all_data/exact/2": "ee183e0730ad92979e4c4da85dd3f00c0fe33d26d7b83fb8fbef207da576f899",
     "all_data/exact/3": "8d42a9a4810b191cb4694a6bd63e68e0e7c386b023d1c169221bcc176664ba95",
-    "all_data/sampled/2": "b72643a3d70d2d38a5826757fd9a16a51279b6637eabdb7df6fd9b52a9dec1fa",
-    "all_data/sampled/3": "7eaefa55812d614cf747147d845e6531749eff211cd233f379d2add1ca463a5f",
+    "all_data/sampled/2": "731326bb54a6fbdbc0e2ac93cd773ded6406eccb05e718d684a4455470886b59",
+    "all_data/sampled/3": "12d482f30ccfe3b44a4c0054200b29be011bf2446c4e6a5c3cef03f8e781fa8a",
     "single_projector/exact/2": "51dba489b32ebc0f1ae26ab36ac7c60ac644d61058cb70e45af66943df7c6132",
     "single_projector/exact/3": "0b763df69cbc7104e082e0c4c61c43db86d123f7e7189c02a7253436b0fbf1b3",
-    "single_projector/sampled/2": "d41c4641b1c8cdc095211d2ca1485cfd339fdb52fc4e51822aa1ae4c2d17ac19",
-    "single_projector/sampled/3": "68c489d586fb897fbfa8f7cfc076aa5058b718c9e3ca555d95c5c20dec5228a5",
+    "single_projector/sampled/2": "affb53b383ac6229c72788b2dfd77642341ff9895dbe7c57f17d847ce7aa5304",
+    "single_projector/sampled/3": "993a6d56a09cd222265cfc38d9940ef492a3e9c8d4084ff73f04dd702848f8e6",
     "single_observable/exact/2": "da0e4f67a17d7e794378baff442488203f2801419f13e041bd77721dd3aa0c35",
     "single_observable/exact/3": "6028f58afe66c04f943a6d4967b19ebbf53558b1cd6c050984ac23b7f5c7803e",
-    "single_observable/sampled/2": "f8aaadd0226b682d0379c048d2202428e6e7b7d6733b9bbfd3b18206cb833d90",
-    "single_observable/sampled/3": "83c37a22d0febbd06c5a8bfc1bc25d273c667901e18ff0f6a2c207508b9eb47d",
+    "single_observable/sampled/2": "e156569ed8b4f14de055a6cae3bc0dcd4b1e59eaf208659b127bfa7bdb4fd233",
+    "single_observable/sampled/3": "e618649ca93baac8220937e8b00320a0043625d09ae0754d2843edbc60e66454",
     "mixed_a/exact/2": "70433e5c134c2845c41a0613dffce8ceb9dd45a93a4ed9d76bf62398bca9b541",
     "mixed_a/exact/3": "4d6585a0b8709baff8964e0acd433303d4099e3972c9d86d64b9e43a60163cec",
-    "mixed_a/sampled/2": "202a0b313d732096bab68c8c7ab58091dff17c30031690dec28c35f88f02ecdf",
-    "mixed_a/sampled/3": "8d2cf134b035dd96cc766128900a77ae1abd5b29fb87de8b60d3795c51081fb3",
+    "mixed_a/sampled/2": "5e24a27fa6089db108b90cbb41da41c0990bedc9b1b9520cfa2da952115f4916",
+    "mixed_a/sampled/3": "0e3be145a0d30f48cece8867f94fad9754075afd1a111807e75b8eaa4c1d98b2",
     "mixed_b/exact/2": "205224f08e20b8a0a8a824af723342f155561bbd699b7e39cb9bee076294d694",
     "mixed_b/exact/3": "3ceafbcd64823740ac28d360f185feab737e0002fe5a832040172a69c90f2f90",
-    "mixed_b/sampled/2": "edbfe6c9ebd6e1d7874e4dc431fbb333709c44f0995034d2ed03c65f804db151",
-    "mixed_b/sampled/3": "21866a96f6663f9d6764c8cb67ceb819821e720f1c304d9f1f45cc1ee4bbe752",
+    "mixed_b/sampled/2": "aa527918b95e2811c52a1bb33f505ed16393b86d32548f36b8e00cd75b5a7f45",
+    "mixed_b/sampled/3": "c55fa069b5ba0cdb34b275c6148359a28d3fa85e37216d5e977ef16a7f8fd921",
     "partial/exact/2": "3bcb9f1689cf05ed9a957476e1e0def4b2e24939f043c1f780f26573c16588b8",
     "partial/exact/3": "f753b530be8184fcdcaa98faa9e997422c36ea155670b7791ae92e7671bb5b9e",
-    "partial/sampled/2": "bda36e492479c177af8e07505a490fe1173f81e303d682a81afa926d78ba25f9",
-    "partial/sampled/3": "5049fb7f17e86a1c713a004390b57657998be10f1db119bc66299fd8119f3876",
+    "partial/sampled/2": "bf9b6c449f1233deed768032b8491ad39f0f22fbba589058d1e6d0464730e48c",
+    "partial/sampled/3": "af6c50dfcfef89042f6583c81d22fc882b035a95cbf2d7d6e1198316cf01cc70",
     "partial_orth/exact/3": "29290377e8b9512fbd87eb39d535be0e5d64518918a71cfc19d9dcf4de57d78e",
-    "partial_orth/sampled/3": "d9b9257fed187aaf097f8db64d3b101bd2b31d3eb39c833b22738462cbfce12d",
+    "partial_orth/sampled/3": "21c9f2aa7ad8c8ae571d559b98f0de0cc50931a308236b2da2e22c13db94c00a",
 }
 
 
