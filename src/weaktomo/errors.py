@@ -25,14 +25,8 @@ class UndefinedWeakValueError(WeakTomoError):
     code = "undefined-weak-value"
 
 
-class UndefinedShiftError(WeakTomoError):
-    """Exact evolution post-selected onto a zero-probability outcome."""
-
-    code = "undefined-shift"
-
-
 class ResourceLimitError(WeakTomoError):
-    """Joint system-pointer state would exceed the simulator size bound."""
+    """A request would exceed a size bound: record rows or a 64-bit shot count."""
 
     code = "resource-limit"
 

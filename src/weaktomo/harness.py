@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     MissingDataError,
     PreconditionError,
+    ResourceLimitError,
     SchemeInapplicableError,
 )
 from .qcore import (
@@ -35,10 +36,10 @@ from .qcore import (
     transition_matrix,
     _as_density,
     _check_finite,
+    _complete_basis,
 )
 from .weakval import WeakValueTable, weak_value_table
 from .pointer import (
-    BLOCK_TRIALS,
     NoiseModel,
     PointerConfig,
     RecordStream,
@@ -193,17 +194,6 @@ def _resolve_partial_pair(cfg: ExperimentConfig) -> tuple[StateVector, StateVect
     else:
         b = np.asarray(cfg.partial_b, dtype=complex)
     return StateVector.normalized(a), StateVector.normalized(b)
-
-
-def _complete_basis(columns: list[np.ndarray]) -> OrthonormalBasis:
-    """Orthonormal basis whose first columns are the given orthonormal ones,
-    kept verbatim.  The rest are the left singular vectors of the given
-    columns past the first len(columns), which span their orthogonal
-    complement.  Columns that are not orthonormal fail the OrthonormalBasis
-    check."""
-    given = np.column_stack(columns)
-    complement = np.linalg.svd(given)[0][:, len(columns):]
-    return OrthonormalBasis(np.hstack([given, complement]))
 
 
 @dataclass(frozen=True)
@@ -480,14 +470,18 @@ def demo_phase_detection(theta: float, g: float = 0.01, sigma_p: float = 0.5,
         W = 1/2 - (i/2) cot(theta/2),
 
     so the conditional momentum shift dp = 2 g Im(W) sigma_p^2 amplifies the
-    phase by the inverse post-selection probability.  With shots > 0,
-    momentum readouts are simulated for every post-selected trial and theta
-    is recovered by inverting the exact Im W relation.
+    phase by the inverse post-selection probability.  With shots > 0, the
+    number of post-selected trials, Binomial(shots, P), and the mean of their
+    momentum readouts, Gaussian around dp, are drawn from ``seed`` in O(1)
+    time whatever ``shots`` is, and theta is recovered by inverting the
+    exact Im W relation.
     """
     if not 0.0 < theta <= math.pi:
         raise PreconditionError("theta must lie in (0, pi]")
-    if g <= 0 or sigma_p <= 0:
-        raise PreconditionError("g and sigma_p must be positive")
+    if g <= 0 or sigma_p <= 0 or shots < 0:
+        raise PreconditionError("g and sigma_p must be positive and shots >= 0")
+    if shots > np.iinfo(np.int64).max:
+        raise ResourceLimitError(f"{shots} shots do not fit a 64-bit trial count")
     half = 0.5 * theta
     w = complex(0.5, -0.5 / math.tan(half))
     dq = g * w.real
@@ -501,20 +495,14 @@ def demo_phase_detection(theta: float, g: float = 0.01, sigma_p: float = 0.5,
     predicted_rel = sigma_im * dtheta_dim / theta
     warning = bool(shots > 0 and (expected_kept < 1.0 or predicted_rel > 1.0))
 
+    rng = np.random.default_rng(seed)
+    retained = int(rng.binomial(shots, post_prob))
     theta_estimate = None
-    retained = 0
-    if shots > 0:
-        total = 0.0
-        for block in range((shots + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
-            nb = min(BLOCK_TRIALS, shots - block * BLOCK_TRIALS)
-            rng = np.random.default_rng([seed, block])
-            kept = int(rng.binomial(nb, post_prob))
-            if kept:
-                total += float(np.sum(dp_shift + sigma_p * rng.standard_normal(kept)))
-                retained += kept
-        if retained:
-            im_hat = (total / retained) / (2.0 * g * sigma_p**2)
-            theta_estimate = 2.0 * math.atan2(1.0, -2.0 * im_hat)
+    if retained:
+        # The retained momenta are i.i.d. N(dp, sigma_p^2): draw their mean.
+        mean_p = dp_shift + sigma_p * rng.standard_normal() / math.sqrt(retained)
+        im_hat = mean_p / (2.0 * g * sigma_p**2)
+        theta_estimate = 2.0 * math.atan2(1.0, -2.0 * im_hat)
 
     return PhaseDemoReport(
         theta=theta, g=g, sigma_p=sigma_p, shots=shots, seed=seed,

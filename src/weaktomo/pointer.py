@@ -1,4 +1,4 @@
-"""Gaussian pointer model: first-order shifts, exact coupling, sampling.
+"""Gaussian pointer model: first-order shifts, the exact law, sampling.
 
 Units use hbar = 1 throughout.  A weak measurement couples observable A_i to
 the momentum p_i of pointer i via U = exp(-i sum_i g_i A_i x p_i), and reads
@@ -7,9 +7,11 @@ readout means shift by
 
     dq_i = g_i Re W      and      dp_i = 2 g_i Im W (Delta p_i)^2,
 
-with W the weak value for the post-selected outcome.  The exact finite-g
-evolution is available on a discretized pointer grid so the first-order model
-can be validated against it.
+with W the weak value for the post-selected outcome.  Every coupling here
+goes through orthogonal spectral projectors, so the post-selected pointer
+state is a finite superposition of displaced Gaussians: ``exact_law`` gives
+its outcome probabilities and conditional means in closed form at any
+coupling and any dimension, against which the first-order model is checked.
 
 Shot sampling draws from one law: the exact weak-value table of what is
 weakly measured (the d projectors of a basis, one pointer each, or a single
@@ -29,7 +31,6 @@ to the same cells and feeds them to the same estimator (``_estimate_cells``).
 
 import io
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -38,20 +39,17 @@ from .errors import (
     InvalidRecordsError,
     PreconditionError,
     ResourceLimitError,
-    UndefinedShiftError,
 )
 from .qcore import (
     ATOL_EXACT,
     PROB_FLOOR,
+    Observable,
     OrthonormalBasis,
-    StateVector,
     _as_density,
     _check_finite,
 )
 from .weakval import WeakValueTable, weak_value_table
 
-# Joint system-pointer state may not exceed d * N^n = 2^22 complex amplitudes.
-SIZE_LIMIT = 1 << 22
 # A record stream may hold at most this many rows (8.9 GB of columns).
 RECORD_ROW_LIMIT = 1 << 28
 # Trials are generated in fixed blocks, each with its own (seed, block) RNG,
@@ -117,64 +115,6 @@ class PointerConfig:
     @property
     def n_pointers(self) -> int:
         return self.g.size
-
-
-@dataclass(frozen=True)
-class PointerShift:
-    """Conditional readout-mean shifts, one entry per pointer.
-
-    ``probability`` carries the exact post-selection probability when the
-    shifts come from the full joint evolution; first-order predictions leave
-    it unset.
-    """
-
-    dq: np.ndarray
-    dp: np.ndarray
-    probability: float | None = None
-
-    def __post_init__(self):
-        dq = np.atleast_1d(np.asarray(self.dq, dtype=float))
-        dp = np.atleast_1d(np.asarray(self.dp, dtype=float))
-        if dq.size != dp.size:
-            raise DimensionMismatchError("dq and dp lengths differ")
-        dq.setflags(write=False)
-        dp.setflags(write=False)
-        object.__setattr__(self, "dq", dq)
-        object.__setattr__(self, "dp", dp)
-
-
-@dataclass(frozen=True)
-class PointerGrid:
-    """Symmetric position grid [-extent, extent) with n_points samples.
-
-    n_points must be a power of two, at least 64, so the conjugate momentum
-    grid comes from a radix-2 DFT of the position grid.
-    """
-
-    n_points: int = 256
-    extent: float = 10.0
-
-    def __post_init__(self):
-        n = self.n_points
-        if n < 64 or (n & (n - 1)) != 0:
-            raise ValueError(f"n_points must be a power of two >= 64, got {n}")
-        if self.extent <= 0:
-            raise ValueError("extent must be positive")
-
-    @classmethod
-    def for_config(cls, cfg: PointerConfig, n_points: int = 256) -> "PointerGrid":
-        return cls(n_points=n_points, extent=10.0 * float(cfg.sigma_q.max()))
-
-    @property
-    def dx(self) -> float:
-        return 2.0 * self.extent / self.n_points
-
-    def positions(self) -> np.ndarray:
-        return -self.extent + self.dx * np.arange(self.n_points)
-
-    def momenta(self) -> np.ndarray:
-        # Angular momenta conjugate to the position grid, FFT-ordered.
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
 
 @dataclass(frozen=True)
@@ -245,8 +185,9 @@ class RecordStream:
         """Parse ``to_csv`` output; blank lines are skipped.
 
         Raises InvalidRecordsError for a foreign header, a row without five
-        fields, a quadrature other than q/p or an unparsable number.  Rows
-        are numbered from 1 after the header, as the estimators number them.
+        fields, a quadrature other than q/p, an unparsable number or an
+        index beyond 64 bits.  Rows are numbered from 1 after the header, as
+        the estimators number them.
         """
         trials, outcomes, pointers, quads, readouts = [], [], [], [], []
         lines = iter(text.splitlines())
@@ -271,148 +212,84 @@ class RecordStream:
             except ValueError as exc:
                 raise InvalidRecordsError(f"records row {row}: {exc}") from None
             quads.append(quad)
-        return cls(
-            trial=np.array(trials, dtype=np.int64),
-            outcome=np.array(outcomes, dtype=np.int64),
-            pointer=np.array(pointers, dtype=np.int64),
-            quadrature=np.array(quads, dtype=np.uint8),
-            readout=np.array(readouts, dtype=np.float64),
+        try:
+            trial, outcome, pointer = (np.array(col, dtype=np.int64)
+                                       for col in (trials, outcomes, pointers))
+        except OverflowError:
+            row, name, value = next(
+                (row, name, value)
+                for row, values in enumerate(zip(trials, outcomes, pointers), start=1)
+                for name, value in zip(("trial", "outcome", "pointer"), values)
+                if not -(1 << 63) <= value < 1 << 63)
+            raise InvalidRecordsError(
+                f"records row {row}: {name} {value} does not fit 64 bits") from None
+        return cls(trial=trial, outcome=outcome, pointer=pointer,
+                   quadrature=np.array(quads, dtype=np.uint8),
+                   readout=np.array(readouts, dtype=np.float64))
+
+
+def _check_pointer_count(n_pointers: int, cfg: PointerConfig) -> None:
+    if cfg.n_pointers != n_pointers:
+        raise DimensionMismatchError(
+            f"need {n_pointers} pointers (one per weakly measured observable), "
+            f"got {cfg.n_pointers}"
         )
 
 
 def table_shifts(table: WeakValueTable, cfg: PointerConfig) -> tuple[np.ndarray, np.ndarray]:
     """First-order mean shifts for every (outcome j, pointer i) cell."""
-    if cfg.n_pointers != table.n_pointers:
-        raise DimensionMismatchError(
-            f"need {table.n_pointers} pointers (one per weakly measured observable), "
-            f"got {cfg.n_pointers}"
-        )
+    _check_pointer_count(table.n_pointers, cfg)
     dq = cfg.g * table.W.real
     dp = 2.0 * cfg.g * table.W.imag * cfg.sigma_p**2
     return dq, dp
 
 
-def gaussian_pointer(grid: PointerGrid, mean_q: float, mean_p: float,
-                     sigma_q: float) -> np.ndarray:
-    """Unit-norm Gaussian pointer samples on the position grid."""
-    q = grid.positions()
-    psi = np.exp(-((q - mean_q) ** 2) / (4.0 * sigma_q**2) + 1j * mean_p * (q - mean_q))
-    return psi / np.linalg.norm(psi)
+def exact_law(rho, measured, basis_b: OrthonormalBasis, cfg: PointerConfig):
+    """Outcome law and readout shifts of a run at any coupling, in closed form.
 
+    Takes what ``_law`` takes and returns what it returns: P, shape (d,), and
+    the mean shifts dq and dp, shape (d, n_pointers), of every outcome j.
+    The coupling is U = sum_m |v_m><v_m| x D(S_m), where D(S_m) translates
+    pointer i by S[m, i]: for a basis A, v_m = a_m and S = diag(g); for an
+    Observable, v_m are its eigenvectors and S[m, 0] = g lambda_m.  So the
+    pointer post-selected on b_j is a superposition of the displaced
+    Gaussians phi_m = D(S_m) phi.  With
+    beta = B^dag V, R = V^dag rho V, O[k, m] = <phi_k|phi_m>
+    = prod_i exp(-(S_ki - S_mi)^2 / (8 sigma_qi^2) + i p0_i (S_ki - S_mi)),
+    T = R o O^T and M = diag(beta_j) T diag(beta_j^*):
 
-def pointer_covariance(psi: np.ndarray, grid: PointerGrid) -> float:
-    """Symmetrized covariance <{q - <q>, p - <p>}> of a grid wavefunction."""
-    q = grid.positions()
-    k = grid.momenta()
-    psi = np.asarray(psi, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
-    q_mean = float(np.sum(q * np.abs(psi) ** 2))
-    p_psi = np.fft.ifft(k * np.fft.fft(psi))
-    p_mean = float(np.vdot(psi, p_psi).real)
-    return float(2.0 * np.vdot((q - q_mean) * psi, p_psi - p_mean * psi).real)
+        P_j   = sum_mk M_mk
+        dq_ji = sum_mk M_mk (S_ki + S_mi) / 2 / P_j
+        dp_ji = Re sum_mk M_mk i (S_ki - S_mi) / (4 sigma_qi^2) / P_j
 
-
-def _mixture_components(mat: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    vals, vecs = np.linalg.eigh(mat)
-    return [(float(v), vecs[:, m]) for m, v in enumerate(vals) if v > PROB_FLOOR]
-
-
-def exact_joint_evolution(rho, observables, cfg: PointerConfig, grid: PointerGrid,
-                          post: StateVector) -> PointerShift:
-    """Exact conditional pointer shifts under U = exp(-i sum_i g_i A_i x p_i).
-
-    The joint state of the system and all pointers is evolved exactly on the
-    discretized grid: each momentum operator is diagonal in the DFT-conjugate
-    grid, so for fixed momenta (k_1..k_n) the system evolves by the d x d
-    unitary exp(-i sum_i g_i k_i A_i), whether or not the A_i commute.  After
-    projecting the system onto ``post``, the conditional position and
-    momentum means of every pointer are compared against the initial means.
-
-    Raises
-    ------
-    ResourceLimitError
-        If d * n_points^n_pointers exceeds 2^22.
-    UndefinedShiftError
-        If the exact post-selection probability is below 1e-14.
+    T is Hermitian, so every row follows from C = beta^* o (beta T), in
+    O(d^3) time and O(d^2) memory.  Rows with P_j <= PROB_FLOOR read zero
+    shifts, as masked rows do in ``_law``.
     """
     mat = _as_density(rho)
     d = mat.shape[0]
-    n = cfg.n_pointers
-    if len(observables) != n:
-        raise DimensionMismatchError(f"{len(observables)} observables for {n} pointers")
-    for obs in observables:
-        if obs.dim != d:
-            raise DimensionMismatchError("observable dimension does not match the state")
-    if post.dim != d:
-        raise DimensionMismatchError("post-selection dimension does not match the state")
-    if grid.extent < 8.0 * float(cfg.sigma_q.max()):
-        raise PreconditionError(
-            f"grid extent {grid.extent} is below 8 * max sigma_q = {8 * cfg.sigma_q.max()}"
-        )
-    N = grid.n_points
-    if d * N**n > SIZE_LIMIT:
-        raise ResourceLimitError(
-            f"joint state size d*N^n = {d * N**n} exceeds the 2^22 limit"
-        )
-
-    k1 = grid.momenta()
-    q1 = grid.positions()
-    pointer_axes = tuple(range(1, n + 1))
-    # Joint momentum grid, one coordinate array per pointer, FFT-ordered.
-    k_coords = np.meshgrid(*([k1] * n), indexing="ij") if n > 1 else [k1]
-    flat_k = [kc.reshape(-1) for kc in k_coords]
-    m_points = N**n
-
-    # Batched eigh of H(k) = sum_i g_i k_i A_i, chunked to bound memory.
-    a_mats = np.stack([obs.matrix for obs in observables])
-    post_amp = post.amplitudes
-
-    pointers_init = [
-        gaussian_pointer(grid, cfg.mean_q[i], cfg.mean_p[i], cfg.sigma_q[i])
-        for i in range(n)
-    ]
-    pointer_product = reduce(np.multiply.outer, pointers_init)
-
-    weight_k = np.zeros(m_points)
-    weight_q = np.zeros((N,) * n)
-    total_norm = 0.0
-    chunk = 1 << 15
-    for w_m, chi in _mixture_components(mat):
-        joint = chi.reshape((d,) + (1,) * n) * pointer_product[None]
-        phi = np.fft.fftn(joint, axes=pointer_axes).reshape(d, m_points)
-        xi = np.empty(m_points, dtype=complex)
-        for lo in range(0, m_points, chunk):
-            hi = min(lo + chunk, m_points)
-            h_batch = np.zeros((hi - lo, d, d), dtype=complex)
-            for i in range(n):
-                h_batch += (cfg.g[i] * flat_k[i][lo:hi])[:, None, None] * a_mats[i]
-            vals, vecs = np.linalg.eigh(h_batch)
-            # U(k) phi = V exp(-i Lambda) V^dag phi at each grid point.
-            y = np.einsum("bts,tb->bs", vecs.conj(), phi[:, lo:hi])
-            y *= np.exp(-1j * vals)
-            evolved = np.einsum("bst,bt->sb", vecs, y)
-            xi[lo:hi] = post_amp.conj() @ evolved
-        total_norm += w_m * float(np.vdot(xi, xi).real)
-        weight_k += w_m * np.abs(xi) ** 2
-        zeta = np.fft.ifftn(xi.reshape((N,) * n), axes=tuple(range(n)))
-        weight_q += w_m * np.abs(zeta) ** 2
-
-    prob = total_norm / m_points  # Parseval: initial FFT norm is N^n per unit state
-    if prob <= PROB_FLOOR:
-        raise UndefinedShiftError(
-            f"exact post-selection probability {prob:.3e} is below {PROB_FLOOR}"
-        )
-
-    weight_k = weight_k.reshape((N,) * n)
-    dq = np.empty(n)
-    dp = np.empty(n)
-    for i in range(n):
-        other = tuple(ax for ax in range(n) if ax != i)
-        marg_p = weight_k.sum(axis=other) if other else weight_k
-        marg_q = weight_q.sum(axis=other) if other else weight_q
-        dp[i] = float(np.sum(k1 * marg_p) / marg_p.sum()) - cfg.mean_p[i]
-        dq[i] = float(np.sum(q1 * marg_q) / marg_q.sum()) - cfg.mean_q[i]
-    return PointerShift(dq=dq, dp=dp, probability=prob)
+    if measured.dim != d or basis_b.dim != d:
+        raise DimensionMismatchError(
+            f"dims rho={d}, A={measured.dim}, B={basis_b.dim} do not agree")
+    if isinstance(measured, Observable):
+        n, v, shift = 1, measured.eigenbasis.vectors, cfg.g * measured.eigenvalues[:, None]
+    else:
+        n, v, shift = d, measured.vectors, np.diag(cfg.g)
+    _check_pointer_count(n, cfg)
+    # Exponent of O[k, m], expanded so that no (d, d, n) array is formed.
+    w = 1.0 / (8.0 * cfg.sigma_q**2)
+    sq = shift**2 @ w
+    drift = shift @ cfg.mean_p
+    log_o = (2.0 * (shift * w) @ shift.T - sq[:, None] - sq[None, :]
+             + 1j * (drift[:, None] - drift[None, :]))
+    t = (v.conj().T @ mat @ v) * np.exp(log_o).T
+    beta = basis_b.vectors.conj().T @ v
+    c = beta.conj() * (beta @ t)
+    P = c.real.sum(axis=1)
+    inv_p = np.divide(1.0, P, out=np.zeros(d), where=P > PROB_FLOOR)[:, None]
+    dq = c.real @ shift * inv_p
+    dp = -(c.imag @ shift) / (2.0 * cfg.sigma_q**2) * inv_p
+    return np.clip(P, 0.0, 1.0), dq, dp
 
 
 def _readout_law(dq: np.ndarray, dp: np.ndarray, cfg: PointerConfig,
@@ -612,7 +489,7 @@ def _estimate_cells(cells, cfg: PointerConfig) -> WeakValueTable:
     counts, sums, sumsq, trials = cells
     n_trials = int(trials.sum())
     if n_trials == 0:
-        raise ValueError("record stream is empty")
+        raise InvalidRecordsError("record stream is empty")
     shape = counts.shape
     means = np.divide(sums, counts, out=np.zeros(shape), where=counts > 0)
     # Unbiased per-cell variance; standard error of the cell mean.

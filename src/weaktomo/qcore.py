@@ -233,11 +233,34 @@ class Observable:
 
     @classmethod
     def projector(cls, state: StateVector) -> "Observable":
-        return cls.from_matrix(np.outer(state.amplitudes, state.amplitudes.conj()))
+        """|a><a| with its known eigensystem: eigenvalues (0, ..., 0, 1) over
+        the columns [complement of a | a], so no eigh runs.  The matrix is
+        the Hermitized outer product, bit for bit what ``from_matrix`` keeps."""
+        a = state.amplitudes[:, None]
+        outer = np.outer(a, a.conj())
+        unit = a / np.linalg.norm(a)
+        vals = np.zeros(state.dim)
+        vals[-1] = 1.0
+        basis = OrthonormalBasis(np.hstack([_complement(unit), unit]))
+        return cls((outer + outer.conj().T) / 2.0, vals, basis, state.dim == 2)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _complement(given: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the complement of the given orthonormal
+    (d, n) columns: the left singular vectors past the first n."""
+    return np.linalg.svd(given)[0][:, given.shape[1]:]
+
+
+def _complete_basis(columns: list[np.ndarray]) -> OrthonormalBasis:
+    """Orthonormal basis whose first columns are the given orthonormal ones,
+    kept verbatim, followed by their ``_complement``.  Columns that are not
+    orthonormal fail the OrthonormalBasis check."""
+    given = np.column_stack(columns)
+    return OrthonormalBasis(np.hstack([given, _complement(given)]))
 
 
 def reference_basis(dim: int) -> OrthonormalBasis:

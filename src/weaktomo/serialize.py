@@ -21,6 +21,22 @@ from .recon import DensityEstimate, ElementPair
 _ARRAY_FIELDS = ("state", "basis_b", "lambdas", "partial_a", "partial_b")
 
 
+def _count(value, name: str) -> int:
+    """A non-negative integer field; a float must be finite and integral."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _floats(obj, key: str) -> np.ndarray:
+    try:
+        return np.asarray(obj[key], dtype=float)
+    except OverflowError:
+        raise ValueError(f"{key} holds a number beyond the float range") from None
+
+
 def array_to_json(arr) -> dict:
     """Encode a complex vector or matrix as {"dim", "re", "im"}.
 
@@ -36,12 +52,12 @@ def array_to_json(arr) -> dict:
 
 
 def array_from_json(obj) -> np.ndarray:
-    re = np.asarray(obj["re"], dtype=float).reshape(-1)
-    im = np.asarray(obj["im"], dtype=float).reshape(-1)
+    re = _floats(obj, "re").reshape(-1)
+    im = _floats(obj, "im").reshape(-1)
     if re.shape != im.shape:
         raise ValueError("re and im parts have different lengths")
     arr = re + 1j * im
-    d = int(obj["dim"])
+    d = _count(obj["dim"], "dim")
     if arr.size == d:
         return arr
     if arr.size == d * d:
@@ -74,18 +90,20 @@ def table_to_json(table: WeakValueTable) -> dict:
 
 
 def table_from_json(obj) -> WeakValueTable:
-    """Decode ``table_to_json`` output; files without ``n_trials`` read as 0."""
-    w = np.asarray(obj["W_re"], dtype=float) + 1j * np.asarray(obj["W_im"], dtype=float)
+    """Decode ``table_to_json`` output; files without ``n_trials`` read as 0.
+    A ``dim`` or ``n_trials`` that is not a non-negative integer, or a
+    number beyond the float range, raises ValueError."""
+    w = _floats(obj, "W_re") + 1j * _floats(obj, "W_im")
     kwargs = {}
     if "stderr_re" in obj:
-        kwargs["stderr_re"] = np.asarray(obj["stderr_re"], dtype=float)
-        kwargs["stderr_im"] = np.asarray(obj["stderr_im"], dtype=float)
+        kwargs["stderr_re"] = _floats(obj, "stderr_re")
+        kwargs["stderr_im"] = _floats(obj, "stderr_im")
     return WeakValueTable(
-        dim=int(obj["dim"]),
+        dim=_count(obj["dim"], "dim"),
         W=w,
-        P=np.asarray(obj["P"], dtype=float),
+        P=_floats(obj, "P"),
         defined=np.asarray(obj["defined"], dtype=bool),
-        n_trials=int(obj.get("n_trials", 0)),
+        n_trials=_count(obj.get("n_trials", 0), "n_trials"),
         **kwargs,
     )
 

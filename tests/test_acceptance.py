@@ -17,13 +17,12 @@ from weaktomo import (
     Observable,
     PURE_SCHEMES,
     PointerConfig,
-    PointerGrid,
     StateVector,
     check_sum_rules,
     compare_schemes,
     demo_phase_detection,
     estimate_element_orthogonal,
-    exact_joint_evolution,
+    exact_law,
     fourier_basis,
     random_density_matrix,
     random_pure_state,
@@ -114,8 +113,8 @@ def test_sum_rules_on_every_exact_table(pure_runs, mixed_runs):
 
 
 def test_pointer_shift_convergence():
-    # exact joint evolution approaches the first-order shift formulas
-    # quadratically in g, for both quadratures
+    # the exact law approaches the first-order shift formulas quadratically
+    # in g, for both quadratures
     psi = StateVector.normalized(np.array([0.8, 0.3 + 0.52j]))
     post = fourier_basis(2).column(1)
     proj = Observable.projector(StateVector(np.eye(2, dtype=complex)[:, 0]))
@@ -127,10 +126,9 @@ def test_pointer_shift_convergence():
     t0 = time.perf_counter()
     for m, g in enumerate(gs):
         cfg = PointerConfig.uniform(1, g=float(g), sigma_q=1.0)
-        grid = PointerGrid.for_config(cfg)
-        shift = exact_joint_evolution(psi.projector(), [proj], cfg, grid, post)
-        err_q[m] = abs(shift.dq[0] / g - w.real)
-        err_p[m] = abs(shift.dp[0] / (2.0 * g * cfg.sigma_p[0] ** 2) - w.imag)
+        _, dq, dp = exact_law(psi, proj, fourier_basis(2), cfg)
+        err_q[m] = abs(dq[1, 0] / g - w.real)
+        err_p[m] = abs(dp[1, 0] / (2.0 * g * cfg.sigma_p[0] ** 2) - w.imag)
     elapsed = time.perf_counter() - t0
     slope_q = float(np.polyfit(np.log(gs), np.log(err_q), 1)[0])
     slope_p = float(np.polyfit(np.log(gs), np.log(err_p), 1)[0])
@@ -151,8 +149,8 @@ def test_phase_detection_demo():
     sampled = demo_phase_detection(0.1, shots=10**7, seed=0)
     theta_rel = abs(sampled.theta_estimate - 0.1) / 0.1
     elapsed = time.perf_counter() - t0
-    ok = (im_ok and dp_ok and leading_rel < 1e-3 and theta_rel < 0.05
-          and elapsed < 60.0)
+    ok = (im_ok and dp_ok and leading_rel < 1e-3
+          and theta_rel < 4.0 * sampled.predicted_rel_error and elapsed < 60.0)
     _verdict("phase-detection demo", ok,
              f"Im W {exact.weak_value.imag:.6f}, dp {exact.dp_shift:.6f}, "
              f"leading-order gap {leading_rel:.2e}, "

@@ -4,15 +4,20 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from weaktomo import serialize as ser
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
 
 def run_cli(*argv, env=None, cwd=None):
     base = dict(os.environ)
+    # The package in this tree, installed or not.
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, base.get("PYTHONPATH")]))
     if env:
         base.update(env)
     return subprocess.run([sys.executable, "-m", "weaktomo", *argv],
@@ -301,6 +306,49 @@ def test_reconstruct_rejects_records_out_of_trial_layout(tmp_path, defect, row):
     assert error["message"].startswith(f"records row {row}:")
 
 
+def test_reconstruct_records_index_beyond_64_bits_is_invalid_records(tmp_path):
+    from test_pointer import VALID_RECORDS
+    records = tmp_path / "big.csv"
+    records.write_text(VALID_RECORDS.replace("1,1,0,p,0.3", "99999999999999999999,1,0,p,0.3"))
+    proc = run_cli("reconstruct", "--set", "dim=2", "--set", "scheme=all_data",
+                   "--records", str(records))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["error"] == "invalid-records"
+    assert error["message"] == ("records row 3: trial 99999999999999999999 "
+                                "does not fit 64 bits")
+
+
+def test_reconstruct_header_only_records_are_invalid_records(tmp_path):
+    records = tmp_path / "empty.csv"
+    records.write_text("trial,outcome_j,pointer,quadrature,readout\n")
+    proc = run_cli("reconstruct", "--set", "dim=2", "--set", "scheme=all_data",
+                   "--records", str(records))
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr) == {"error": "invalid-records",
+                                       "message": "record stream is empty"}
+
+
+@pytest.mark.parametrize("field, text", [("dim", "1e400"), ("n_trials", "1e400"),
+                                         ("dim", "2.5"), ("n_trials", "-3")])
+@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+def test_table_count_that_is_no_integer_is_invalid_value(tmp_path, command, field, text):
+    table = tmp_path / "table.json"
+    assert run_cli("simulate", "--set", "dim=2", "--set", "scheme=all_data", "--exact",
+                   "--out", str(table), "--quiet").returncode == 0
+    value = {"dim": 2, "n_trials": 0}[field]
+    table.write_text(table.read_text().replace(f'"{field}": {value}', f'"{field}": {text}'))
+    argv = ([str(table)] if command == "verify" else
+            ["--set", "dim=2", "--set", "scheme=all_data", "--table", str(table)])
+    proc = run_cli(command, *argv)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["error"] == "invalid-value"
+    assert error["message"].startswith(f"{field} must be a non-negative integer")
+
+
 def test_reconstruct_seeded_rerun_byte_identical(tmp_path):
     cfg = tmp_path / "cfg.json"
     run_cli("gen", "--kind", "config", "--dim", "2", "--seed", "9",
@@ -334,7 +382,7 @@ def test_demo_phase_sampled_output(tmp_path):
     assert proc.returncode == 0
     assert "theta estimate" in proc.stdout
     report = json.loads(out.read_text())
-    assert abs(report["theta_estimate"] - 0.1) / 0.1 < 0.05
+    assert abs(report["theta_estimate"] - 0.1) / 0.1 < 4.0 * report["predicted_rel_error"]
     rerun = tmp_path / "rerun.json"
     run_cli("demo-phase", "--theta", "0.1", "--shots", "10000000",
             "--seed", "0", "--out", str(rerun), "--quiet")

@@ -15,6 +15,7 @@ from weaktomo import (
     OrthonormalBasis,
     PreconditionError,
     PURE_SCHEMES,
+    ResourceLimitError,
     SchemeInapplicableError,
     compare_schemes,
     demo_phase_detection,
@@ -27,7 +28,8 @@ from weaktomo import (
     transition_matrix,
     weak_value_table,
 )
-from weaktomo.harness import _complete_basis, _resolve_state
+from weaktomo.harness import _resolve_state
+from weaktomo.qcore import _complete_basis
 
 RHO_EXAMPLE = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
 PSI_EXAMPLE = np.array([np.sqrt(3.0) / 2.0, 0.5], dtype=complex)
@@ -321,14 +323,31 @@ def test_demo_half_turn_phase():
 
 def test_demo_recovers_theta_from_samples():
     report = demo_phase_detection(0.1, shots=10_000_000, seed=0)
-    assert abs(report.theta_estimate - 0.1) / 0.1 < 0.05
+    assert abs(report.theta_estimate - 0.1) / 0.1 < 4.0 * report.predicted_rel_error
     assert report.retained > 20_000
     assert not report.low_signal_warning
 
 
 def test_demo_recovers_small_theta():
     report = demo_phase_detection(0.01, shots=10_000_000, seed=6)
-    assert abs(report.theta_estimate - 0.01) / 0.01 < 0.05
+    assert abs(report.theta_estimate - 0.01) / 0.01 < 4.0 * report.predicted_rel_error
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.01])
+def test_demo_predicted_error_is_calibrated(theta):
+    # z = (theta_hat - theta) / (theta rel) over n seeds.  To first order in
+    # the noise z has mean 0 and spread 1; the curvature of theta(Im W) adds
+    # the bias rel (theta/2) cot(theta/2).  Each bound is four standard
+    # errors of n seeds plus the next order the model leaves out: rel^2 for
+    # the mean, rel for the spread.
+    n = 2000
+    rel = demo_phase_detection(theta, shots=10_000_000).predicted_rel_error
+    z = np.array([demo_phase_detection(theta, shots=10_000_000, seed=s).theta_estimate
+                  for s in range(n)])
+    z = (z - theta) / (theta * rel)
+    bias = rel * (theta / 2.0) / math.tan(theta / 2.0)
+    assert abs(z.mean() - bias) <= 4.0 / math.sqrt(n) + rel**2
+    assert abs(z.std(ddof=1) - 1.0) <= 4.0 / math.sqrt(2.0 * n) + rel
 
 
 def test_demo_warns_when_starved():
@@ -346,6 +365,17 @@ def test_demo_domain_guards():
         demo_phase_detection(0.1, g=0.0)
     with pytest.raises(PreconditionError):
         demo_phase_detection(0.1, sigma_p=-1.0)
+    with pytest.raises(PreconditionError):
+        demo_phase_detection(0.1, shots=-1)
+
+
+def test_demo_sampling_cost_does_not_grow_with_shots():
+    report = demo_phase_detection(0.1, shots=10**15, seed=2)
+    kept = 10**15 * report.post_prob
+    assert abs(report.retained - kept) < 7.0 * math.sqrt(kept)
+    assert abs(report.theta_estimate - 0.1) / 0.1 < 4.0 * report.predicted_rel_error
+    with pytest.raises(ResourceLimitError):
+        demo_phase_detection(0.1, shots=2**63)
 
 
 def test_demo_same_seed_reproduces():

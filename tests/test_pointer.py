@@ -1,4 +1,4 @@
-"""Pointer model: first-order shifts, exact joint evolution, sampling."""
+"""Pointer model: first-order shifts, the exact law, sampling."""
 
 import numpy as np
 import pytest
@@ -6,32 +6,36 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weaktomo import (
+    PROB_FLOOR,
     DensityMatrix,
     DimensionMismatchError,
     InvalidRecordsError,
     NoiseModel,
     Observable,
     PointerConfig,
-    PointerGrid,
     PreconditionError,
     RecordStream,
-    ResourceLimitError,
     StateVector,
-    UndefinedShiftError,
     WeakValueTable,
     estimate_weak_values,
-    exact_joint_evolution,
+    exact_law,
     fourier_basis,
-    gaussian_pointer,
-    pointer_covariance,
     random_density_matrix,
+    random_pure_state,
     reference_basis,
     sample_records,
     table_shifts,
     weak_value_table,
 )
 
-from oracles import oracle_first_order_probability, oracle_shifts
+from oracles import (
+    oracle_first_order_probability,
+    oracle_gaussian_pointer,
+    oracle_grid,
+    oracle_grid_evolution,
+    oracle_pointer_covariance,
+    oracle_shifts,
+)
 
 RHO_EXAMPLE = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
 
@@ -89,51 +93,106 @@ def test_table_shifts_pointer_count_mismatch():
 
 def test_exact_probability_moves_with_mean_momentum():
     # nonzero <p> shifts P by 2 g Im(W) <p> at first order, which the exact
-    # joint evolution reproduces.
+    # law reproduces.
     psi = StateVector.normalized(np.array([0.8, 0.3 + 0.52j]))
     post = fourier_basis(2).column(1)
     proj = Observable.projector(StateVector(np.eye(2, dtype=complex)[:, 0]))
     cfg = PointerConfig.uniform(1, g=0.01, sigma_q=1.0, mean_p=0.3)
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
     approx = oracle_first_order_probability(rho, post.amplitudes, proj.matrix, 0.01, 0.3)
-    grid = PointerGrid.for_config(cfg)
-    exact = exact_joint_evolution(psi, [proj], cfg, grid, post)
+    P, _, _ = exact_law(psi, proj, fourier_basis(2), cfg)
     base = np.abs(np.vdot(post.amplitudes, psi.amplitudes)) ** 2
     assert approx != pytest.approx(base, abs=1e-4)  # the correction is active
-    assert approx == pytest.approx(exact.probability, abs=2e-3 * base)
+    assert approx == pytest.approx(P[1], abs=2e-3 * base)
 
 
-# ------------------------------------------------------------- grid machinery
-
-
-def test_grid_rejects_bad_point_counts():
-    with pytest.raises(ValueError):
-        PointerGrid(n_points=100)
-    with pytest.raises(ValueError):
-        PointerGrid(n_points=32)
+# ------------------------------------------------------------- grid oracle
 
 
 def test_gaussian_pointer_moments():
-    grid = PointerGrid(n_points=256, extent=10.0)
-    psi = gaussian_pointer(grid, mean_q=0.3, mean_p=0.7, sigma_q=1.0)
-    q = grid.positions()
+    # the grid oracle starts from the Gaussian the closed form assumes
+    q, k = oracle_grid(256, 10.0)
+    psi = oracle_gaussian_pointer(q, mean_q=0.3, mean_p=0.7, sigma_q=1.0)
     prob = np.abs(psi) ** 2
     assert np.sum(q * prob) == pytest.approx(0.3, abs=1e-9)
     var = np.sum((q - 0.3) ** 2 * prob)
     assert np.sqrt(var) == pytest.approx(1.0, abs=1e-9)
-    k = grid.momenta()
     phi = np.fft.fft(psi)
     phi /= np.linalg.norm(phi)
     assert np.sum(k * np.abs(phi) ** 2) == pytest.approx(0.7, abs=1e-9)
 
 
 def test_gaussian_pointer_covariance_vanishes():
-    grid = PointerGrid(n_points=256, extent=10.0)
-    psi = gaussian_pointer(grid, mean_q=0.3, mean_p=0.7, sigma_q=1.0)
-    assert abs(pointer_covariance(psi, grid)) < 1e-10
+    q, k = oracle_grid(256, 10.0)
+    psi = oracle_gaussian_pointer(q, mean_q=0.3, mean_p=0.7, sigma_q=1.0)
+    assert abs(oracle_pointer_covariance(psi, q, k)) < 1e-10
 
 
-# ----------------------------------------------------------- exact evolution
+# --------------------------------------------------------------- exact law
+
+
+def _oracle_cases():
+    """(name, rho, measured, observable matrices of its pointers) at d = 2, 3."""
+    cases = []
+    for d in (2, 3):
+        for kind, rho in (("pure", random_pure_state(d, 5)),
+                          ("ginibre", random_density_matrix(d, d, 5))):
+            lam = np.array([0.0, 1.0, 2.5])[:d]
+            obs = Observable.from_eigensystem(lam, reference_basis(d))
+            proj = Observable.projector(StateVector.normalized(np.ones(d)))
+            # the projector's eigenvalue 0 is degenerate at d = 3
+            measured = [("observable", obs, [obs.matrix]),
+                        ("projector", proj, [proj.matrix])]
+            if d == 2:
+                measured.insert(0, ("basis", reference_basis(2),
+                                    [np.diag(e).astype(complex) for e in np.eye(2)]))
+            cases += [(f"{name}/{kind}/{d}", rho, m, mats) for name, m, mats in measured]
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_exact_law_matches_grid_oracle(case):
+    _, rho, measured, mats = case
+    cfg = PointerConfig.uniform(len(mats), g=0.3, sigma_q=0.8, mean_q=0.1, mean_p=0.4)
+    basis_b = fourier_basis(rho.dim)
+    P, dq, dp = exact_law(rho, measured, basis_b, cfg)
+    assert P.shape == (rho.dim,) and dq.shape == dp.shape == (rho.dim, len(mats))
+    mat = np.outer(rho.amplitudes, rho.amplitudes.conj()) if isinstance(
+        rho, StateVector) else rho.elements
+    for j in range(rho.dim):
+        prob, dq_grid, dp_grid = oracle_grid_evolution(
+            mat, mats, cfg.g, cfg.sigma_q, cfg.mean_q, cfg.mean_p, basis_b.vectors[:, j])
+        assert abs(P[j] - prob) <= 1e-9
+        assert np.max(np.abs(dq[j] - dq_grid)) <= 1e-9
+        assert np.max(np.abs(dp[j] - dp_grid)) <= 1e-9
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 32),
+       g=st.floats(0.0, 1.0, exclude_min=True), one_pointer=st.booleans(),
+       pure=st.booleans())
+def test_exact_law_probabilities_sum_to_one(seed, d, g, one_pointer, pure):
+    rho = random_pure_state(d, seed) if pure else random_density_matrix(d, d, seed)
+    if one_pointer:
+        lam = np.random.default_rng(seed).standard_normal(d)
+        measured = Observable.from_eigensystem(lam, fourier_basis(d))
+    else:
+        measured = reference_basis(d)
+    cfg = PointerConfig.uniform(1 if one_pointer else d, g=g, sigma_q=0.8,
+                                mean_q=0.1, mean_p=0.4)
+    P, _, _ = exact_law(rho, measured, fourier_basis(d), cfg)
+    assert abs(P.sum() - 1.0) <= 1e-12
+
+
+def test_exact_law_pointer_count_mismatch():
+    rho = DensityMatrix(RHO_EXAMPLE)
+    with pytest.raises(DimensionMismatchError):
+        exact_law(rho, reference_basis(2), fourier_basis(2), PointerConfig.uniform(1))
+    obs = Observable.from_matrix(np.diag([1.0, -1.0]).astype(complex))
+    with pytest.raises(DimensionMismatchError):
+        exact_law(rho, obs, fourier_basis(2), PointerConfig.uniform(2))
 
 
 def test_exact_evolution_eigenstate_is_exact():
@@ -141,13 +200,11 @@ def test_exact_evolution_eigenstate_is_exact():
     # at every order, and the momentum never moves.
     pre = StateVector(np.eye(2, dtype=complex)[:, 0])
     obs = Observable.from_matrix(np.diag([1.0, -1.0]).astype(complex))
-    post = fourier_basis(2).column(0)
     cfg = PointerConfig.uniform(1, g=0.3, sigma_q=1.0)
-    grid = PointerGrid.for_config(cfg)
-    shift = exact_joint_evolution(pre.projector(), [obs], cfg, grid, post)
-    assert shift.dq[0] == pytest.approx(0.3, abs=1e-9)
-    assert shift.dp[0] == pytest.approx(0.0, abs=1e-9)
-    assert shift.probability == pytest.approx(0.5, abs=1e-9)
+    P, dq, dp = exact_law(pre, obs, fourier_basis(2), cfg)
+    assert dq[0, 0] == pytest.approx(0.3, abs=1e-9)
+    assert dp[0, 0] == pytest.approx(0.0, abs=1e-9)
+    assert P[0] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_exact_evolution_first_order_error_scales_quadratically():
@@ -162,10 +219,9 @@ def test_exact_evolution_first_order_error_scales_quadratically():
     err_p = np.empty(gs.size)
     for m, g in enumerate(gs):
         cfg = PointerConfig.uniform(1, g=float(g), sigma_q=1.0)
-        grid = PointerGrid.for_config(cfg)
-        shift = exact_joint_evolution(psi.projector(), [proj], cfg, grid, post)
-        err_q[m] = abs(shift.dq[0] / g - w.real)
-        err_p[m] = abs(shift.dp[0] / (2.0 * g * cfg.sigma_p[0] ** 2) - w.imag)
+        _, dq, dp = exact_law(psi, proj, fourier_basis(2), cfg)
+        err_q[m] = abs(dq[1, 0] / g - w.real)
+        err_p[m] = abs(dp[1, 0] / (2.0 * g * cfg.sigma_p[0] ** 2) - w.imag)
     slope_q = np.polyfit(np.log(gs), np.log(err_q), 1)[0]
     slope_p = np.polyfit(np.log(gs), np.log(err_p), 1)[0]
     assert 1.7 <= slope_q <= 2.3
@@ -179,17 +235,15 @@ def test_exact_evolution_two_pointers_match_single_runs():
     # commuting couplings: each pointer's marginal shift agrees with the
     # corresponding single-pointer experiment far below first-order size
     psi = StateVector.normalized(np.array([0.8, 0.3 + 0.52j]))
-    post = fourier_basis(2).column(0)
     basis = reference_basis(2)
-    projs = [Observable.projector(basis.column(i)) for i in range(2)]
     cfg2 = PointerConfig.uniform(2, g=0.01, sigma_q=1.0)
-    grid = PointerGrid(n_points=128, extent=10.0)
-    joint = exact_joint_evolution(psi.projector(), projs, cfg2, grid, post)
+    _, dq2, dp2 = exact_law(psi, basis, fourier_basis(2), cfg2)
     cfg1 = PointerConfig.uniform(1, g=0.01, sigma_q=1.0)
     for i in range(2):
-        single = exact_joint_evolution(psi.projector(), [projs[i]], cfg1, grid, post)
-        assert joint.dq[i] == pytest.approx(single.dq[0], abs=1e-3 * 0.01)
-        assert joint.dp[i] == pytest.approx(single.dp[0], abs=1e-3 * 0.01)
+        proj = Observable.projector(basis.column(i))
+        _, dq1, dp1 = exact_law(psi, proj, fourier_basis(2), cfg1)
+        assert dq2[0, i] == pytest.approx(dq1[0, 0], abs=1e-3 * 0.01)
+        assert dp2[0, i] == pytest.approx(dp1[0, 0], abs=1e-3 * 0.01)
 
 
 def test_exact_evolution_mixed_state_matches_component_average():
@@ -197,43 +251,23 @@ def test_exact_evolution_mixed_state_matches_component_average():
     # probability weights, not uniformly.
     rho = DensityMatrix(RHO_EXAMPLE)
     obs = Observable.projector(StateVector(np.eye(2, dtype=complex)[:, 0]))
-    post = fourier_basis(2).column(1)
     cfg = PointerConfig.uniform(1, g=0.02, sigma_q=1.0)
-    grid = PointerGrid.for_config(cfg)
-    shift = exact_joint_evolution(rho, [obs], cfg, grid, post)
+    P, dq, _ = exact_law(rho, obs, fourier_basis(2), cfg)
     table = weak_value_table(rho, reference_basis(2), fourier_basis(2))
-    assert shift.dq[0] / 0.02 == pytest.approx(table.W[1, 0].real, abs=2e-3)
-    assert shift.probability == pytest.approx(table.P[1], abs=1e-4)
-
-
-def test_exact_evolution_refuses_oversized_joint_state():
-    psi = StateVector(np.eye(2, dtype=complex)[:, 0])
-    obs = Observable.from_matrix(np.diag([1.0, -1.0]).astype(complex))
-    cfg = PointerConfig.uniform(3, g=0.01)
-    grid = PointerGrid(n_points=256, extent=10.0)
-    with pytest.raises(ResourceLimitError):
-        exact_joint_evolution(psi.projector(), [obs] * 3, cfg, grid,
-                              fourier_basis(2).column(0))
-
-
-def test_exact_evolution_refuses_narrow_grid():
-    psi = StateVector(np.eye(2, dtype=complex)[:, 0])
-    obs = Observable.from_matrix(np.diag([1.0, -1.0]).astype(complex))
-    cfg = PointerConfig.uniform(1, g=0.01, sigma_q=1.0)
-    with pytest.raises(PreconditionError):
-        exact_joint_evolution(psi.projector(), [obs], cfg,
-                              PointerGrid(n_points=64, extent=5.0),
-                              fourier_basis(2).column(0))
+    assert dq[1, 0] / 0.02 == pytest.approx(table.W[1, 0].real, abs=2e-3)
+    assert P[1] == pytest.approx(table.P[1], abs=1e-4)
 
 
 def test_exact_evolution_orthogonal_postselection():
+    # an unreachable outcome is a masked row: zero probability, zero shifts
     pre = StateVector(np.eye(2, dtype=complex)[:, 0])
-    post = StateVector(np.eye(2, dtype=complex)[:, 1])
     obs = Observable.projector(pre)
     cfg = PointerConfig.uniform(1, g=0.01, sigma_q=1.0)
-    with pytest.raises(UndefinedShiftError):
-        exact_joint_evolution(pre.projector(), [obs], cfg,
-                              PointerGrid.for_config(cfg), post)
+    P, dq, dp = exact_law(pre, obs, reference_basis(2), cfg)
+    assert P[1] <= PROB_FLOOR
+    assert dq[1, 0] == 0.0 and dp[1, 0] == 0.0
+    assert P[0] == pytest.approx(1.0, abs=1e-12)
+    assert dq[0, 0] == pytest.approx(0.01, abs=1e-12)
 
 
 # -------------------------------------------------------------------- config

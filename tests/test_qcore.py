@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from weaktomo import (
     DensityMatrix,
     ExperimentConfig,
@@ -221,3 +224,19 @@ def test_observable_projector_degenerate_for_d3():
     proj = Observable.projector(random_pure_state(3, 2))
     assert not proj.non_degenerate  # eigenvalue 0 is repeated
     assert np.allclose(sorted(np.round(proj.eigenvalues, 10)), [0, 0, 1])
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 16),
+       stretch=st.sampled_from([1.0, 1.0 + 4e-13, 1.0 - 4e-13]))
+def test_observable_projector_has_its_known_eigensystem(seed, d, stretch):
+    # the matrix is bit for bit what from_matrix keeps of the outer product;
+    # the eigensystem is (0, ..., 0, 1) with the state itself last
+    amp = random_pure_state(d, seed).amplitudes * stretch
+    proj = Observable.projector(StateVector(amp))
+    outer = np.outer(amp, amp.conj())
+    assert proj.matrix.tobytes() == Observable.from_matrix(outer).matrix.tobytes()
+    assert proj.eigenvalues.tolist() == [0.0] * (d - 1) + [1.0]
+    assert proj.non_degenerate == (d == 2)
+    vecs = proj.eigenbasis.vectors
+    assert np.max(np.abs(vecs[:, -1] - amp / np.linalg.norm(amp))) <= 1e-15
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(d))) <= 1e-12

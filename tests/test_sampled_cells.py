@@ -11,8 +11,6 @@ golden digests pin it.
 
 import json
 import re
-import subprocess
-import sys
 import time
 import tracemalloc
 
@@ -22,6 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import oracle_table, oracle_weak_value
+from test_cli import run_cli
 from weaktomo import (
     ExperimentConfig,
     NoiseModel,
@@ -276,8 +275,7 @@ def test_in_memory_run_equals_cli_records_round_trip(tmp_path):
                       "--out", str(records), "--quiet"),
                      ("reconstruct", "--config", str(cfg_path), "--records", str(records),
                       "--out", str(bundle), "--quiet")):
-            proc = subprocess.run([sys.executable, "-m", "weaktomo", *argv],
-                                  capture_output=True, text=True)
+            proc = run_cli(*argv)
             assert proc.returncode == 0, proc.stderr
         cfg = serialize.config_from_dict(data)
         pcfg = cfg.pointer_config(1 if scheme == "single_observable" else cfg.dim)
