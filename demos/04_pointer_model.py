@@ -39,7 +39,7 @@ def main():
 
     cfg = PointerConfig.uniform(1, g=0.02, sigma_q=1.0)
     dq, dp = table_shifts(table, cfg)
-    print(f"first-order prediction at g={cfg.g[0]}:")
+    print(f"first-order prediction at g={cfg.g}:")
     print(f"  dq = g Re W            = {dq[1, 0]:+.6f}")
     print(f"  dp = 2 g Im W sigma_p^2 = {dp[1, 0]:+.6f}")
     print()
@@ -51,7 +51,7 @@ def main():
         cfg = PointerConfig.uniform(1, g=g, sigma_q=1.0)
         _, dq, dp = exact_law(psi, proj, fourier_basis(2), cfg)
         err_q = abs(dq[1, 0] / g - w.real)
-        err_p = abs(dp[1, 0] / (2.0 * g * cfg.sigma_p[0] ** 2) - w.imag)
+        err_p = abs(dp[1, 0] / (2.0 * g * cfg.sigma_p ** 2) - w.imag)
         note = ""
         if prev_q is not None:
             note = f"   (q residual shrank {prev_q / err_q:.2f}x)"

@@ -10,7 +10,8 @@ Subcommands:
   compare      score schemes against each other over a shot grid
 
 Exit codes: 0 on success, 1 on domain errors (a JSON object with "error" and
-"message" fields goes to stderr), 2 on usage errors.
+"message" fields goes to stderr), 2 on usage errors.  Arithmetic that leaves
+the float range is a domain error, never a warning and a non-finite result.
 """
 
 import argparse
@@ -86,7 +87,7 @@ def _build_config(args, default_scheme: str | None = None) -> ExperimentConfig:
         data["data_mode"] = "sampled"
     try:
         return serialize.config_from_dict(data)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise _UsageError(f"invalid config: {exc}") from exc
 
 
@@ -336,7 +337,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -346,7 +348,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(json.dumps({"error": "parse-error", "message": str(exc)}), file=sys.stderr)
         return 1
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
         print(json.dumps({"error": "invalid-value", "message": str(exc)}), file=sys.stderr)
         return 1
     except OSError as exc:

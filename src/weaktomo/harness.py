@@ -35,7 +35,6 @@ from .qcore import (
     trace_distance,
     transition_matrix,
     _as_density,
-    _check_finite,
     _complete_basis,
 )
 from .weakval import WeakValueTable, weak_value_table
@@ -71,6 +70,14 @@ def thread_cap() -> int:
     except ValueError:
         return cpus
     return max(1, min(cpus, limit)) if limit > 0 else cpus
+
+
+def _check_integer(value, name: str, low=-math.inf, high=math.inf) -> None:
+    """Raise ValueError unless ``value`` is an integer, not a bool, in [low, high]."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -120,16 +127,16 @@ class ExperimentConfig:
             raise ValueError("state_spec 'explicit' requires the state field")
         if self.basis_spec == "explicit" and self.basis_b is None:
             raise ValueError("basis_spec 'explicit' requires the basis_b field")
-        if self.data_mode == "sampled" and self.shots < 1:
-            raise ValueError("sampled mode requires shots >= 1")
-        _check_finite(np.array([self.pointer_g, self.pointer_sigma_q, self.pointer_mean_q,
-                                self.pointer_mean_p, self.noise_sigma_scale,
-                                self.noise_offset], dtype=float), "config")
-        if self.pointer_g < 0 or self.pointer_sigma_q <= 0 or self.noise_sigma_scale < 0:
-            raise ValueError("pointer_g and noise_sigma_scale must be >= 0 "
-                             "and pointer_sigma_q > 0")
-        if not 0 <= self.postselect_row < self.dim:
-            raise ValueError(f"postselect_row {self.postselect_row} outside [0, {self.dim})")
+        _check_integer(self.shots, "shots", 1 if self.data_mode == "sampled" else -math.inf)
+        _check_integer(self.seed, "seed", 0)
+        if self.state_seed is not None:
+            _check_integer(self.state_seed, "state_seed", 0)
+        if self.state_rank is not None:
+            _check_integer(self.state_rank, "state_rank", 1, self.dim)
+        _check_integer(self.postselect_row, "postselect_row", 0, self.dim - 1)
+        # The pointer and noise fields are checked where they are used.
+        self.pointer_config(1)
+        _resolve_noise(self)
 
     def pointer_config(self, n_pointers: int) -> PointerConfig:
         """n_pointers identical pointers with the configured parameters."""

@@ -1,13 +1,14 @@
 """Gaussian pointer model: first-order shifts, the exact law, sampling.
 
 Units use hbar = 1 throughout.  A weak measurement couples observable A_i to
-the momentum p_i of pointer i via U = exp(-i sum_i g_i A_i x p_i), and reads
-out either pointer position or momentum.  To first order in g the conditional
-readout means shift by
+the momentum p_i of pointer i via U = exp(-i g sum_i A_i x p_i), and reads
+out either pointer position or momentum.  The pointers are identical: one
+coupling g and one minimum-uncertainty Gaussian (``PointerConfig``) serve
+every pointer.  To first order in g the conditional readout means shift by
 
-    dq_i = g_i Re W      and      dp_i = 2 g_i Im W (Delta p_i)^2,
+    dq_i = g Re W_i      and      dp_i = 2 g Im W_i (Delta p)^2,
 
-with W the weak value for the post-selected outcome.  Every coupling here
+with W_i the weak value of A_i for the post-selected outcome.  Every coupling here
 goes through orthogonal spectral projectors, so the post-selected pointer
 state is a finite superposition of displaced Gaussians: ``exact_law`` gives
 its outcome probabilities and conditional means in closed form at any
@@ -41,7 +42,6 @@ from .errors import (
     ResourceLimitError,
 )
 from .qcore import (
-    ATOL_EXACT,
     PROB_FLOOR,
     Observable,
     OrthonormalBasis,
@@ -64,57 +64,39 @@ _QUAD_CODES = {name: code for code, name in enumerate(_QUAD_NAMES)}
 
 @dataclass(frozen=True)
 class PointerConfig:
-    """Per-pointer couplings and Gaussian readout parameters.
+    """n_pointers identical pointers, one per weakly measured observable.
 
-    All arrays have length n_pointers.  Each pointer is a pure Gaussian with
-    sigma_q * sigma_p = 1/2 (minimum uncertainty); couplings g may be zero
-    (no interaction) but never negative.
+    Each pointer couples with strength g, which may be zero (no interaction)
+    but never negative, and starts as a minimum-uncertainty Gaussian with
+    position spread sigma_q, so its momentum spread is sigma_p = 1/2 / sigma_q,
+    centered on (mean_q, mean_p).
     """
 
-    g: np.ndarray
-    mean_q: np.ndarray
-    mean_p: np.ndarray
-    sigma_q: np.ndarray
-    sigma_p: np.ndarray
+    n_pointers: int
+    g: float = 0.05
+    sigma_q: float = 1.0
+    mean_q: float = 0.0
+    mean_p: float = 0.0
 
     def __post_init__(self):
-        arrays = {}
-        for name in ("g", "mean_q", "mean_p", "sigma_q", "sigma_p"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            _check_finite(arr, f"pointer {name}")
-            arrays[name] = arr
-        n = arrays["g"].size
-        if any(arr.size != n for arr in arrays.values()):
-            raise DimensionMismatchError("pointer parameter arrays have unequal lengths")
-        if n < 1:
+        _check_finite(np.array([self.g, self.sigma_q, self.mean_q, self.mean_p], dtype=float),
+                      "pointer")
+        if self.n_pointers < 1:
             raise ValueError("need at least one pointer")
-        if np.any(arrays["g"] < 0):
-            raise ValueError("couplings g must be >= 0")
-        if np.any(arrays["sigma_q"] <= 0) or np.any(arrays["sigma_p"] <= 0):
-            raise ValueError("pointer spreads must be positive")
-        purity = arrays["sigma_q"] * arrays["sigma_p"]
-        if np.max(np.abs(purity - 0.5)) > ATOL_EXACT:
-            raise ValueError("pointers must satisfy sigma_q * sigma_p = 1/2 (pure Gaussian)")
-        for name, arr in arrays.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        if self.g < 0:
+            raise ValueError("coupling g must be >= 0")
+        if self.sigma_q <= 0:
+            raise ValueError("pointer spread sigma_q must be positive")
 
     @classmethod
     def uniform(cls, n_pointers: int, g: float = 0.05, sigma_q: float = 1.0,
                 mean_q: float = 0.0, mean_p: float = 0.0) -> "PointerConfig":
-        """n identical pointers; sigma_p is fixed by the purity constraint."""
-        ones = np.ones(n_pointers)
-        return cls(
-            g=g * ones,
-            mean_q=mean_q * ones,
-            mean_p=mean_p * ones,
-            sigma_q=sigma_q * ones,
-            sigma_p=(0.5 / sigma_q) * ones,
-        )
+        """The same as the constructor, kept for its callers."""
+        return cls(n_pointers, g, sigma_q, mean_q, mean_p)
 
     @property
-    def n_pointers(self) -> int:
-        return self.g.size
+    def sigma_p(self) -> float:
+        return 0.5 / self.sigma_q
 
 
 @dataclass(frozen=True)
@@ -130,7 +112,7 @@ class NoiseModel:
     systematic_offset: float = 0.0
 
     def __post_init__(self):
-        _check_finite(np.array([self.readout_sigma_scale, self.systematic_offset]),
+        _check_finite(np.array([self.readout_sigma_scale, self.systematic_offset], dtype=float),
                       "noise model")
         if self.readout_sigma_scale < 0:
             raise ValueError("readout_sigma_scale must be >= 0")
@@ -250,17 +232,17 @@ def exact_law(rho, measured, basis_b: OrthonormalBasis, cfg: PointerConfig):
     Takes what ``_law`` takes and returns what it returns: P, shape (d,), and
     the mean shifts dq and dp, shape (d, n_pointers), of every outcome j.
     The coupling is U = sum_m |v_m><v_m| x D(S_m), where D(S_m) translates
-    pointer i by S[m, i]: for a basis A, v_m = a_m and S = diag(g); for an
+    pointer i by S[m, i]: for a basis A, v_m = a_m and S = g I; for an
     Observable, v_m are its eigenvectors and S[m, 0] = g lambda_m.  So the
     pointer post-selected on b_j is a superposition of the displaced
     Gaussians phi_m = D(S_m) phi.  With
     beta = B^dag V, R = V^dag rho V, O[k, m] = <phi_k|phi_m>
-    = prod_i exp(-(S_ki - S_mi)^2 / (8 sigma_qi^2) + i p0_i (S_ki - S_mi)),
+    = prod_i exp(-(S_ki - S_mi)^2 / (8 sigma_q^2) + i p0 (S_ki - S_mi)),
     T = R o O^T and M = diag(beta_j) T diag(beta_j^*):
 
         P_j   = sum_mk M_mk
         dq_ji = sum_mk M_mk (S_ki + S_mi) / 2 / P_j
-        dp_ji = Re sum_mk M_mk i (S_ki - S_mi) / (4 sigma_qi^2) / P_j
+        dp_ji = Re sum_mk M_mk i (S_ki - S_mi) / (4 sigma_q^2) / P_j
 
     T is Hermitian, so every row follows from C = beta^* o (beta T), in
     O(d^3) time and O(d^2) memory.  Rows with P_j <= PROB_FLOOR read zero
@@ -274,12 +256,12 @@ def exact_law(rho, measured, basis_b: OrthonormalBasis, cfg: PointerConfig):
     if isinstance(measured, Observable):
         n, v, shift = 1, measured.eigenbasis.vectors, cfg.g * measured.eigenvalues[:, None]
     else:
-        n, v, shift = d, measured.vectors, np.diag(cfg.g)
+        n, v, shift = d, measured.vectors, cfg.g * np.eye(d)
     _check_pointer_count(n, cfg)
     # Exponent of O[k, m], expanded so that no (d, d, n) array is formed.
     w = 1.0 / (8.0 * cfg.sigma_q**2)
-    sq = shift**2 @ w
-    drift = shift @ cfg.mean_p
+    sq = (shift**2).sum(axis=1) * w
+    drift = shift.sum(axis=1) * cfg.mean_p
     log_o = (2.0 * (shift * w) @ shift.T - sq[:, None] - sq[None, :]
              + 1j * (drift[:, None] - drift[None, :]))
     t = (v.conj().T @ mat @ v) * np.exp(log_o).T
@@ -294,16 +276,14 @@ def exact_law(rho, measured, basis_b: OrthonormalBasis, cfg: PointerConfig):
 
 def _readout_law(dq: np.ndarray, dp: np.ndarray, cfg: PointerConfig,
                  noise: NoiseModel | None) -> tuple[np.ndarray, np.ndarray]:
-    """Readout means, shape (d, 2, n_pointers), and spreads, shape
-    (2, n_pointers), of every (outcome, quadrature) from the (d, n_pointers)
-    shifts dq/dp, with the noise model applied."""
+    """Readout means, shape (d, 2, n_pointers), and spreads, shape (2, 1),
+    of every (outcome, quadrature) from the (d, n_pointers) shifts dq/dp,
+    with the noise model applied."""
     noise = noise or NoiseModel()
     means = np.empty((dq.shape[0], 2, cfg.n_pointers))
     means[:, QUAD_POSITION] = cfg.mean_q + dq + noise.systematic_offset
     means[:, QUAD_MOMENTUM] = cfg.mean_p + dp
-    spreads = np.empty((2, cfg.n_pointers))
-    spreads[QUAD_POSITION] = cfg.sigma_q * noise.readout_sigma_scale
-    spreads[QUAD_MOMENTUM] = cfg.sigma_p * noise.readout_sigma_scale
+    spreads = np.array([[cfg.sigma_q], [cfg.sigma_p]]) * noise.readout_sigma_scale
     return means, spreads
 
 
@@ -484,7 +464,7 @@ def _record_cells(records: RecordStream, dim: int, n_pointers: int):
 
 def _estimate_cells(cells, cfg: PointerConfig) -> WeakValueTable:
     """The estimate shared by records and in-memory sampled cells."""
-    if np.any(cfg.g <= 0):
+    if cfg.g <= 0:
         raise PreconditionError("estimation divides by g; all couplings must be positive")
     counts, sums, sumsq, trials = cells
     n_trials = int(trials.sum())

@@ -66,6 +66,7 @@ class StateVector:
     @classmethod
     def normalized(cls, amplitudes) -> "StateVector":
         amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        _check_finite(amp, "state vector")
         norm = np.linalg.norm(amp)
         if norm == 0:
             raise ValueError("cannot normalize the zero vector")

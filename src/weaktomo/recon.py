@@ -364,9 +364,12 @@ def _simplex_projection(vals: np.ndarray) -> np.ndarray:
     desc = vals[::-1]
     k = np.arange(1, vals.size + 1)
     shifts = (np.cumsum(desc) - 1.0) / k
-    # The condition holds for a leading run of k (always k = 1); use its end.
-    last = np.flatnonzero(desc - shifts > 0)[-1]
-    return np.clip(vals - shifts[last], 0.0, None)
+    # The condition holds for a leading run of k; use its end.  k = 1 always
+    # qualifies in exact arithmetic, but not in floats once desc[0] - 1 rounds.
+    run = np.flatnonzero(desc - shifts > 0)
+    if not run.size:
+        raise DegenerateDataError(f"eigenvalue {desc[0]:.3e} is too large for a unit trace")
+    return np.clip(vals - shifts[run[-1]], 0.0, None)
 
 
 def _nearest_state(raw) -> tuple[DensityMatrix, float]:

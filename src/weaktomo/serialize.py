@@ -56,7 +56,8 @@ def array_from_json(obj) -> np.ndarray:
     im = _floats(obj, "im").reshape(-1)
     if re.shape != im.shape:
         raise ValueError("re and im parts have different lengths")
-    arr = re + 1j * im
+    arr = re.astype(complex)
+    arr.imag = im  # not re + 1j * im, which evaluates 0 * inf on an infinite im
     d = _count(obj["dim"], "dim")
     if arr.size == d:
         return arr
@@ -93,7 +94,8 @@ def table_from_json(obj) -> WeakValueTable:
     """Decode ``table_to_json`` output; files without ``n_trials`` read as 0.
     A ``dim`` or ``n_trials`` that is not a non-negative integer, or a
     number beyond the float range, raises ValueError."""
-    w = _floats(obj, "W_re") + 1j * _floats(obj, "W_im")
+    w = _floats(obj, "W_re").astype(complex)
+    w.imag = _floats(obj, "W_im")  # by parts, as in array_from_json
     kwargs = {}
     if "stderr_re" in obj:
         kwargs["stderr_re"] = _floats(obj, "stderr_re")

@@ -128,7 +128,7 @@ def test_pointer_shift_convergence():
         cfg = PointerConfig.uniform(1, g=float(g), sigma_q=1.0)
         _, dq, dp = exact_law(psi, proj, fourier_basis(2), cfg)
         err_q[m] = abs(dq[1, 0] / g - w.real)
-        err_p[m] = abs(dp[1, 0] / (2.0 * g * cfg.sigma_p[0] ** 2) - w.imag)
+        err_p[m] = abs(dp[1, 0] / (2.0 * g * cfg.sigma_p ** 2) - w.imag)
     elapsed = time.perf_counter() - t0
     slope_q = float(np.polyfit(np.log(gs), np.log(err_q), 1)[0])
     slope_p = float(np.polyfit(np.log(gs), np.log(err_p), 1)[0])

@@ -473,6 +473,20 @@ def test_negative_noise_scale_is_usage_error(mode, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["shots=2.5", "shots=true", "seed=1e400", "seed=2.5",
+                                     "seed=-1", "state_seed=1.5", "state_seed=-1",
+                                     "state_rank=1.5", "state_rank=0", "state_rank=3",
+                                     "postselect_row=0.5"])
+def test_integer_field_that_is_no_integer_is_usage_error(setting, tmp_path):
+    out = tmp_path / "b.json"
+    proc = run_cli("reconstruct", "--set", "dim=2", "--set", "scheme=mixed_a",
+                   "--set", "state_spec=ginibre", "--set", "shots=100", "--sampled",
+                   "--set", setting, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage error")
+    assert not out.exists()
+
+
 def test_dotted_set_reaches_nested_fields(tmp_path):
     out = tmp_path / "b.json"
     proc = run_cli("reconstruct", "--set", "dim=2", "--set", "scheme=mixed_a",

@@ -450,22 +450,31 @@ def test_thread_cap_env(monkeypatch):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(dim=1, scheme="all_data")
-    with pytest.raises(ValueError):
-        ExperimentConfig(dim=2, scheme="no-such-scheme")
-    with pytest.raises(ValueError):
-        ExperimentConfig(dim=2, scheme="all_data", data_mode="psychic")
-    with pytest.raises(ValueError):
-        ExperimentConfig(dim=2, scheme="all_data", data_mode="sampled", shots=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(dim=2, scheme="all_data", state_spec="explicit")
-    with pytest.raises(ValueError):
-        ExperimentConfig(dim=2, scheme="postselected", postselect_row=2)
-    with pytest.raises(ValueError):
-        ExperimentConfig(dim=2, scheme="all_data", pointer_g=-0.1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(dim=2, scheme="all_data", noise_sigma_scale=-1.0)
+    for fields in ({"dim": 1},
+                   {"scheme": "no-such-scheme"},
+                   {"data_mode": "psychic"},
+                   {"data_mode": "sampled", "shots": 0},
+                   {"state_spec": "explicit"},
+                   {"scheme": "postselected", "postselect_row": 2},
+                   {"pointer_g": -0.1},
+                   {"noise_sigma_scale": -1.0},
+                   {"pointer_sigma_q": 0.0},
+                   {"pointer_mean_p": math.inf},
+                   {"noise_offset": math.nan},
+                   {"data_mode": "sampled", "shots": 2.5},
+                   {"shots": True},
+                   {"seed": 2.5},
+                   {"seed": -1},
+                   {"state_seed": 1.5},
+                   {"state_spec": "ginibre", "state_rank": 1.5},
+                   {"state_spec": "ginibre", "state_rank": 3},
+                   {"postselect_row": 0.5}):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{"dim": 2, "scheme": "all_data", **fields})
+    # numpy integers are integers
+    ExperimentConfig(dim=2, scheme="mixed_a", data_mode="sampled", shots=np.int64(5),
+                     seed=np.uint32(1), state_seed=np.int64(2), state_spec="ginibre",
+                     state_rank=np.int8(1), postselect_row=np.int64(1))
 
 
 def test_ramp_probe_overlaps_every_fourier_vector():

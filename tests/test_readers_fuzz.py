@@ -1,9 +1,10 @@
-"""File readers under mutated input: the CLI exits 0 or 1 and never lets an
-exception escape.
+"""File readers and config fields under mutated input: the CLI exits 0, 1 or 2
+and never lets an exception escape.
 
 Valid records CSVs and table JSONs are mutated (fields swapped, numbers
 made huge or non-finite, rows dropped, text truncated) and fed to
-``weaktomo reconstruct`` and ``weaktomo verify`` in-process.
+``weaktomo reconstruct`` and ``weaktomo verify`` in-process.  Config fields
+get ill-typed and out-of-range values through ``reconstruct --set``.
 """
 
 import json
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weaktomo import cli, serialize
-from weaktomo.harness import ExperimentConfig, simulate
+from weaktomo.harness import SCHEMES, ExperimentConfig, simulate
 
 RECORDS = simulate(ExperimentConfig(dim=2, scheme="all_data", data_mode="sampled",
                                     shots=12, state_seed=3, seed=4)).to_csv()
@@ -153,3 +154,47 @@ def test_unmutated_inputs_succeed():
         assert _run(["verify", str(table)]) == 0
         assert _run(["reconstruct", *SET, "--table", str(table), "--quiet",
                      "--out", str(Path(tmp) / "b.json")]) == 0
+
+
+# Every scalar config field but dim, which sets the size of every array.
+CONFIG_FIELDS = sorted(set(ExperimentConfig.__dataclass_fields__) - {"dim"}
+                       - set(serialize._ARRAY_FIELDS))
+
+config_value = st.one_of(
+    st.integers(-10**30, 10**30).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(json.dumps),
+    st.sampled_from(BAD_TEXT),
+    st.sampled_from(sorted(SCHEMES)),
+    st.text(max_size=8),
+    st.lists(st.integers(-3, 3), max_size=3).map(json.dumps),
+)
+
+
+@settings(max_examples=150)
+@given(field=st.sampled_from(CONFIG_FIELDS), value=config_value,
+       scheme=st.sampled_from(sorted(SCHEMES)),
+       state_spec=st.sampled_from(["haar-pure", "ginibre"]),
+       mode=st.sampled_from(["--exact", "--sampled"]))
+@example(field="shots", value="2.5", scheme="all_data", state_spec="haar-pure",
+         mode="--sampled")
+@example(field="shots", value="true", scheme="all_data", state_spec="haar-pure",
+         mode="--sampled")
+@example(field="seed", value="1e400", scheme="all_data", state_spec="haar-pure",
+         mode="--sampled")
+@example(field="seed", value="2.5", scheme="all_data", state_spec="haar-pure",
+         mode="--sampled")
+@example(field="state_seed", value="1.5", scheme="all_data", state_spec="haar-pure",
+         mode="--exact")
+@example(field="state_rank", value="1.5", scheme="mixed_a", state_spec="ginibre",
+         mode="--exact")
+@example(field="postselect_row", value="0.5", scheme="postselected",
+         state_spec="haar-pure", mode="--exact")
+@example(field="noise_offset", value="7.4e152", scheme="all_data",   # readout sums
+         state_spec="haar-pure", mode="--sampled")                   # overflow
+def test_config_fields_never_escape(field, value, scheme, state_spec, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        code = cli.main(["reconstruct", "--set", "dim=2", "--set", f"scheme={scheme}",
+                         "--set", f"state_spec={state_spec}", "--set", "shots=1000", mode,
+                         "--set", f"{field}={value}",
+                         "--out", str(Path(tmp) / "bundle.json"), "--quiet"])
+    assert code in (0, 1, 2), (field, value, code)

@@ -397,6 +397,12 @@ def test_project_physical_rejects_negative_weight():
         project_to_physical(-np.eye(2, dtype=complex))
 
 
+def test_project_physical_rejects_eigenvalue_beyond_unit_trace_resolution():
+    # 1e17 - 1 rounds to 1e17, so no eigenvalue count passes the threshold test
+    with pytest.raises(DegenerateDataError):
+        project_to_physical(np.diag([1e17, 0.0]).astype(complex))
+
+
 def test_project_physical_is_nearest_state():
     # Clip-and-renormalise would give (7/12, 5/12, 0), farther from the input.
     raw = np.diag([0.7, 0.5, -0.2]).astype(complex)

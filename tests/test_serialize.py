@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -272,6 +273,19 @@ def test_table_json_reads_older_files_without_n_trials():
     obj = ser.table_to_json(_sampled_table())
     del obj["n_trials"]
     assert ser.table_from_json(obj).n_trials == 0
+
+
+@pytest.mark.parametrize("decode, obj", [
+    (ser.table_from_json, {"dim": 1, "W_re": [[1.0]], "W_im": [[math.inf]], "P": [1.0],
+                           "defined": [True]}),
+    (ser.decode_state, {"dim": 2, "re": [1.0, 0.0], "im": [0.0, -math.inf]}),
+])
+def test_non_finite_json_is_rejected_without_a_numpy_warning(decode, obj):
+    # re + 1j * im would evaluate 0 * inf and warn before the finite check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            decode(obj)
 
 
 def test_single_pointer_bundle_table_loads_back():

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from weaktomo import (
     DensityMatrix,
     DimensionMismatchError,
     Observable,
+    OrthonormalBasis,
     StateVector,
     UndefinedWeakValueError,
     WeakValueTable,
@@ -172,6 +175,28 @@ def test_sum_rules_random_states():
         assert report.imag_dev < 1e-10
         assert report.diag_dev < 1e-10
         assert report.within(1e-10)
+
+
+@st.composite
+def sum_rule_cases(draw):
+    """A Haar-pure or rank-r Ginibre truth at d in 2..16, and a random
+    orthonormal post-selection basis (QR of a complex Gaussian)."""
+    d = draw(st.integers(2, 16))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rank = draw(st.none() | st.integers(1, d))
+    truth = random_pure_state(d, seed) if rank is None else random_density_matrix(d, rank, seed)
+    rng = np.random.default_rng([seed, d])
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return truth, OrthonormalBasis(q)
+
+
+@given(case=sum_rule_cases())
+@example(case=(StateVector.normalized(np.ones(2)), fourier_basis(2)))  # row 1 masked
+def test_sum_rules_hold_on_every_exact_table(case):
+    truth, basis_b = case
+    d = truth.dim
+    table = weak_value_table(truth, reference_basis(d), basis_b)
+    assert check_sum_rules(table, truth).within(1e-12 * d)
 
 
 def test_sum_rules_detect_perturbation():
