@@ -46,7 +46,6 @@ from .qcore import (
     Observable,
     OrthonormalBasis,
     _as_density,
-    _check_finite,
 )
 from .weakval import WeakValueTable, weak_value_table
 
@@ -60,6 +59,17 @@ QUAD_POSITION = 0
 QUAD_MOMENTUM = 1
 _QUAD_NAMES = ("q", "p")
 _QUAD_CODES = {name: code for code, name in enumerate(_QUAD_NAMES)}
+# The largest magnitude whose square is a finite float.
+_SQUARE_LIMIT = float(np.sqrt(np.finfo(float).max))
+
+
+def _check_reals(what: str, **values) -> None:
+    """Raise ValueError unless every value is a number, not a bool, with a
+    finite square: the sampler and the estimator square each of them."""
+    for name, value in values.items():
+        if isinstance(value, (bool, np.bool_)) or not abs(float(value)) <= _SQUARE_LIMIT:
+            raise ValueError(f"{what} {name} must be a number with a finite square, "
+                             f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,14 +89,15 @@ class PointerConfig:
     mean_p: float = 0.0
 
     def __post_init__(self):
-        _check_finite(np.array([self.g, self.sigma_q, self.mean_q, self.mean_p], dtype=float),
-                      "pointer")
+        _check_reals("pointer", g=self.g, sigma_q=self.sigma_q, mean_q=self.mean_q,
+                     mean_p=self.mean_p)
         if self.n_pointers < 1:
             raise ValueError("need at least one pointer")
         if self.g < 0:
             raise ValueError("coupling g must be >= 0")
         if self.sigma_q <= 0:
             raise ValueError("pointer spread sigma_q must be positive")
+        _check_reals("pointer", sigma_p=self.sigma_p)
 
     @classmethod
     def uniform(cls, n_pointers: int, g: float = 0.05, sigma_q: float = 1.0,
@@ -112,8 +123,8 @@ class NoiseModel:
     systematic_offset: float = 0.0
 
     def __post_init__(self):
-        _check_finite(np.array([self.readout_sigma_scale, self.systematic_offset], dtype=float),
-                      "noise model")
+        _check_reals("noise model", readout_sigma_scale=self.readout_sigma_scale,
+                     systematic_offset=self.systematic_offset)
         if self.readout_sigma_scale < 0:
             raise ValueError("readout_sigma_scale must be >= 0")
 

@@ -9,10 +9,11 @@ single_projector   one weakly measured projector |phi><phi|, all outcomes
 single_observable  one non-degenerate observable; the state is the kernel of
                    M = beta diag(lambda) - diag(w) beta
 
-Mixed-state schemes reassemble the density matrix element by element in the
-measured or the post-selection eigenbasis, then project onto the physical
-set (Hermitian, PSD, unit trace).  Partial tomography targets a single
-matrix element between two chosen vectors without reconstructing the rest.
+The mixed-state scheme reassembles the density matrix element by element
+from the whole table (``reconstruct_mixed_bbasis`` is the same estimator),
+then projects onto the physical set (Hermitian, PSD, unit trace).  Partial
+tomography targets a single matrix element between two chosen vectors
+without reconstructing the rest.
 
 Matrix conventions: every routine takes beta[j, i] = <b_j|a_i> with basis A
 the eigenbasis of what is weakly measured and basis B the post-selection
@@ -278,7 +279,11 @@ def reconstruct_mixed_abasis(table: WeakValueTable, beta: TransitionMatrix) -> D
     """Density-matrix elements in the measured basis A.
 
     <a_i|rho|a_j> = sum_k P_k (beta_kj / beta_ki) W_ki.  Every table row is
-    needed (one term per outcome), and every beta entry divides.
+    needed (one term per outcome), and every beta entry divides.  The
+    post-selection-basis read-out <b_i|rho|b_j> = P_j sum_k W_jk (beta_ik /
+    beta_jk), rotated back as beta^dag rho_B beta, is the same sum term by
+    term because beta is unitary, so ``reconstruct_mixed_bbasis`` is this
+    function under its b-basis name.
     """
     if beta.dim != table.dim:
         raise DimensionMismatchError("table and transition matrix dims differ")
@@ -294,26 +299,7 @@ def reconstruct_mixed_abasis(table: WeakValueTable, beta: TransitionMatrix) -> D
     return _project_pipeline(raw)
 
 
-def reconstruct_mixed_bbasis(table: WeakValueTable, beta: TransitionMatrix) -> DensityEstimate:
-    """Density-matrix elements in the post-selection basis B, rotated back.
-
-    <b_i|rho|b_j> = P_j sum_k W_jk (beta_ik / beta_jk).  The b-basis matrix
-    is rotated to the reference basis with B = beta^dag (basis A being the
-    reference basis) before the physicality projection.
-    """
-    if beta.dim != table.dim:
-        raise DimensionMismatchError("table and transition matrix dims differ")
-    missing = np.where(~table.defined)[0]
-    if missing.size:
-        raise MissingDataError(f"table rows {missing.tolist()} are undefined; "
-                               "column j of the b-basis matrix needs row j")
-    if np.min(np.abs(beta.beta)) <= REL_GUARD * np.max(np.abs(beta.beta)):
-        raise SchemeInapplicableError("beta has (numerically) zero entries; the b-basis "
-                                      "formula divides by every <b_j|a_k>")
-    ratios = table.W / beta.beta
-    in_b = (beta.beta @ ratios.T) * table.P[None, :]
-    raw = beta.beta.conj().T @ in_b @ beta.beta
-    return _project_pipeline(raw)
+reconstruct_mixed_bbasis = reconstruct_mixed_abasis
 
 
 def estimate_element_nonorthogonal(w: complex, p_b: float, overlap_ba: complex) -> complex:

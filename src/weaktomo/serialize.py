@@ -219,7 +219,6 @@ def _diagnostics(bundle: ResultBundle) -> dict:
     est = bundle.estimate
     if isinstance(est, DensityEstimate):
         out["min_eig_raw"] = est.min_eig_raw
-        out["hermiticity_gap"] = est.hermiticity_defect
     if bundle.kernel is not None:
         out["smallest_eig"] = bundle.kernel.smallest_eig
         out["kernel_dim"] = bundle.kernel.kernel_dim

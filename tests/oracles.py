@@ -47,6 +47,21 @@ def oracle_table(rho: np.ndarray, basis_a: np.ndarray, basis_b: np.ndarray):
     return w, p, defined
 
 
+def oracle_mixed_bbasis(w: np.ndarray, p: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Density matrix from a full weak-value table, read in the post-selection
+    basis B and rotated back to basis A, with beta[j, k] = <b_j|a_k>:
+
+        <b_i|rho|b_j> = P_j sum_k W_jk beta_ik / beta_jk,
+
+    entry by entry, then rho_A = beta^dag rho_B beta."""
+    d = p.size
+    rho_b = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            rho_b[i, j] = p[j] * sum(w[j, k] * beta[i, k] / beta[j, k] for k in range(d))
+    return beta.conj().T @ rho_b @ beta
+
+
 def oracle_shifts(w: complex, g: float, sigma_p: float):
     return g * w.real, 2.0 * g * w.imag * sigma_p**2
 

@@ -58,11 +58,10 @@ def pure_runs():
 def mixed_runs():
     t0 = time.perf_counter()
     bundles = {}
-    for scheme in ("mixed_a", "mixed_b"):
-        for d in DIMS:
-            for seed in range(N_STATES):
-                bundles[(scheme, d, seed)] = run_reconstruction(ExperimentConfig(
-                    dim=d, scheme=scheme, state_spec="ginibre", state_seed=seed))
+    for d in DIMS:
+        for seed in range(N_STATES):
+            bundles[(d, seed)] = run_reconstruction(ExperimentConfig(
+                dim=d, scheme="mixed_a", state_spec="ginibre", state_seed=seed))
     return bundles, time.perf_counter() - t0
 
 
@@ -77,24 +76,15 @@ def test_exact_pure_round_trips(pure_runs):
 
 
 def test_exact_mixed_round_trips(mixed_runs):
-    # both density-matrix assembly routes match the truth entrywise and
-    # agree with each other
+    # the density-matrix estimator matches the truth entrywise
     bundles, elapsed = mixed_runs
-    worst_err = 0.0
-    worst_mutual = 0.0
-    for d in DIMS:
-        for seed in range(N_STATES):
-            truth = random_density_matrix(d, d, seed).elements
-            raw_a = bundles[("mixed_a", d, seed)].estimate.raw
-            raw_b = bundles[("mixed_b", d, seed)].estimate.raw
-            worst_err = max(worst_err,
-                            np.abs(raw_a - truth).max(),
-                            np.abs(raw_b - truth).max())
-            worst_mutual = max(worst_mutual, np.abs(raw_a - raw_b).max())
-    ok = worst_err <= 1e-10 and worst_mutual <= 1e-10 and elapsed < 10.0
+    worst_err = max(np.abs(bundle.estimate.raw
+                           - random_density_matrix(d, d, seed).elements).max()
+                    for (d, seed), bundle in bundles.items())
+    ok = worst_err <= 1e-10 and elapsed < 10.0
     _verdict("exact mixed-state round trips", ok,
              f"{len(bundles)} runs, worst elementwise error {worst_err:.2e}, "
-             f"worst mutual gap {worst_mutual:.2e}, {elapsed:.2f}s")
+             f"{elapsed:.2f}s")
 
 
 def test_sum_rules_on_every_exact_table(pure_runs, mixed_runs):

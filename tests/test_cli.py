@@ -487,6 +487,19 @@ def test_integer_field_that_is_no_integer_is_usage_error(setting, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["pointer_g=true", "pointer_sigma_q=false",
+                                     "pointer_mean_q=true", "pointer_mean_p=false",
+                                     "noise_sigma_scale=false", "noise_offset=true",
+                                     "shots=-5"])
+def test_bool_number_or_negative_exact_shots_is_usage_error(setting, tmp_path):
+    out = tmp_path / "b.json"
+    proc = run_cli("reconstruct", "--set", "dim=2", "--set", "scheme=all_data", "--exact",
+                   "--set", setting, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage error")
+    assert not out.exists()
+
+
 def test_dotted_set_reaches_nested_fields(tmp_path):
     out = tmp_path / "b.json"
     proc = run_cli("reconstruct", "--set", "dim=2", "--set", "scheme=mixed_a",

@@ -136,7 +136,11 @@ def test_golden_masked_row_table():
 # element by 5.6e-17.  The 15 sampled digests were re-captured once, when
 # in-memory sampled runs began drawing per-cell sufficient statistics instead
 # of trials: the same law, different bits (tests/test_sampled_cells.py pins
-# the law); the records digests above did not move.
+# the law); the records digests above did not move.  The four mixed_b
+# digests were re-captured once, when mixed_b became the mixed_a estimator
+# under its b-basis name (every value within 5.2e-15 of the b-basis
+# rotation before); test_mixed_b_bundle_is_the_mixed_a_bundle_renamed pins
+# that their bundles differ only in the scheme name.
 PURE = ("postselected", "all_data", "single_projector", "single_observable")
 BUNDLE = {
     "postselected/exact/2": "45db3023f848af104fe0bc9214ee28ab9cbd6ce3a16de8b8e6656f9e586cde98",
@@ -159,10 +163,10 @@ BUNDLE = {
     "mixed_a/exact/3": "4d6585a0b8709baff8964e0acd433303d4099e3972c9d86d64b9e43a60163cec",
     "mixed_a/sampled/2": "5e24a27fa6089db108b90cbb41da41c0990bedc9b1b9520cfa2da952115f4916",
     "mixed_a/sampled/3": "0e3be145a0d30f48cece8867f94fad9754075afd1a111807e75b8eaa4c1d98b2",
-    "mixed_b/exact/2": "205224f08e20b8a0a8a824af723342f155561bbd699b7e39cb9bee076294d694",
-    "mixed_b/exact/3": "3ceafbcd64823740ac28d360f185feab737e0002fe5a832040172a69c90f2f90",
-    "mixed_b/sampled/2": "aa527918b95e2811c52a1bb33f505ed16393b86d32548f36b8e00cd75b5a7f45",
-    "mixed_b/sampled/3": "c55fa069b5ba0cdb34b275c6148359a28d3fa85e37216d5e977ef16a7f8fd921",
+    "mixed_b/exact/2": "f944f72c8a5aa9033aa218a16728bceada30fa3d3682f5f7ffd99fa7f3d7b9cc",
+    "mixed_b/exact/3": "ff4f4db7074f47cf952b3138aeedc44f38c7a81d00ded34dd1d9f62d3618efe5",
+    "mixed_b/sampled/2": "26c20622e9f3ba67b81689ec6fec6c69bef72d28feb9643e09cad0b556a14714",
+    "mixed_b/sampled/3": "3cef9c84be56beed5c4a28e2cc8445412d9cd2062a72a7f51a1e5d3f8b12af24",
     "partial/exact/2": "3bcb9f1689cf05ed9a957476e1e0def4b2e24939f043c1f780f26573c16588b8",
     "partial/exact/3": "f753b530be8184fcdcaa98faa9e997422c36ea155670b7791ae92e7671bb5b9e",
     "partial/sampled/2": "bf9b6c449f1233deed768032b8491ad39f0f22fbba589058d1e6d0464730e48c",
@@ -202,6 +206,13 @@ def _bundle_digest(key: str) -> str:
 @pytest.mark.parametrize("key", _bundle_keys())
 def test_golden_bundle(key):
     assert _bundle_digest(key) == BUNDLE[key]
+
+
+@pytest.mark.parametrize("mode_d", ["exact/2", "exact/3", "sampled/2", "sampled/3"])
+def test_mixed_b_bundle_is_the_mixed_a_bundle_renamed(mode_d):
+    a, b = (serialize.dumps(serialize.bundle_to_json(run_reconstruction(
+        _bundle_config(f"{scheme}/{mode_d}")))) for scheme in ("mixed_a", "mixed_b"))
+    assert b == a.replace('"mixed_a"', '"mixed_b"')
 
 
 def _current_digests():

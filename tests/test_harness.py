@@ -16,6 +16,7 @@ from weaktomo import (
     PreconditionError,
     PURE_SCHEMES,
     ResourceLimitError,
+    SCHEMES,
     SchemeInapplicableError,
     compare_schemes,
     demo_phase_detection,
@@ -63,6 +64,20 @@ def test_mixed_scheme_ginibre_exact():
                                state_rank=2, state_seed=5)
         bundle = run_reconstruction(cfg)
         assert bundle.metrics["trace_distance"] < 1e-10
+
+
+def test_mixed_b_is_the_mixed_a_scheme():
+    assert SCHEMES["mixed_b"] is SCHEMES["mixed_a"]
+
+
+@given(state_seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6))
+def test_state_schemes_agree_on_exact_data(state_seed, d):
+    # One Haar-pure truth and Fourier B: every scheme that estimates the
+    # whole state recovers it from the exact table.
+    for scheme in (*PURE_SCHEMES, "mixed_a"):
+        bundle = run_reconstruction(ExperimentConfig(dim=d, scheme=scheme,
+                                                     state_seed=state_seed))
+        assert bundle.metrics["fidelity"] >= 1.0 - 1e-10, scheme
 
 
 def test_single_observable_reports_kernel():
@@ -461,8 +476,18 @@ def test_config_validation():
                    {"pointer_sigma_q": 0.0},
                    {"pointer_mean_p": math.inf},
                    {"noise_offset": math.nan},
+                   # squares the sampler and the estimator form must be finite
+                   {"data_mode": "sampled", "shots": 10, "pointer_sigma_q": 1e-200},
+                   {"data_mode": "sampled", "shots": 10, "noise_offset": 1e200},
+                   {"pointer_sigma_q": 1e200},
+                   {"pointer_mean_q": -1e200},
+                   {"noise_sigma_scale": 1e200},
                    {"data_mode": "sampled", "shots": 2.5},
                    {"shots": True},
+                   {"shots": -5},
+                   {"pointer_g": True},
+                   {"pointer_sigma_q": np.bool_(True)},
+                   {"noise_sigma_scale": False},
                    {"seed": 2.5},
                    {"seed": -1},
                    {"state_seed": 1.5},

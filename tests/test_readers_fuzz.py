@@ -191,6 +191,12 @@ config_value = st.one_of(
          state_spec="haar-pure", mode="--exact")
 @example(field="noise_offset", value="7.4e152", scheme="all_data",   # readout sums
          state_spec="haar-pure", mode="--sampled")                   # overflow
+@example(field="pointer_g", value="true", scheme="all_data", state_spec="haar-pure",
+         mode="--exact")
+@example(field="noise_sigma_scale", value="false", scheme="mixed_a", state_spec="ginibre",
+         mode="--sampled")
+@example(field="shots", value="-5", scheme="all_data", state_spec="haar-pure",
+         mode="--exact")
 def test_config_fields_never_escape(field, value, scheme, state_spec, mode):
     with tempfile.TemporaryDirectory() as tmp:
         code = cli.main(["reconstruct", "--set", "dim=2", "--set", f"scheme={scheme}",
@@ -198,3 +204,8 @@ def test_config_fields_never_escape(field, value, scheme, state_spec, mode):
                          "--set", f"{field}={value}",
                          "--out", str(Path(tmp) / "bundle.json"), "--quiet"])
     assert code in (0, 1, 2), (field, value, code)
+    # A bool is no pointer or noise number, and no shot count is negative.
+    if field.startswith(("pointer_", "noise_")) and value in ("true", "false"):
+        assert code == 2, (field, value, code)
+    if field == "shots" and value.lstrip("-").isdigit() and int(value) < 0:
+        assert code == 2, (field, value, code)
