@@ -271,6 +271,22 @@ def test_mixed_bbasis_qubit_example():
     assert reconstruct_mixed_bbasis is reconstruct_mixed_abasis
 
 
+@pytest.mark.parametrize("dim,rank,seed", [(2, 2, 0), (3, 2, 1), (4, 4, 2)])
+def test_mixed_bases_mutually_agree(dim, rank, seed):
+    # Both public names and the b-basis read-out recover the same state.
+    rho = random_density_matrix(dim, rank, seed)
+    basis_a = reference_basis(dim)
+    basis_b = fourier_basis(dim)
+    beta = transition_matrix(basis_a, basis_b)
+    table = weak_value_table(rho, basis_a, basis_b)
+    est_a = reconstruct_mixed_abasis(table, beta)
+    est_b = reconstruct_mixed_bbasis(table, beta)
+    raw_b = oracle_mixed_bbasis(table.W, table.P, beta.beta)
+    assert np.max(np.abs(est_a.raw - rho.elements)) < 1e-10
+    assert np.max(np.abs(raw_b - rho.elements)) < 1e-10
+    assert np.max(np.abs(est_a.physical.elements - est_b.physical.elements)) < 1e-10
+
+
 def test_mixed_abasis_missing_row_named():
     psi = StateVector.normalized(np.array([1.0, 1.0]))
     basis_a = reference_basis(2)
