@@ -167,7 +167,7 @@ def _verify_matrix(arr: np.ndarray) -> dict:
         return {"kind": "density_matrix", "dim": rho.dim,
                 "hermiticity_dev": herm,
                 "trace_dev": abs(trace - 1.0),
-                "min_eigenvalue": rho.min_eigenvalue}
+                "min_eigenvalue": float(np.linalg.eigvalsh(rho.elements).min())}
     gram_dev = float(np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0]))))
     if gram_dev <= 1e-10:
         basis = OrthonormalBasis(arr)

@@ -42,6 +42,7 @@ from .pointer import (
     NoiseModel,
     PointerConfig,
     RecordStream,
+    _check_readout_scales,
     _sampled_table,
     sample_records,
 )
@@ -133,9 +134,9 @@ class ExperimentConfig:
         if self.state_rank is not None:
             _check_integer(self.state_rank, "state_rank", 1, self.dim)
         _check_integer(self.postselect_row, "postselect_row", 0, self.dim - 1)
-        # The pointer and noise fields are checked where they are used.
-        self.pointer_config(1)
-        _resolve_noise(self)
+        # The pointer and noise fields are checked where they are used, and
+        # together for the most pointers a scheme reads, one per dimension.
+        _check_readout_scales(self.pointer_config(self.dim), _resolve_noise(self))
 
     def pointer_config(self, n_pointers: int) -> PointerConfig:
         """n_pointers identical pointers with the configured parameters."""

@@ -129,6 +129,18 @@ class NoiseModel:
             raise ValueError("readout_sigma_scale must be >= 0")
 
 
+def _check_readout_scales(cfg: PointerConfig, noise: NoiseModel) -> None:
+    """Raise ValueError unless the squares that the sampler and the estimator
+    form from a pointer value and a noise value together are finite: each
+    readout spread, sigma_q or sigma_p times the noise scale, and the squared
+    norm n_pointers (offset / g)^2 of a row of weak values that the offset
+    shifts by offset / g each (g = 0 is refused by the estimator itself)."""
+    scale = noise.readout_sigma_scale
+    row = noise.systematic_offset / cfg.g * cfg.n_pointers**0.5 if cfg.g > 0 else 0.0
+    _check_reals("pointer and noise", sigma_q_times_scale=cfg.sigma_q * scale,
+                 sigma_p_times_scale=cfg.sigma_p * scale, offset_over_g_row_norm=row)
+
+
 @dataclass(frozen=True)
 class RecordStream:
     """Columnar batch of experiment records, one row per pointer readout,
@@ -291,6 +303,7 @@ def _readout_law(dq: np.ndarray, dp: np.ndarray, cfg: PointerConfig,
     of every (outcome, quadrature) from the (d, n_pointers) shifts dq/dp,
     with the noise model applied."""
     noise = noise or NoiseModel()
+    _check_readout_scales(cfg, noise)
     means = np.empty((dq.shape[0], 2, cfg.n_pointers))
     means[:, QUAD_POSITION] = cfg.mean_q + dq + noise.systematic_offset
     means[:, QUAD_MOMENTUM] = cfg.mean_p + dp

@@ -5,6 +5,7 @@ are one-dimensional complex arrays; bases keep their vectors as columns.
 Arrays held by the types below are frozen (read-only views) after validation.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,35 +87,44 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
+def _unit_trace_hermitian(elements) -> np.ndarray:
+    """The frozen complex matrix, once it is square, finite, Hermitian within
+    1e-12 and of trace 1 within 1e-12: the checks every density matrix gets."""
+    mat = np.asarray(elements, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {mat.shape}")
+    _check_dim(mat.shape[0])
+    _check_finite(mat, "density matrix")
+    if np.max(np.abs(mat - mat.conj().T)) > ATOL_EXACT:
+        raise ValueError("density matrix is not Hermitian within 1e-12")
+    if abs(np.trace(mat).real - 1.0) > ATOL_EXACT:
+        raise ValueError(f"trace {np.trace(mat)} is not 1 within {ATOL_EXACT}")
+    return _frozen(mat, complex)
+
+
+_NEGATIVE_EIGENVALUE = "density matrix has an eigenvalue below -1e-10"
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Mixed state: Hermitian, positive semidefinite, unit trace.
 
-    ``min_eigenvalue`` is the smallest eigenvalue found by the PSD check.
+    The PSD check is a Cholesky factorisation of rho + 1e-10 I, which
+    succeeds exactly when no eigenvalue of rho is below -1e-10.
     """
 
     elements: np.ndarray
-    min_eigenvalue: float = field(init=False, repr=False, compare=False)
     # (eigenvalues, eigenvectors) of ``elements`` when the matrix was built
     # from its eigendecomposition; fidelity reuses it instead of calling eigh.
     _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.elements, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        _check_dim(mat.shape[0])
-        _check_finite(mat, "density matrix")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL_EXACT:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(mat).real - 1.0) > ATOL_EXACT:
-            raise ValueError(f"trace {np.trace(mat)} is not 1 within {ATOL_EXACT}")
-        # PSD check goes through eigh, so it gets the looser tolerance.
-        min_eig = float(np.linalg.eigvalsh(mat).min())
-        if min_eig < -ATOL_EIG:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
-        object.__setattr__(self, "elements", _frozen(mat, complex))
-        object.__setattr__(self, "min_eigenvalue", min_eig)
+        mat = _unit_trace_hermitian(self.elements)
+        try:
+            np.linalg.cholesky(mat + ATOL_EIG * np.eye(mat.shape[0]))
+        except np.linalg.LinAlgError:
+            raise ValueError(_NEGATIVE_EIGENVALUE) from None
+        object.__setattr__(self, "elements", mat)
 
     @property
     def dim(self) -> int:
@@ -122,10 +132,21 @@ class DensityMatrix:
 
 
 def _density_from_spectrum(vals: np.ndarray, vecs: np.ndarray) -> DensityMatrix:
-    """The validated DensityMatrix V diag(vals) V^dag, carrying (vals, vecs)."""
-    rho = DensityMatrix((vecs * vals) @ vecs.conj().T)
+    """The DensityMatrix V diag(vals) V^dag, carrying (vals, vecs).
+
+    It is checked as every density matrix is, except that PSD is read off
+    the spectrum it is built from: no value below -1e-10, and V unitary
+    within 1e-10.
+    """
     vals, vecs = _frozen(vals, float), np.asarray(vecs, dtype=complex)
     vecs.setflags(write=False)
+    mat = _unit_trace_hermitian((vecs * vals) @ vecs.conj().T)
+    if vals.min() < -ATOL_EIG:
+        raise ValueError(_NEGATIVE_EIGENVALUE)
+    if np.max(np.abs(vecs.conj().T @ vecs - np.eye(vals.size))) > ATOL_EIG:
+        raise ValueError("eigenvectors are not orthonormal within 1e-10")
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "elements", mat)
     object.__setattr__(rho, "_spectrum", (vals, vecs))
     return rho
 
@@ -265,9 +286,21 @@ def _complete_basis(columns: list[np.ndarray]) -> OrthonormalBasis:
 
 
 def reference_basis(dim: int) -> OrthonormalBasis:
-    """Computational basis: the identity columns."""
+    """Computational basis: the identity columns.  Each dimension's basis is
+    built and checked once, and every call returns that same object."""
     _check_dim(dim)
+    return _reference_basis(int(dim))
+
+
+@functools.lru_cache(maxsize=16)
+def _reference_basis(dim: int) -> OrthonormalBasis:
     return OrthonormalBasis(np.eye(dim, dtype=complex))
+
+
+def _is_reference(basis: OrthonormalBasis) -> bool:
+    """Whether ``basis`` is the object ``reference_basis`` returns, whose
+    vectors are the identity, so a product by them can be skipped."""
+    return basis is _reference_basis(basis.dim)
 
 
 def fourier_basis(dim: int) -> OrthonormalBasis:
@@ -285,7 +318,15 @@ def transition_matrix(basis_a: OrthonormalBasis, basis_b: OrthonormalBasis) -> T
     """Overlap matrix beta[j, i] = <b_j|a_i> between two bases."""
     if basis_a.dim != basis_b.dim:
         raise DimensionMismatchError(f"dims {basis_a.dim} and {basis_b.dim} differ")
-    return TransitionMatrix(basis_b.vectors.conj().T @ basis_a.vectors)
+    return TransitionMatrix(_overlaps(basis_a, basis_b))
+
+
+def _overlaps(basis_a: OrthonormalBasis, basis_b: OrthonormalBasis) -> np.ndarray:
+    """beta[j, i] = <b_j|a_i>: B^dag A, which is B^dag itself when A is the
+    reference basis.  Adding 0.0 turns each -0.0 that conj leaves into the
+    0.0 that the product by the identity gives, so the two are byte-equal."""
+    bv_dag = basis_b.vectors.conj().T
+    return bv_dag + 0.0 if _is_reference(basis_a) else bv_dag @ basis_a.vectors
 
 
 def random_pure_state(dim: int, seed) -> StateVector:
@@ -319,8 +360,12 @@ def fidelity(x, y) -> float:
     """Fidelity between two states (pure or mixed, in any combination).
 
     Pure-pure pairs use |<x|y>|^2; a pure-mixed pair uses <psi|rho|psi>;
-    the general case is (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, with rho = x
-    and sqrt(rho) taken from the eigendecomposition x carries, if it does.
+    the general case is (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, with rho = x,
+    read as (sum_k sqrt(mu_k))^2 over the eigenvalues mu_k of L^dag sigma L,
+    L = V sqrt(Lambda) from the eigendecomposition x carries, if it does.
+    L L^dag = rho, so those are the eigenvalues of sqrt(rho) sigma sqrt(rho).
+    Eigenvalues below d * eps * max(mu), numpy's rank tolerance, are
+    rounding noise of the zero ones and are dropped.
     """
     if isinstance(x, StateVector) and isinstance(y, StateVector):
         return float(abs(x.overlap(y)) ** 2)
@@ -336,14 +381,21 @@ def fidelity(x, y) -> float:
     if rho.shape != sigma.shape:
         raise DimensionMismatchError(f"shapes {rho.shape} and {sigma.shape} differ")
     vals, vecs = x._spectrum if x._spectrum is not None else np.linalg.eigh(rho)
-    sq = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    inner = np.linalg.eigvalsh(sq @ sigma @ sq)
-    root = np.sqrt(np.clip(inner, 0.0, None)).sum()
-    return float(min(root**2, 1.0))
+    factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    inner = np.linalg.eigvalsh(factor.conj().T @ sigma @ factor)
+    kept = inner[inner > max(inner[-1], 0.0) * inner.size * np.finfo(float).eps]
+    return float(min(np.sqrt(kept).sum() ** 2, 1.0))
 
 
 def trace_distance(x, y) -> float:
-    """Trace distance (1/2) tr |rho - sigma|; accepts pure or mixed states."""
+    """Trace distance (1/2) tr |rho - sigma|; accepts pure or mixed states.
+
+    For two pure states it is the norm of the part of y orthogonal to x,
+    ||y - <x|y> x||, in O(d).
+    """
+    if isinstance(x, StateVector) and isinstance(y, StateVector):
+        overlap = x.overlap(y)
+        return float(np.linalg.norm(y.amplitudes - overlap * x.amplitudes))
     rho, sigma = _as_density(x), _as_density(y)
     if rho.shape != sigma.shape:
         raise DimensionMismatchError(f"shapes {rho.shape} and {sigma.shape} differ")

@@ -22,6 +22,8 @@ from .qcore import (
     StateVector,
     _as_density,
     _check_finite,
+    _is_reference,
+    _overlaps,
 )
 
 
@@ -133,9 +135,9 @@ def weak_value_table(rho, measured, basis_b: OrthonormalBasis) -> WeakValueTable
     if isinstance(measured, Observable):
         numer = np.einsum("ij,ji->i", bv.conj().T, measured.matrix @ mat @ bv)[:, None]
     else:
-        av = measured.vectors
-        beta = bv.conj().T @ av                  # beta[j, i] = <b_j|a_i>
-        cross = av.conj().T @ rho_b              # cross[i, j] = <a_i|rho|b_j>
+        beta = _overlaps(measured, basis_b)      # beta[j, i] = <b_j|a_i>
+        # cross[i, j] = <a_i|rho|b_j>; a_i is e_i in the reference basis.
+        cross = rho_b if _is_reference(measured) else measured.vectors.conj().T @ rho_b
         numer = beta * cross.T
     P = np.einsum("ij,ji->i", bv.conj().T, rho_b).real
     defined = P > PROB_FLOOR

@@ -84,6 +84,8 @@ def test_verify_state_basis_and_config(tmp_path):
     run_cli("gen", "--kind", "mixed", "--dim", "2", "--out", str(mixed), "--quiet")
     out = json.loads(run_cli("verify", str(mixed)).stdout)
     assert out["kind"] == "density_matrix"
+    rho = ser.array_from_json(json.loads(mixed.read_text()))
+    assert out["min_eigenvalue"] == float(np.linalg.eigvalsh(rho).min())
 
     basis = tmp_path / "basis.json"
     run_cli("gen", "--kind", "basis", "--dim", "3", "--out", str(basis), "--quiet")

@@ -482,6 +482,13 @@ def test_config_validation():
                    {"pointer_sigma_q": 1e200},
                    {"pointer_mean_q": -1e200},
                    {"noise_sigma_scale": 1e200},
+                   # and so must those formed from two values: offset / g
+                   # shifts each estimated Re W by 1.5e154, so a row's squared
+                   # norm, 2 (offset / g)^2, is not finite; nor is the square
+                   # of the readout spread sigma_q times the noise scale
+                   {"data_mode": "sampled", "shots": 1000, "noise_offset": 7.4e152},
+                   {"data_mode": "sampled", "shots": 1000, "pointer_sigma_q": 1e150,
+                    "noise_sigma_scale": 1e10},
                    {"data_mode": "sampled", "shots": 2.5},
                    {"shots": True},
                    {"shots": -5},

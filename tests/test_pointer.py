@@ -28,6 +28,8 @@ from weaktomo import (
     weak_value_table,
 )
 
+from weaktomo.pointer import _sampled_table
+
 from oracles import (
     oracle_first_order_probability,
     oracle_gaussian_pointer,
@@ -335,6 +337,18 @@ def test_sampling_systematic_offset_biases_positions():
     # offset / g = 5 lands on every real part; imaginary parts are untouched
     assert np.max(np.abs(est.W.real - table.W.real - 5.0)) < 1e-12
     assert np.max(np.abs(est.W.imag - table.W.imag)) < 1e-12
+
+
+@pytest.mark.parametrize("cfg, noise", [
+    (PointerConfig(2), NoiseModel(systematic_offset=7.4e152)),
+    (PointerConfig(2, sigma_q=1e150), NoiseModel(readout_sigma_scale=1e10)),
+], ids=["offset_over_g", "spread_times_scale"])
+def test_sampling_refuses_pointer_and_noise_values_that_overflow_together(cfg, noise):
+    # each value has a finite square; what the sampler forms from two does not
+    for sample in (sample_records, _sampled_table):
+        with pytest.raises(ValueError, match="finite square"):
+            sample(random_pure_state(2, 0), reference_basis(2), fourier_basis(2), cfg,
+                   1000, 0, noise)
 
 
 def test_sampling_estimates_consistent_within_four_sigma():

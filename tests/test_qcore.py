@@ -27,6 +27,7 @@ from weaktomo import (
     transition_matrix,
     serialize,
 )
+from weaktomo.qcore import _density_from_spectrum
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 NAN, INF = float("nan"), float("inf")
@@ -166,11 +167,103 @@ def test_fidelity_symmetric_mixed():
         x = random_density_matrix(3, 3, 2 * seed)
         y = random_density_matrix(3, 3, 2 * seed + 1)
         assert abs(fidelity(x, y) - fidelity(y, x)) < 1e-12
-    # rank-deficient inputs: the matrix square root loses digits at the
-    # zero eigenvalues, so only ~1e-8 symmetry is achievable
+    # rank-deficient input: the rounding-level eigenvalues at the zero ones
+    # are dropped, not square-rooted, so the symmetry holds as for full rank
     x = random_density_matrix(3, 2, 3)
     y = random_density_matrix(3, 3, 8)
-    assert abs(fidelity(x, y) - fidelity(y, x)) < 1e-7
+    assert abs(fidelity(x, y) - fidelity(y, x)) < 1e-12
+
+
+def _support_fidelity(rho, sigma, rank):
+    # (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 on the top-rank eigenvectors of rho
+    vals, vecs = np.linalg.eigh(rho.elements)
+    factor = vecs[:, -rank:] * np.sqrt(vals[-rank:])
+    return np.sqrt(np.linalg.eigvalsh(factor.conj().T @ sigma.elements @ factor)).sum() ** 2
+
+
+@pytest.mark.parametrize("d", [16, 64, 256])
+def test_fidelity_of_rank_deficient_states_is_read_on_the_support(d):
+    for seed in range(3):
+        rho = random_density_matrix(d, 2, seed)
+        sigma = random_density_matrix(d, 2, seed + 100)
+        exact = _support_fidelity(rho, sigma, 2)
+        assert abs(fidelity(rho, sigma) - exact) <= 1e-12
+        assert abs(fidelity(sigma, rho) - exact) <= 1e-12
+
+
+def _pure_trace_distance_by_eigvalsh(psi, phi):
+    return 0.5 * np.abs(np.linalg.eigvalsh(
+        np.outer(psi.amplitudes, psi.amplitudes.conj())
+        - np.outer(phi.amplitudes, phi.amplitudes.conj()))).sum()
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 16),
+       theta=st.floats(0.0, 2 * np.pi))
+def test_pure_trace_distance_is_the_orthogonal_component(seed, d, theta):
+    psi, phi = random_pure_state(d, seed), random_pure_state(d, [seed, 1])
+    dist = trace_distance(psi, phi)
+    assert abs(dist - _pure_trace_distance_by_eigvalsh(psi, phi)) <= 1e-12
+    assert abs(dist - trace_distance(phi, psi)) <= 1e-12
+    assert abs(dist - np.sqrt(1.0 - fidelity(psi, phi))) <= 1e-7
+    # the same ray: 1 - |<psi|phi>|^2 cancels to +-2e-16 here, whose square
+    # root would read about 1.5e-8
+    assert trace_distance(psi, StateVector(np.exp(1j * theta) * psi.amplitudes)) <= 1e-15
+
+
+def _state_with_spectrum(vals, seed):
+    d = len(vals)
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    mat = (q * np.asarray(vals)) @ q.conj().T
+    return (mat + mat.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("d", [2, 64])
+def test_density_matrix_psd_check_draws_the_line_at_minus_1e_10(d):
+    for lowest, accepted in ((-0.99e-10, True), (-1.01e-10, False)):
+        vals = np.full(d, (1.0 - lowest) / (d - 1))
+        vals[0] = lowest
+        mat = _state_with_spectrum(vals, d)
+        if accepted:
+            DensityMatrix(mat)
+        else:
+            with pytest.raises(ValueError, match="below -1e-10"):
+                DensityMatrix(mat)
+    for rank in (1, 2):
+        vals = np.zeros(d)
+        vals[:rank] = 1.0 / rank
+        DensityMatrix(_state_with_spectrum(vals, d + rank))
+        random_density_matrix(d, rank, rank)
+
+
+def test_density_from_spectrum_checks_the_spectrum_it_carries():
+    d = 4
+    vals = np.array([0.0, 0.2, 0.3, 0.5])
+    vecs = np.linalg.qr(np.random.default_rng(0).standard_normal((d, d)) + 0j)[0]
+    rho = _density_from_spectrum(vals, vecs)
+    assert np.max(np.abs(rho.elements - (vecs * vals) @ vecs.conj().T)) == 0.0
+    assert rho._spectrum[0].tolist() == vals.tolist()
+    negative = np.array([-1e-9, 0.2, 0.3, 0.5 + 1e-9])
+    with pytest.raises(ValueError, match="below -1e-10"):
+        _density_from_spectrum(negative, vecs)
+    # Column 0 has weight 0, so stretching it leaves the matrix as it was and
+    # only the unitarity check sees it.
+    for column, message in ((3, "trace"), (0, "orthonormal")):
+        stretched = vecs.copy()
+        stretched[:, column] *= 1.0 + 1e-8
+        with pytest.raises(ValueError, match=message):
+            _density_from_spectrum(vals, stretched)
+
+
+def test_reference_basis_is_built_once_per_dimension():
+    assert reference_basis(5) is reference_basis(5)
+    assert reference_basis(np.int64(5)) is reference_basis(5)
+    assert not reference_basis(5).vectors.flags.writeable
+    assert reference_basis(5).vectors.tolist() == np.eye(5).tolist()
+    with pytest.raises(InvalidDimensionError):
+        reference_basis(1)
+    with pytest.raises(InvalidDimensionError):
+        reference_basis(5.0)
 
 
 def test_trace_distance_triangle_inequality():

@@ -420,7 +420,7 @@ def test_project_physical_is_nearest_state():
 
 
 def _count_eigen_calls(monkeypatch):
-    calls = {"eigh": 0, "eigvalsh": 0}
+    calls = {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
     for name in calls:
         original = getattr(np.linalg, name)
 
@@ -433,22 +433,22 @@ def _count_eigen_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("scheme", ["mixed_a", "mixed_b"])
-def test_exact_mixed_run_makes_one_eigh_and_four_eigvalsh(monkeypatch, scheme):
-    # eigh: the physical projection. eigvalsh: the PSD checks of the truth
-    # and of the estimate, the inner root of fidelity, and trace_distance.
+def test_exact_mixed_run_makes_one_eigh_two_eigvalsh_one_cholesky(monkeypatch, scheme):
+    # cholesky: the Ginibre truth's PSD check. eigh: the physical projection,
+    # whose spectrum is the estimate's PSD check. eigvalsh: the inner root of
+    # fidelity, and trace_distance.
     calls = _count_eigen_calls(monkeypatch)
-    run_reconstruction(ExperimentConfig(scheme=scheme, dim=16, state_spec="ginibre", seed=5))
-    assert calls == {"eigh": 1, "eigvalsh": 4}
+    run_reconstruction(ExperimentConfig(scheme=scheme, dim=8, state_spec="ginibre", seed=5))
+    assert calls == {"eigh": 1, "eigvalsh": 2, "cholesky": 1}
 
 
 def test_all_data_reconstruction_makes_no_eigendecomposition(monkeypatch):
-    psi = random_pure_state(16, 5)
-    basis_a, basis_b = reference_basis(16), fourier_basis(16)
-    table = weak_value_table(psi, basis_a, basis_b)
-    beta = transition_matrix(basis_a, basis_b)
+    # the whole exact run: a pure truth is never expanded to a checked d x d
+    # matrix, and pure-pure fidelity and trace distance are O(d)
     calls = _count_eigen_calls(monkeypatch)
-    reconstruct_pure_all_data(table, beta)
-    assert calls == {"eigh": 0, "eigvalsh": 0}
+    bundle = run_reconstruction(ExperimentConfig(scheme="all_data", dim=16, seed=5))
+    assert calls == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
+    assert bundle.metrics["fidelity"] >= 1.0 - 1e-12
 
 
 # ------------------------------------------------------------ property tests

@@ -18,6 +18,7 @@ from weaktomo import (
     random_density_matrix,
     random_pure_state,
     reference_basis,
+    transition_matrix,
     weak_value,
     weak_value_table,
 )
@@ -221,3 +222,21 @@ def test_table_rejects_bad_probabilities():
     with pytest.raises(ValueError):
         WeakValueTable(dim=2, W=np.zeros((2, 2), dtype=complex),
                        P=np.array([0.7, 0.7]), defined=np.array([True, True]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 64])
+def test_reference_basis_shortcut_is_byte_equal_to_the_product(d):
+    # reference_basis(d) skips the products by its identity vectors; a fresh
+    # basis with the same vectors goes through them
+    fresh = OrthonormalBasis(np.eye(d))
+    rng = np.random.default_rng(d)
+    random_b = OrthonormalBasis(np.linalg.qr(rng.standard_normal((d, d))
+                                             + 1j * rng.standard_normal((d, d)))[0])
+    for basis_b in (fourier_basis(d), random_b):
+        assert (transition_matrix(reference_basis(d), basis_b).beta.tobytes()
+                == transition_matrix(fresh, basis_b).beta.tobytes())
+        for rho in (random_density_matrix(d, d, d), random_pure_state(d, d)):
+            short = weak_value_table(rho, reference_basis(d), basis_b)
+            full = weak_value_table(rho, fresh, basis_b)
+            assert short.W.tobytes() == full.W.tobytes()
+            assert short.P.tobytes() == full.P.tobytes()
