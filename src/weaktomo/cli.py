@@ -135,7 +135,8 @@ def _load_data(args, cfg):
     if args.table:
         return serialize.table_from_json(serialize.load_path(args.table))
     if args.records:
-        with open(args.records) as fh:
+        # newline="": the reader, not the file layer, decides what ends a line.
+        with open(args.records, newline="") as fh:
             records = RecordStream.from_csv(fh.read())
         # The records' own pointer count, so the scheme's check names a
         # mismatch; pointers past d are left for the estimator to reject by row.

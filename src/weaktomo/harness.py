@@ -135,8 +135,10 @@ class ExperimentConfig:
             _check_integer(self.state_rank, "state_rank", 1, self.dim)
         _check_integer(self.postselect_row, "postselect_row", 0, self.dim - 1)
         # The pointer and noise fields are checked where they are used, and
-        # together for the most pointers a scheme reads, one per dimension.
-        _check_readout_scales(self.pointer_config(self.dim), _resolve_noise(self))
+        # together for the most pointers a scheme reads, one per dimension,
+        # and for the configured shots.
+        _check_readout_scales(self.pointer_config(self.dim), _resolve_noise(self),
+                              self.shots)
 
     def pointer_config(self, n_pointers: int) -> PointerConfig:
         """n_pointers identical pointers with the configured parameters."""

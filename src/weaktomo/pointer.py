@@ -31,6 +31,7 @@ to the same cells and feeds them to the same estimator (``_estimate_cells``).
 """
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,18 @@ QUAD_POSITION = 0
 QUAD_MOMENTUM = 1
 _QUAD_NAMES = ("q", "p")
 _QUAD_CODES = {name: code for code, name in enumerate(_QUAD_NAMES)}
+
+# The records CSV: its header and the fields of a row.
+_HEADER = "trial,outcome_j,pointer,quadrature,readout"
+_COLUMNS = ("trial", "outcome", "pointer", "quadrature", "readout")
+_DTYPES = (np.int64, np.int64, np.int64, np.uint8, np.float64)
+_QUAD_CELLS = np.array([f"{name}," for name in _QUAD_NAMES], dtype=object)
+# The numeric fields, which np.loadtxt reads.
+_NUMBERS = np.dtype([(name, dtype) for name, dtype in zip(_COLUMNS, _DTYPES)
+                     if name != "quadrature"])
+# Rows formatted per chunk by to_csv; characters read per block by from_csv.
+_WRITE_ROWS = 1 << 14
+_READ_CHARS = 1 << 18
 # The largest magnitude whose square is a finite float.
 _SQUARE_LIMIT = float(np.sqrt(np.finfo(float).max))
 
@@ -129,16 +142,24 @@ class NoiseModel:
             raise ValueError("readout_sigma_scale must be >= 0")
 
 
-def _check_readout_scales(cfg: PointerConfig, noise: NoiseModel) -> None:
+def _check_readout_scales(cfg: PointerConfig, noise: NoiseModel, shots: int) -> None:
     """Raise ValueError unless the squares that the sampler and the estimator
-    form from a pointer value and a noise value together are finite: each
-    readout spread, sigma_q or sigma_p times the noise scale, and the squared
-    norm n_pointers (offset / g)^2 of a row of weak values that the offset
-    shifts by offset / g each (g = 0 is refused by the estimator itself)."""
+    form from pointer and noise values together are finite: each readout
+    spread, sigma_q or sigma_p times the noise scale; the squared norm
+    n_pointers (offset / g)^2 of a row of weak values that the offset shifts
+    by offset / g each (g = 0 is refused by the estimator itself); and the
+    sums of squared readouts of a cell, up to shots (|mean| + |offset| +
+    spread)^2 in each quadrature.  Shots beyond 2^63 - 1, which the sampler
+    refuses, are bounded there."""
     scale = noise.readout_sigma_scale
     row = noise.systematic_offset / cfg.g * cfg.n_pointers**0.5 if cfg.g > 0 else 0.0
+    root = math.sqrt(min(shots, np.iinfo(np.int64).max))
     _check_reals("pointer and noise", sigma_q_times_scale=cfg.sigma_q * scale,
-                 sigma_p_times_scale=cfg.sigma_p * scale, offset_over_g_row_norm=row)
+                 sigma_p_times_scale=cfg.sigma_p * scale, offset_over_g_row_norm=row,
+                 position_readout_times_root_shots=root * (
+                     abs(cfg.mean_q) + abs(noise.systematic_offset) + cfg.sigma_q * scale),
+                 momentum_readout_times_root_shots=root * (
+                     abs(cfg.mean_p) + cfg.sigma_p * scale))
 
 
 @dataclass(frozen=True)
@@ -176,61 +197,202 @@ class RecordStream:
         return self.trial.size
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("trial,outcome_j,pointer,quadrature,readout\n")
-        # repr of a Python float round-trips exactly; numpy scalars do not.
-        for t, j, i, c, r in zip(self.trial.tolist(), self.outcome.tolist(),
-                                 self.pointer.tolist(), self.quadrature.tolist(),
-                                 self.readout.tolist()):
-            buf.write(f"{t},{j},{i},{_QUAD_NAMES[c]},{r!r}\n")
-        return buf.getvalue()
+        """The rows as CSV text, in the grammar ``from_csv`` reads.
+
+        Readouts are written as ``repr`` of a Python float, the shortest text
+        that reads back to the same bits (numpy scalars print otherwise).
+        Rows are formatted in chunks of ``_WRITE_ROWS`` and the chunks joined
+        once; no buffer holds the text at four bytes a character, as an
+        ``io.StringIO`` would.  A quadrature other than 0 or 1 raises
+        InvalidRecordsError naming its first row.
+        """
+        quad = self.quadrature
+        if quad.size and quad.max() > QUAD_MOMENTUM:
+            row = int(np.argmax(quad > QUAD_MOMENTUM))
+            raise InvalidRecordsError(
+                f"records row {row + 1}: quadrature {quad[row]} outside [0, 2)")
+        chunks = [_HEADER]
+        for start in range(0, len(self), _WRITE_ROWS):
+            rows = slice(start, start + _WRITE_ROWS)
+            cells = [""] * (5 * quad[rows].size)
+            # Each row is "\n" + "t," + "j," + "i," + "q," + repr(readout).
+            cells[0::5] = _decimals(self.trial[rows], "\n", ",")
+            cells[1::5] = _decimals(self.outcome[rows], "", ",")
+            cells[2::5] = _decimals(self.pointer[rows], "", ",")
+            cells[3::5] = _QUAD_CELLS[quad[rows]].tolist()
+            cells[4::5] = map(repr, self.readout[rows].tolist())
+            chunks.append("".join(cells))
+        chunks.append("\n")
+        return "".join(chunks)
 
     @classmethod
     def from_csv(cls, text: str) -> "RecordStream":
-        """Parse ``to_csv`` output; blank lines are skipped.
+        """Parse ``to_csv`` output.
 
-        Raises InvalidRecordsError for a foreign header, a row without five
-        fields, a quadrature other than q/p, an unparsable number or an
-        index beyond 64 bits.  Rows are numbered from 1 after the header, as
-        the estimators number them.
+        The grammar: the header line ``trial,outcome_j,pointer,quadrature,readout``,
+        then one row per line of five comma-separated fields: trial, outcome
+        and pointer as ASCII decimal integers (an optional sign, then digits),
+        the quadrature as ``q`` or ``p``, and the readout in Python float
+        syntax (``nan`` and ``inf`` included).  Lines end in ``\n`` or
+        ``\r\n``; blank lines are skipped.  Anything else raises
+        InvalidRecordsError naming the first bad row: a foreign header, a row
+        without five fields, a quadrature other than q/p, an unparsable
+        number, whitespace, an underscore or a non-ASCII character in a field
+        (``int`` and ``float`` would read ``1_0`` or an Arabic-Indic digit),
+        or an index beyond 64 bits, which is named only when no row is
+        unparsable.  Rows are numbered from 1 after the header, as the
+        estimators number them.
+
+        The text is read in blocks of about ``_READ_CHARS`` characters cut at
+        line ends.  A block whose rows all keep to the grammar ``to_csv``
+        writes is checked and parsed column-wise (``_block_columns``); any
+        other block is read row by row (``_scan_rows``), which names the
+        first bad row.
         """
-        trials, outcomes, pointers, quads, readouts = [], [], [], [], []
-        lines = iter(text.splitlines())
-        header = next(lines, "").strip()
-        if header != "trial,outcome_j,pointer,quadrature,readout":
+        end = text.find("\n")
+        end = len(text) if end < 0 else end
+        header = text[:end].removesuffix("\r")
+        if header != _HEADER:
             raise InvalidRecordsError(f"unexpected record CSV header: {header!r}")
-        for row, line in enumerate(filter(None, lines), start=1):
-            fields = line.split(",")
-            if len(fields) != 5:
-                raise InvalidRecordsError(
-                    f"records row {row}: expected 5 fields, got {len(fields)}")
-            t, j, i, c, r = fields
-            quad = _QUAD_CODES.get(c)
-            if quad is None:
-                raise InvalidRecordsError(
-                    f"records row {row}: quadrature {c!r} is neither 'q' nor 'p'")
-            try:
-                trials.append(int(t))
-                outcomes.append(int(j))
-                pointers.append(int(i))
-                readouts.append(float(r))
-            except ValueError as exc:
-                raise InvalidRecordsError(f"records row {row}: {exc}") from None
-            quads.append(quad)
-        try:
-            trial, outcome, pointer = (np.array(col, dtype=np.int64)
-                                       for col in (trials, outcomes, pointers))
-        except OverflowError:
-            row, name, value = next(
-                (row, name, value)
-                for row, values in enumerate(zip(trials, outcomes, pointers), start=1)
-                for name, value in zip(("trial", "outcome", "pointer"), values)
-                if not -(1 << 63) <= value < 1 << 63)
+        parts = [[np.empty(0, dtype) for dtype in _DTYPES]]
+        overflow, row, start = None, 1, end + 1
+        while start < len(text):
+            stop = text.find("\n", start + _READ_CHARS)
+            stop = len(text) if stop < 0 else stop + 1
+            block = text[start:stop]
+            start = stop
+            if "\r" in block:
+                block = block.replace("\r\n", "\n")
+            if not block.endswith("\n"):
+                block += "\n"
+            cols = _block_columns(block)
+            if cols is None:
+                cols = _scan_rows(block, row)
+            if overflow is None:
+                try:
+                    parts.append([np.asarray(col, dtype) for col, dtype in zip(cols, _DTYPES)])
+                except OverflowError:
+                    overflow = _overflow_error(cols, row)
+            row += len(cols[0])
+        if overflow is not None:
+            raise overflow
+        trial, outcome, pointer, quad, readout = map(np.concatenate, zip(*parts))
+        return cls(trial=trial, outcome=outcome, pointer=pointer, quadrature=quad,
+                   readout=readout)
+
+
+def _decimals(col: np.ndarray, prefix: str, suffix: str) -> list:
+    """``f"{prefix}{v}{suffix}"`` for each value v of an integer column.
+
+    Trial, outcome and pointer columns repeat their values, so when the
+    column spans fewer values than it has rows each value in its range is
+    formatted once and the rows take theirs from that table.
+    """
+    if col.size:
+        low, high = int(col.min()), int(col.max())
+        if high - low < col.size:
+            table = np.array([f"{prefix}{v}{suffix}" for v in range(low, high + 1)],
+                             dtype=object)
+            return table[col - low].tolist()
+    return [f"{prefix}{v}{suffix}" for v in col.tolist()]
+
+
+def _bytes(text: str) -> np.ndarray:
+    """The UTF-8 bytes of text, lone surrogates included."""
+    return np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+
+
+def _outside_grammar(buf: np.ndarray) -> np.ndarray:
+    """Which bytes no row may hold: all but printable ASCII other than space
+    and "_", and the line end."""
+    return (buf > ord("~")) | ((buf < ord("!")) & (buf != ord("\n"))) | (buf == ord("_"))
+
+
+def _block_columns(block: str):
+    """The five columns of a block of rows, each row ending in a newline, or
+    None unless every row keeps to the grammar ``to_csv`` writes.
+
+    Bytes give the layout: every byte printable ASCII but space and ``_``
+    (or a newline), each line holding exactly four commas, each quadrature
+    field ``q`` or ``p``.  ``np.loadtxt`` then reads the four numeric fields;
+    with no whitespace left it accepts what ``int`` and ``float`` accept, and
+    nothing more, and it refuses an integer beyond 64 bits.
+    """
+    buf = _bytes(block)
+    if _outside_grammar(buf).any():
+        return None
+    ends = np.flatnonzero(buf == ord("\n"))
+    commas = np.flatnonzero(buf == ord(","))
+    if commas.size != 4 * ends.size:
+        return None
+    # Row r holds commas 4r..4r+3: with as many commas as four a line, the
+    # first and last of them inside the line make exactly four in each.
+    commas = commas.reshape(-1, 4)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    quad = buf[commas[:, 2] + 1]
+    if ((commas[:, 0] < starts) | (commas[:, 3] > ends) | (commas[:, 3] != commas[:, 2] + 2)
+            | ((quad != ord("q")) & (quad != ord("p")))).any():
+        return None
+    try:
+        numbers = np.loadtxt(io.StringIO(block), dtype=_NUMBERS, delimiter=",",
+                             usecols=(0, 1, 2, 4), comments=None, quotechar=None, ndmin=1)
+    except ValueError:
+        return None
+    return (numbers["trial"], numbers["outcome"], numbers["pointer"],
+            (quad == ord("p")).astype(np.uint8), numbers["readout"])
+
+
+def _scan_rows(block: str, row: int):
+    """The five columns of a block of rows as lists, read one row at a time;
+    ``row`` numbers the block's first row.
+
+    Each row is checked in a fixed order, and the first failure raises
+    InvalidRecordsError: five fields, the quadrature, ``int`` of trial,
+    outcome and pointer and ``float`` of the readout, then the grammar's
+    bytes, which ``int`` and ``float`` do not check.
+    """
+    buf = _bytes(block)
+    outside = np.flatnonzero(_outside_grammar(buf))
+    # The index of the first line holding a byte outside the grammar.
+    stray = np.count_nonzero(buf[:outside[0]] == ord("\n")) if outside.size else -1
+    cols = ([], [], [], [], [])
+    for k, line in enumerate(block.split("\n")):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 5:
             raise InvalidRecordsError(
-                f"records row {row}: {name} {value} does not fit 64 bits") from None
-        return cls(trial=trial, outcome=outcome, pointer=pointer,
-                   quadrature=np.array(quads, dtype=np.uint8),
-                   readout=np.array(readouts, dtype=np.float64))
+                f"records row {row}: expected 5 fields, got {len(fields)}")
+        t, j, i, c, r = fields
+        quad = _QUAD_CODES.get(c)
+        if quad is None:
+            raise InvalidRecordsError(
+                f"records row {row}: quadrature {c!r} is neither 'q' nor 'p'")
+        try:
+            values = (int(t), int(j), int(i), quad, float(r))
+        except ValueError as exc:
+            raise InvalidRecordsError(f"records row {row}: {exc}") from None
+        if k == stray:
+            name, field = next((name, field) for name, field in zip(_COLUMNS, fields)
+                               if _outside_grammar(_bytes(field)).any())
+            raise InvalidRecordsError(
+                f"records row {row}: {name} {field!r} holds whitespace, an underscore "
+                f"or a non-ASCII character")
+        for col, value in zip(cols, values):
+            col.append(value)
+        row += 1
+    return cols
+
+
+def _overflow_error(cols, row: int) -> InvalidRecordsError:
+    """The error naming the first index beyond 64 bits in a block's columns;
+    ``row`` numbers the block's first row."""
+    row, name, value = next(
+        (row, name, value)
+        for row, values in enumerate(zip(*cols[:3]), start=row)
+        for name, value in zip(_COLUMNS, values)
+        if not -(1 << 63) <= value < 1 << 63)
+    return InvalidRecordsError(f"records row {row}: {name} {value} does not fit 64 bits")
 
 
 def _check_pointer_count(n_pointers: int, cfg: PointerConfig) -> None:
@@ -298,12 +460,12 @@ def exact_law(rho, measured, basis_b: OrthonormalBasis, cfg: PointerConfig):
 
 
 def _readout_law(dq: np.ndarray, dp: np.ndarray, cfg: PointerConfig,
-                 noise: NoiseModel | None) -> tuple[np.ndarray, np.ndarray]:
+                 noise: NoiseModel | None, shots: int) -> tuple[np.ndarray, np.ndarray]:
     """Readout means, shape (d, 2, n_pointers), and spreads, shape (2, 1),
     of every (outcome, quadrature) from the (d, n_pointers) shifts dq/dp,
-    with the noise model applied."""
+    with the noise model applied, checked for ``shots`` trials."""
     noise = noise or NoiseModel()
-    _check_readout_scales(cfg, noise)
+    _check_readout_scales(cfg, noise, shots)
     means = np.empty((dq.shape[0], 2, cfg.n_pointers))
     means[:, QUAD_POSITION] = cfg.mean_q + dq + noise.systematic_offset
     means[:, QUAD_MOMENTUM] = cfg.mean_p + dp
@@ -332,7 +494,7 @@ def _sample_stream(P, dq, dp, cfg: PointerConfig, shots: int, seed: int,
         raise ResourceLimitError(
             f"{shots} trials x {n} pointers = {shots * n} record rows exceed the "
             f"2^28 limit; an in-memory sampled run needs no records")
-    means, spreads = _readout_law(dq, dp, cfg, noise)
+    means, spreads = _readout_law(dq, dp, cfg, noise, shots)
     # Readout mean of (outcome j, quadrature c) in row 2j + c.
     means = means.reshape(2 * P.size, n)
     cum = np.cumsum(P)
@@ -394,7 +556,7 @@ def _draw_cells(P, dq, dp, cfg: PointerConfig, shots: int, seed: int,
     _check_shots(shots)
     if shots > np.iinfo(np.int64).max:
         raise ResourceLimitError(f"{shots} shots do not fit a 64-bit trial count")
-    means, spreads = _readout_law(dq, dp, cfg, noise)
+    means, spreads = _readout_law(dq, dp, cfg, noise, shots)
     rng = np.random.default_rng(seed)
     p = P / P.sum()
     per_trial = np.stack([rng.multinomial((shots + 1) // 2, p),

@@ -5,7 +5,11 @@ explicit traces, scalar loops) so it shares no code path with the package
 implementations it is used to check.
 """
 
+import io
+
 import numpy as np
+
+from weaktomo.errors import InvalidRecordsError
 
 
 def oracle_weak_value(rho: np.ndarray, obs: np.ndarray, post: np.ndarray) -> complex:
@@ -162,3 +166,60 @@ def oracle_grid_evolution(rho: np.ndarray, observables: list, g, sigma_q, mean_q
         dp[i] = np.sum(k1 * marg_p) / marg_p.sum() - mean_p[i]
         dq[i] = np.sum(q1 * marg_q) / marg_q.sum() - mean_q[i]
     return float(prob), dq, dp
+
+
+RECORDS_HEADER = "trial,outcome_j,pointer,quadrature,readout"
+
+
+def oracle_records_csv(trial, outcome, pointer, quadrature, readout) -> str:
+    """The records CSV written one row at a time, as the codec first did."""
+    buf = io.StringIO()
+    buf.write(RECORDS_HEADER + "\n")
+    for t, j, i, c, r in zip(np.asarray(trial).tolist(), np.asarray(outcome).tolist(),
+                             np.asarray(pointer).tolist(), np.asarray(quadrature).tolist(),
+                             np.asarray(readout, dtype=float).tolist()):
+        buf.write(f"{t},{j},{i},{('q', 'p')[c]},{r!r}\n")
+    return buf.getvalue()
+
+
+def oracle_records_from_csv(text: str) -> dict:
+    """The records CSV read one row at a time, as the codec first did: the
+    five columns by name, or InvalidRecordsError naming the first bad row.
+
+    Lines split as ``str.splitlines`` splits them, the header is stripped and
+    fields go through ``int`` and ``float``, so this reader also takes the
+    whitespace, underscores, non-ASCII digits and line breaks that the
+    records grammar leaves out."""
+    trials, outcomes, pointers, quads, readouts = [], [], [], [], []
+    lines = iter(text.splitlines())
+    header = next(lines, "").strip()
+    if header != RECORDS_HEADER:
+        raise InvalidRecordsError(f"unexpected record CSV header: {header!r}")
+    for row, line in enumerate(filter(None, lines), start=1):
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise InvalidRecordsError(
+                f"records row {row}: expected 5 fields, got {len(fields)}")
+        t, j, i, c, r = fields
+        quad = {"q": 0, "p": 1}.get(c)
+        if quad is None:
+            raise InvalidRecordsError(
+                f"records row {row}: quadrature {c!r} is neither 'q' nor 'p'")
+        try:
+            trials.append(int(t))
+            outcomes.append(int(j))
+            pointers.append(int(i))
+            readouts.append(float(r))
+        except ValueError as exc:
+            raise InvalidRecordsError(f"records row {row}: {exc}") from None
+        quads.append(quad)
+    for row, values in enumerate(zip(trials, outcomes, pointers), start=1):
+        for name, value in zip(("trial", "outcome", "pointer"), values):
+            if not -(1 << 63) <= value < 1 << 63:
+                raise InvalidRecordsError(
+                    f"records row {row}: {name} {value} does not fit 64 bits")
+    return {"trial": np.array(trials, dtype=np.int64),
+            "outcome": np.array(outcomes, dtype=np.int64),
+            "pointer": np.array(pointers, dtype=np.int64),
+            "quadrature": np.array(quads, dtype=np.uint8),
+            "readout": np.array(readouts, dtype=np.float64)}

@@ -308,6 +308,27 @@ def test_reconstruct_rejects_records_out_of_trial_layout(tmp_path, defect, row):
     assert error["message"].startswith(f"records row {row}:")
 
 
+@pytest.mark.parametrize("line_end, code", [("\r\n", 0), ("\r", 1)])
+def test_reconstruct_reads_crlf_records_and_rejects_lone_cr(tmp_path, line_end, code):
+    # The file is read as it is: \r\n ends a line, a lone \r is no line end.
+    records = tmp_path / "records.csv"
+    argv = ["--set", "dim=2", "--set", "scheme=mixed_a", "--set", "state_spec=ginibre"]
+    assert run_cli("simulate", *argv, "--sampled", "--shots", "100",
+                   "--out", str(records)).returncode == 0
+    lf = tmp_path / "lf.json"
+    assert run_cli("reconstruct", *argv, "--records", str(records), "--quiet",
+                   "--out", str(lf)).returncode == 0
+    records.write_bytes(records.read_bytes().replace(b"\n", line_end.encode()))
+    out = tmp_path / "b.json"
+    proc = run_cli("reconstruct", *argv, "--records", str(records), "--quiet",
+                   "--out", str(out))
+    assert proc.returncode == code
+    if code == 0:
+        assert out.read_bytes() == lf.read_bytes()
+    else:
+        assert json.loads(proc.stderr)["error"] == "invalid-records"
+
+
 def test_reconstruct_records_index_beyond_64_bits_is_invalid_records(tmp_path):
     from test_pointer import VALID_RECORDS
     records = tmp_path / "big.csv"
@@ -499,6 +520,20 @@ def test_bool_number_or_negative_exact_shots_is_usage_error(setting, tmp_path):
                    "--set", setting, "--out", str(out))
     assert proc.returncode == 2
     assert proc.stderr.startswith("usage error")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings", [
+    ["noise_offset=1e152"], ["pointer_sigma_q=1e153"],
+    ["pointer_mean_q=1.34e154", "noise_offset=4e152", "shots=1000"]])
+def test_readout_sums_beyond_the_float_range_are_a_usage_error(settings, tmp_path):
+    out = tmp_path / "b.json"
+    sets = [arg for setting in settings for arg in ("--set", setting)]
+    proc = run_cli("reconstruct", "--set", "dim=2", "--set", "scheme=all_data", "--sampled",
+                   "--shots", "1000000", *sets, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage error")
+    assert "root_shots" in proc.stderr
     assert not out.exists()
 
 

@@ -339,16 +339,21 @@ def test_sampling_systematic_offset_biases_positions():
     assert np.max(np.abs(est.W.imag - table.W.imag)) < 1e-12
 
 
-@pytest.mark.parametrize("cfg, noise", [
-    (PointerConfig(2), NoiseModel(systematic_offset=7.4e152)),
-    (PointerConfig(2, sigma_q=1e150), NoiseModel(readout_sigma_scale=1e10)),
-], ids=["offset_over_g", "spread_times_scale"])
-def test_sampling_refuses_pointer_and_noise_values_that_overflow_together(cfg, noise):
-    # each value has a finite square; what the sampler forms from two does not
+@pytest.mark.parametrize("cfg, noise, shots", [
+    (PointerConfig(2), NoiseModel(systematic_offset=7.4e152), 1000),
+    (PointerConfig(2, sigma_q=1e150), NoiseModel(readout_sigma_scale=1e10), 1000),
+    (PointerConfig(2), NoiseModel(systematic_offset=1e152), 10**6),
+    (PointerConfig(2, sigma_q=1e153), NoiseModel(), 10**6),
+    (PointerConfig(2, mean_q=1.34e154), NoiseModel(systematic_offset=4e152), 1000),
+], ids=["offset_over_g", "spread_times_scale", "shots_offset", "shots_spread",
+        "shots_mean_and_offset"])
+def test_sampling_refuses_pointer_and_noise_values_that_overflow_together(cfg, noise, shots):
+    # each value has a finite square; what the sampler forms from two, or
+    # from the shots and the readouts of a cell, does not
     for sample in (sample_records, _sampled_table):
         with pytest.raises(ValueError, match="finite square"):
             sample(random_pure_state(2, 0), reference_basis(2), fourier_basis(2), cfg,
-                   1000, 0, noise)
+                   shots, 0, noise)
 
 
 def test_sampling_estimates_consistent_within_four_sigma():
