@@ -74,6 +74,12 @@ _WRITE_ROWS = 1 << 14
 _READ_CHARS = 1 << 18
 # The largest magnitude whose square is a finite float.
 _SQUARE_LIMIT = float(np.sqrt(np.finfo(float).max))
+# Standard normal draws are bounded by this many spreads: beyond it lies
+# probability e^-800, below the smallest float.
+_TAIL = 40.0
+# The longest integer field read column-wise: any 18 signs and digits that
+# spell an integer fit 64 bits.
+_INT_CHARS = 18
 
 
 def _check_reals(what: str, **values) -> None:
@@ -148,18 +154,22 @@ def _check_readout_scales(cfg: PointerConfig, noise: NoiseModel, shots: int) -> 
     spread, sigma_q or sigma_p times the noise scale; the squared norm
     n_pointers (offset / g)^2 of a row of weak values that the offset shifts
     by offset / g each (g = 0 is refused by the estimator itself); and the
-    sums of squared readouts of a cell, up to shots (|mean| + |offset| +
-    spread)^2 in each quadrature.  Shots beyond 2^63 - 1, which the sampler
-    refuses, are bounded there."""
+    sums of squared readouts of a cell.  A readout lies within |mean| +
+    |offset| + _TAIL spread of zero, so n readouts square to at most n times
+    that squared; the cell sums that ``_draw_cells`` draws, a spread^2 chi^2
+    term plus n mean^2, to at most twice as much.  So the bound is
+    2 shots (|mean| + |offset| + _TAIL spread)^2 in each quadrature.  Shots
+    beyond 2^63 - 1, which the sampler refuses, are bounded there."""
     scale = noise.readout_sigma_scale
     row = noise.systematic_offset / cfg.g * cfg.n_pointers**0.5 if cfg.g > 0 else 0.0
-    root = math.sqrt(min(shots, np.iinfo(np.int64).max))
+    root = math.sqrt(2.0 * min(shots, np.iinfo(np.int64).max))
     _check_reals("pointer and noise", sigma_q_times_scale=cfg.sigma_q * scale,
                  sigma_p_times_scale=cfg.sigma_p * scale, offset_over_g_row_norm=row,
-                 position_readout_times_root_shots=root * (
-                     abs(cfg.mean_q) + abs(noise.systematic_offset) + cfg.sigma_q * scale),
-                 momentum_readout_times_root_shots=root * (
-                     abs(cfg.mean_p) + cfg.sigma_p * scale))
+                 position_readout_bound_times_root_2_shots=root * (
+                     abs(cfg.mean_q) + abs(noise.systematic_offset)
+                     + _TAIL * cfg.sigma_q * scale),
+                 momentum_readout_bound_times_root_2_shots=root * (
+                     abs(cfg.mean_p) + _TAIL * cfg.sigma_p * scale))
 
 
 @dataclass(frozen=True)
@@ -314,9 +324,12 @@ def _block_columns(block: str):
 
     Bytes give the layout: every byte printable ASCII but space and ``_``
     (or a newline), each line holding exactly four commas, each quadrature
-    field ``q`` or ``p``.  ``np.loadtxt`` then reads the four numeric fields;
-    with no whitespace left it accepts what ``int`` and ``float`` accept, and
-    nothing more, and it refuses an integer beyond 64 bits.
+    field ``q`` or ``p``, and each integer field at most ``_INT_CHARS``
+    signs and digits.  ``np.loadtxt`` then reads the four numeric fields.
+    The integer fields hold nothing a float parser reads differently, so no
+    numpy version's float fallback for integers can accept ``2.5`` or
+    ``nan`` as an index, and they fit 64 bits; the readout field is read as
+    ``float`` reads it.
     """
     buf = _bytes(block)
     if _outside_grammar(buf).any():
@@ -332,6 +345,15 @@ def _block_columns(block: str):
     quad = buf[commas[:, 2] + 1]
     if ((commas[:, 0] < starts) | (commas[:, 3] > ends) | (commas[:, 3] != commas[:, 2] + 2)
             | ((quad != ord("q")) & (quad != ord("p")))).any():
+        return None
+    bounds = np.column_stack((starts - 1, commas[:, :3]))
+    if (np.diff(bounds, axis=1) > _INT_CHARS + 1).any():
+        return None
+    # The integer fields hold only signs, digits and commas: the first other
+    # byte of each line is its quadrature.
+    other = np.flatnonzero((buf > ord("9")) | ((buf < ord("0")) & (buf != ord("+"))
+                                               & (buf != ord("-")) & (buf != ord(","))))
+    if (other[np.searchsorted(other, starts)] != commas[:, 2] + 1).any():
         return None
     try:
         numbers = np.loadtxt(io.StringIO(block), dtype=_NUMBERS, delimiter=",",

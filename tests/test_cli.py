@@ -525,7 +525,8 @@ def test_bool_number_or_negative_exact_shots_is_usage_error(setting, tmp_path):
 
 @pytest.mark.parametrize("settings", [
     ["noise_offset=1e152"], ["pointer_sigma_q=1e153"],
-    ["pointer_mean_q=1.34e154", "noise_offset=4e152", "shots=1000"]])
+    ["pointer_mean_q=1.34e154", "noise_offset=4e152", "shots=1000"],
+    ["pointer_sigma_q=1e154", "shots=1"]])
 def test_readout_sums_beyond_the_float_range_are_a_usage_error(settings, tmp_path):
     out = tmp_path / "b.json"
     sets = [arg for setting in settings for arg in ("--set", setting)]
@@ -533,7 +534,7 @@ def test_readout_sums_beyond_the_float_range_are_a_usage_error(settings, tmp_pat
                    "--shots", "1000000", *sets, "--out", str(out))
     assert proc.returncode == 2
     assert proc.stderr.startswith("usage error")
-    assert "root_shots" in proc.stderr
+    assert "readout_bound_times_root_2_shots" in proc.stderr
     assert not out.exists()
 
 

@@ -490,11 +490,13 @@ def test_config_validation():
                    {"data_mode": "sampled", "shots": 1000, "pointer_sigma_q": 1e150,
                     "noise_sigma_scale": 1e10},
                    # and so must a cell's sum of squared readouts, up to
-                   # shots (|mean| + |offset| + spread)^2
+                   # 2 shots (|mean| + |offset| + 40 spread)^2: one readout
+                   # 1.34 spreads from the mean squares past the float range
                    {"data_mode": "sampled", "shots": 10**6, "noise_offset": 1e152},
                    {"data_mode": "sampled", "shots": 10**6, "pointer_sigma_q": 1e153},
                    {"data_mode": "sampled", "shots": 1000, "pointer_mean_q": 1.34e154,
                     "noise_offset": 4e152},
+                   {"data_mode": "sampled", "shots": 1, "pointer_sigma_q": 1e154},
                    {"data_mode": "sampled", "shots": 2.5},
                    {"shots": True},
                    {"shots": -5},

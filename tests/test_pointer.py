@@ -345,11 +345,14 @@ def test_sampling_systematic_offset_biases_positions():
     (PointerConfig(2), NoiseModel(systematic_offset=1e152), 10**6),
     (PointerConfig(2, sigma_q=1e153), NoiseModel(), 10**6),
     (PointerConfig(2, mean_q=1.34e154), NoiseModel(systematic_offset=4e152), 1000),
+    (PointerConfig(2, sigma_q=1e154), NoiseModel(), 1),
+    (PointerConfig(2, sigma_q=5e-155), NoiseModel(), 1),
 ], ids=["offset_over_g", "spread_times_scale", "shots_offset", "shots_spread",
-        "shots_mean_and_offset"])
+        "shots_mean_and_offset", "one_shot_position_tail", "one_shot_momentum_tail"])
 def test_sampling_refuses_pointer_and_noise_values_that_overflow_together(cfg, noise, shots):
     # each value has a finite square; what the sampler forms from two, or
-    # from the shots and the readouts of a cell, does not
+    # from the shots and the readouts of a cell, does not; a single readout
+    # 1.34 spreads of 1e154 from its mean squares past the float range
     for sample in (sample_records, _sampled_table):
         with pytest.raises(ValueError, match="finite square"):
             sample(random_pure_state(2, 0), reference_basis(2), fourier_basis(2), cfg,
