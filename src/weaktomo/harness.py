@@ -4,7 +4,10 @@ A single ExperimentConfig fully determines a run: the true state, the
 post-selection basis, the pointer parameters, the reconstruction scheme, and
 (for sampled mode) the shot budget and seed.  Identical configs give
 bit-identical results regardless of worker count; parallelism only ever
-distributes independently seeded cells.
+distributes independently seeded cells.  A scheme comparison shares work
+across its experiments, not results: each (shots, seed) cell draws one table
+per measured object for every scheme that reads it, and each experiment's
+score is bit for bit the one its own run_reconstruction gives.
 """
 
 import math
@@ -43,6 +46,7 @@ from .pointer import (
     PointerConfig,
     RecordStream,
     _check_readout_scales,
+    _law,
     _sampled_table,
     sample_records,
 )
@@ -312,13 +316,23 @@ def _measurement(cfg: ExperimentConfig) -> tuple[object, PointerConfig]:
 
 
 def _table(cfg: ExperimentConfig, truth: StateVector | DensityMatrix, measured,
-           basis_b: OrthonormalBasis, pcfg: PointerConfig) -> WeakValueTable:
+           basis_b: OrthonormalBasis, pcfg: PointerConfig, law=None) -> WeakValueTable:
     """The weak-value table of ``measured`` over basis B: in closed form in
-    exact mode, estimated from ``cfg.shots`` sampled trials otherwise."""
-    if cfg.data_mode == "exact":
-        return weak_value_table(truth, measured, basis_b)
-    return _sampled_table(truth, measured, basis_b, pcfg, cfg.shots, cfg.seed,
-                          _resolve_noise(cfg))
+    exact mode, estimated from ``cfg.shots`` sampled trials otherwise.
+    ``law`` is what the tables come from, when the caller holds it for many:
+    the closed-form table in exact mode, else ``_law``'s outcome law and
+    first-order shifts."""
+    if cfg.data_mode == "sampled":
+        return _sampled_table(truth, measured, basis_b, pcfg, cfg.shots, cfg.seed,
+                              _resolve_noise(cfg), law=law)
+    return weak_value_table(truth, measured, basis_b) if law is None else law
+
+
+def _transition(cfg: ExperimentConfig, measured, basis_b: OrthonormalBasis):
+    """beta from basis A to B.  Basis A is the reference basis, which the
+    d-pointer schemes measure."""
+    basis_a = measured if isinstance(measured, OrthonormalBasis) else reference_basis(cfg.dim)
+    return transition_matrix(basis_a, basis_b)
 
 
 def _resolve_truth(cfg: ExperimentConfig) -> StateVector | DensityMatrix:
@@ -385,6 +399,7 @@ def run_reconstruction(cfg: ExperimentConfig, *,
         if table is not None:
             raise SchemeInapplicableError(f"{_OWN_DATA}; it cannot consume a table")
         estimate, metrics = _run_partial(cfg, truth)
+        metrics = _finite_metrics(metrics)
     else:
         measured, pcfg = _measurement(cfg)
         if table is None:
@@ -393,24 +408,30 @@ def run_reconstruction(cfg: ExperimentConfig, *,
             raise SchemeInapplicableError(
                 f"scheme {cfg.scheme!r} consumes a {cfg.dim} x {pcfg.n_pointers} table, "
                 f"got {table.dim} x {table.n_pointers}")
-        # Basis A is the reference basis, which the d-pointer schemes measure.
-        basis_a = (measured if isinstance(measured, OrthonormalBasis)
-                   else reference_basis(cfg.dim))
-        beta = transition_matrix(basis_a, basis_b)
-        estimate, metrics, kernel = scheme.reconstruct(cfg, table, beta, basis_b)
-        state = estimate if scheme.pure else estimate.physical
-        metrics["fidelity"] = fidelity(state, truth)
-        metrics["trace_distance"] = trace_distance(state, truth)
+        estimate, metrics, kernel = _score(cfg, scheme, truth, table,
+                                           _transition(cfg, measured, basis_b), basis_b)
 
     return ResultBundle(
         scheme=cfg.scheme,
         config=cfg,
         estimate=estimate,
-        metrics=_finite_metrics(metrics),
+        metrics=metrics,
         table=table,
         kernel=kernel,
         wall_time=time.perf_counter() - t0,
     )
+
+
+def _score(cfg: ExperimentConfig, scheme: Scheme, truth: StateVector | DensityMatrix,
+           table: WeakValueTable, beta, basis_b: OrthonormalBasis):
+    """Reconstruct with ``scheme`` from ``table`` and score the estimate
+    against ``truth``: the estimate, its finite metrics (the scheme's own,
+    fidelity and trace distance) and the kernel diagnostics or None."""
+    estimate, metrics, kernel = scheme.reconstruct(cfg, table, beta, basis_b)
+    state = estimate if scheme.pure else estimate.physical
+    metrics["fidelity"] = fidelity(state, truth)
+    metrics["trace_distance"] = trace_distance(state, truth)
+    return estimate, _finite_metrics(metrics), kernel
 
 
 def _pair_data(cfg: ExperimentConfig, truth: StateVector | DensityMatrix,
@@ -521,22 +542,49 @@ def demo_phase_detection(theta: float, g: float = 0.01, sigma_p: float = 0.5,
     )
 
 
-def _comparison_metric(cfg: ExperimentConfig) -> float:
-    bundle = run_reconstruction(cfg)
-    return bundle.metrics["trace_distance"]
+def _attempt(fn, *args):
+    """``fn(*args)``, or the exception it raised, held as an executor's future
+    holds it, so that a sweep raises its experiments' errors in their order."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _source(cfg: ExperimentConfig, truth: StateVector | DensityMatrix,
+            basis_b: OrthonormalBasis) -> tuple:
+    """What the configured scheme's tables come from, built once for many:
+    its measured object, pointers, ``_table`` law and beta, in the order a
+    run builds them."""
+    measured, pcfg = _measurement(cfg)
+    law = (weak_value_table(truth, measured, basis_b) if cfg.data_mode == "exact"
+           else _law(truth, measured, basis_b, pcfg))
+    return measured, pcfg, law, _transition(cfg, measured, basis_b)
 
 
 def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
                     n_seeds: int = 20) -> list[dict]:
     """Score several schemes across a shot grid with a common true state.
 
-    Each (scheme, shots) cell runs n_seeds independently seeded experiments
+    Each (scheme, shots) row runs n_seeds independently seeded experiments
     and reports the median and interquartile range of the trace distance to
     the truth, plus the discarded-data fraction (nonzero only for the
     postselected scheme, which keeps a single outcome).  Schemes that cannot
-    run on the configured state are reported as skipped.  Cells execute in a
-    thread pool capped by WEAKTOMO_THREADS; results are aggregated in a
-    fixed order, so the table never depends on scheduling.
+    run on the configured state are reported as skipped.
+
+    Every trace distance is the one ``run_reconstruction`` gives for that
+    (scheme, shots, seed) config, bit for bit, and every such config is
+    built and checked, but work that the experiments share is done once.
+    The truth, basis B, and each measured object's pointers, law and beta
+    are built once per sweep.  Each (shots, seed) cell draws one table per
+    distinct measured object, which every scheme that measures it reads:
+    postselected, all_data, mixed_a and mixed_b all read the basis-A table.
+    Each distinct estimator is scored once on it, so mixed_b, the mixed_a
+    estimator under its b-basis name, takes mixed_a's score.  Cells are the
+    unit of work of a thread pool capped by ``thread_cap()``; results are
+    aggregated in a fixed order, so the table never depends on scheduling.
+    When experiments fail, the sweep raises the error of the first failing
+    (scheme, shots, seed index) key in sorted order.
     """
     if cfg_base.state_seed is None and cfg_base.state_spec != "explicit":
         # Every cell must score against the same true state even though the
@@ -563,9 +611,45 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
                 jobs[(scheme, int(shots), s_idx)] = replace(
                     cfg_base, scheme=scheme, shots=int(shots), seed=seed)
 
-    keys = sorted(jobs)
+    # Scheme names grouped by what they measure, then by estimator; each
+    # group's tables come from one source, built with its first name's config.
+    groups: dict[Callable, dict[Scheme, list[str]]] = {}
+    for name in sorted({key[0] for key in jobs}):
+        scheme = SCHEMES[name]
+        groups.setdefault(scheme.measured, {}).setdefault(scheme, []).append(name)
+    cells = sorted({key[1:] for key in jobs})
+    plan = []
+    for by_scheme in groups.values():
+        lead = next(iter(by_scheme.values()))[0]
+        plan.append((lead, _attempt(_source, jobs[(lead, *cells[0])], truth, basis_b),
+                     by_scheme))
+
+    def distance(cfg, scheme, table, beta) -> float:
+        return _score(cfg, scheme, truth, table, beta, basis_b)[1]["trace_distance"]
+
+    def score_cell(cell) -> dict:
+        """Trace distance, or the error raised, of every experiment in a cell."""
+        out = {}
+        for lead, source, by_scheme in plan:
+            table = source
+            if not isinstance(source, Exception):
+                measured, pcfg, law, beta = source
+                table = _attempt(_table, jobs[(lead, *cell)], truth, measured, basis_b,
+                                 pcfg, law)
+            for scheme, names in by_scheme.items():
+                value = table
+                if not isinstance(table, Exception):
+                    value = _attempt(distance, jobs[(names[0], *cell)], scheme, table, beta)
+                out.update(((name, *cell), value) for name in names)
+        return out
+
+    results: dict[tuple, float | Exception] = {}
     with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        results = dict(zip(keys, pool.map(lambda k: _comparison_metric(jobs[k]), keys)))
+        for out in pool.map(score_cell, cells):
+            results.update(out)
+    for key in sorted(results):
+        if isinstance(results[key], Exception):
+            raise results[key]
 
     # Discard fraction: the postselected scheme keeps one outcome of B.
     p_kept = float(weak_value_table(truth, reference_basis(cfg_base.dim),

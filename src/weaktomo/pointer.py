@@ -711,13 +711,17 @@ def estimate_weak_values(records: RecordStream, cfg: PointerConfig, dim: int) ->
 
 
 def _sampled_table(rho, measured, basis_b: OrthonormalBasis, cfg: PointerConfig,
-                   shots: int, seed: int, noise: NoiseModel | None) -> WeakValueTable:
+                   shots: int, seed: int, noise: NoiseModel | None,
+                   law=None) -> WeakValueTable:
     """A table with the law of ``estimate_weak_values(sample_records(...))``.
 
     The estimator reads per-cell sums that ``_draw_cells`` draws directly,
     so no trial is drawn and the cost does not depend on ``shots``.  The
     table is a function of the arguments, but its bits differ from those of
     the records route with the same seed.  It raises what that route raises.
+    ``law`` is ``_law(rho, measured, basis_b, cfg)``, when the caller holds
+    it for many draws of one run.
     """
-    return _estimate_cells(_draw_cells(*_law(rho, measured, basis_b, cfg), cfg, shots,
-                                       seed, noise), cfg)
+    if law is None:
+        law = _law(rho, measured, basis_b, cfg)
+    return _estimate_cells(_draw_cells(*law, cfg, shots, seed, noise), cfg)

@@ -227,8 +227,7 @@ class Observable:
             raise ValueError("observable is not Hermitian within 1e-12")
         if mat.shape[0] != vals.size or mat.shape[0] != self.eigenbasis.dim:
             raise DimensionMismatchError("observable parts have mismatched dims")
-        v = self.eigenbasis.vectors
-        rebuilt = (v * vals) @ v.conj().T
+        rebuilt = _spectral_sum(vals, self.eigenbasis)
         if np.max(np.abs(rebuilt - mat)) > ATOL_EIG:
             raise ValueError("eigensystem does not reproduce the observable within 1e-10")
         object.__setattr__(self, "matrix", _frozen(mat, complex))
@@ -247,8 +246,7 @@ class Observable:
     @classmethod
     def from_eigensystem(cls, eigenvalues, basis: OrthonormalBasis) -> "Observable":
         vals = np.asarray(eigenvalues, dtype=float)
-        v = basis.vectors
-        mat = (v * vals) @ v.conj().T
+        mat = _spectral_sum(vals, basis)
         gaps = np.diff(np.sort(vals))
         gap = gaps.min() if gaps.size else np.inf
         return cls(mat, vals, basis, bool(gap > ATOL_EIG))
@@ -269,6 +267,17 @@ class Observable:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _spectral_sum(vals: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
+    """sum_k vals[k] v_k v_k^dag over the basis vectors v_k: diag(vals) over
+    the reference basis, built without its two products by the identity.
+    Adding 0.0 turns each -0.0 eigenvalue into the 0.0 that the products
+    give, so the two are byte-equal."""
+    if _is_reference(basis):
+        return np.diag(vals + 0.0).astype(complex)
+    v = basis.vectors
+    return (v * vals) @ v.conj().T
 
 
 def _complement(given: np.ndarray) -> np.ndarray:

@@ -457,6 +457,17 @@ def test_compare_sampled_defaults_base_shots_to_grid():
     assert lines[2].startswith("all_data,2000,trace_distance,")
 
 
+def test_compare_with_a_failing_experiment_exits_with_its_error():
+    # 4 of these 200 mixed_a experiments fail; the first, seed 17, is
+    # degenerate, and its error ends the sweep
+    proc = run_cli("compare", "--sampled", "--set", "dim=2", "--set", "state_seed=3",
+                   "--shots-grid", "1000", "--schemes", "mixed_a", "--seeds", "200")
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr) == {
+        "error": "degenerate-data",
+        "message": "matrix has no positive spectral weight to normalize"}
+
+
 def test_compare_rejects_unknown_scheme():
     proc = run_cli("compare", "--set", "dim=2", "--exact",
                    "--schemes", "telepathy", "--shots-grid", "0")

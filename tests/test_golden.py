@@ -27,6 +27,7 @@ from weaktomo import (
     Observable,
     PointerConfig,
     StateVector,
+    compare_schemes,
     estimate_weak_values,
     fourier_basis,
     random_density_matrix,
@@ -221,6 +222,44 @@ def test_mixed_b_bundle_is_the_mixed_a_bundle_renamed(mode_d):
     assert b == a.replace('"mixed_a"', '"mixed_b"')
 
 
+# Comparison CSVs of seeded compare_schemes sweeps.  They pin every cell's
+# trace distance through its median and interquartile range, so a sweep that
+# shares work across schemes must give the bytes of one run per experiment.
+# "basis_a/sampled/2" runs the four schemes that read the basis-A table;
+# "columns/sampled/3" the two that measure one observable on one pointer;
+# "all/exact/3" every scheme, partial skipped; "ginibre/sampled/3" a mixed
+# truth, the pure schemes skipped.
+COMPARISON_SCHEMES = {
+    "basis_a/sampled/2": ("postselected", "all_data", "mixed_a", "mixed_b"),
+    "columns/sampled/3": ("single_projector", "single_observable"),
+    "all/exact/3": tuple(SCHEMES),
+    "ginibre/sampled/3": ("postselected", "all_data", "mixed_a", "mixed_b"),
+}
+COMPARISON = {
+    "basis_a/sampled/2": "cfe0a93611b2772cb31c3d18926bd395b9e800ad0cd01bdc6f7c57e67bf5ebcd",
+    "columns/sampled/3": "262ef88cbdda41ef3a462db266a8e162977c90503b5e6236226095437b7a359c",
+    "all/exact/3": "b91c114338b0e5cb4cd2cad1c0ca18e3c98eeb70bcb4d29853323e2a6f582803",
+    "ginibre/sampled/3": "b91d5eb5eaa10199552be94e4d8c72ef8a83918dcb974c775d0bc7fcfa0e60c6",
+}
+
+
+def _comparison_csv(key: str) -> str:
+    name, mode, d = key.split("/")
+    d = int(d)
+    spec = ("ginibre", 500 + d) if name == "ginibre" else ("haar-pure", 600 + d)
+    grid = (0,) if mode == "exact" else (4_000, SHOTS)
+    cfg = ExperimentConfig(dim=d, scheme="mixed_a", data_mode=mode, shots=grid[0], seed=SEED,
+                           state_spec=spec[0], state_seed=spec[1], pointer_g=0.2,
+                           noise_sigma_scale=1.3, noise_offset=0.01)
+    return serialize.comparison_to_csv(
+        compare_schemes(cfg, COMPARISON_SCHEMES[key], grid, n_seeds=6))
+
+
+@pytest.mark.parametrize("key", list(COMPARISON))
+def test_golden_comparison(key):
+    assert _sha(_comparison_csv(key)) == COMPARISON[key]
+
+
 def _current_digests():
     """(pinned name, pinned digest, digest of this tree) for every pinned key."""
     for d in (2, 3, 8):
@@ -232,6 +271,8 @@ def _current_digests():
            _sha(serialize.table_to_csv(_masked_run())))
     for key in _bundle_keys():
         yield f"BUNDLE[{key!r}]", BUNDLE[key], _bundle_digest(key)
+    for key in COMPARISON:
+        yield f"COMPARISON[{key!r}]", COMPARISON[key], _sha(_comparison_csv(key))
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 
 import math
 import os
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from weaktomo import (
+    DegenerateDataError,
     ElementPair,
     ExperimentConfig,
     MissingDataError,
@@ -18,6 +21,7 @@ from weaktomo import (
     ResourceLimitError,
     SCHEMES,
     SchemeInapplicableError,
+    StateVector,
     compare_schemes,
     demo_phase_detection,
     fourier_basis,
@@ -29,6 +33,7 @@ from weaktomo import (
     transition_matrix,
     weak_value_table,
 )
+from weaktomo import harness, pointer
 from weaktomo.harness import _resolve_state
 from weaktomo.qcore import _complete_basis
 
@@ -438,13 +443,170 @@ def test_compare_sampled_error_halves_with_quadrupled_shots():
 
 
 def test_compare_thread_count_does_not_change_results(monkeypatch):
+    # Cells share the law and, within a cell, the table; a thread switch
+    # every microsecond interleaves the workers as finely as it can.
     cfg = ExperimentConfig(dim=2, scheme="all_data", data_mode="sampled",
                            shots=5_000, seed=0, state_seed=0)
+    schemes = ["all_data", "mixed_a", "mixed_b", "single_observable"]
     monkeypatch.setenv("WEAKTOMO_THREADS", "1")
-    serial = compare_schemes(cfg, ["all_data", "mixed_a"], [5_000], n_seeds=8)
+    serial = compare_schemes(cfg, schemes, [5_000, 20_000], n_seeds=8)
     monkeypatch.setenv("WEAKTOMO_THREADS", "4")
-    threaded = compare_schemes(cfg, ["all_data", "mixed_a"], [5_000], n_seeds=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = compare_schemes(cfg, schemes, [5_000, 20_000], n_seeds=8)
+    finally:
+        sys.setswitchinterval(interval)
     assert serial == threaded
+
+
+TABLE_SCHEMES = tuple(name for name, scheme in SCHEMES.items() if scheme.measured)
+
+
+def _one_by_one(cfg, schemes, shot_grid, n_seeds):
+    """Trace distance, or the error raised, of every (scheme, shots, seed
+    index) experiment that compare_schemes(cfg, ...) runs, each run alone."""
+    truth = _resolve_state(cfg)
+    seeds = [cfg.seed] if cfg.data_mode == "exact" else range(cfg.seed, cfg.seed + n_seeds)
+    out = {}
+    for scheme in schemes:
+        if SCHEMES[scheme].pure and not isinstance(truth, StateVector):
+            continue
+        for shots in shot_grid:
+            for s_idx, seed in enumerate(seeds):
+                try:
+                    out[(scheme, shots, s_idx)] = run_reconstruction(replace(
+                        cfg, scheme=scheme, shots=shots, seed=seed)).metrics["trace_distance"]
+                except Exception as exc:
+                    out[(scheme, shots, s_idx)] = exc
+    return out
+
+
+PURE_TABLE_SCHEMES = ["postselected", "all_data", "single_projector", "single_observable"]
+
+
+# single_projector fails in cell (300, 0), but postselected's failure in
+# (300, 1) sorts first; the same with another error class; one cell where
+# several schemes fail on one table; every scheme passing, mixed_b beside
+# mixed_a.
+@example(d=5, seed=2, state=("haar-pure", None), exact=False, shot_grid=[300, 2_000],
+         n_seeds=3, schemes=PURE_TABLE_SCHEMES)
+@example(d=5, seed=9, state=("haar-pure", None), exact=False, shot_grid=[150, 600],
+         n_seeds=3, schemes=PURE_TABLE_SCHEMES)
+@example(d=2, seed=2, state=("haar-pure", None), exact=False, shot_grid=[300],
+         n_seeds=3, schemes=list(TABLE_SCHEMES))
+@example(d=4, seed=5, state=("haar-pure", None), exact=False, shot_grid=[30_000],
+         n_seeds=3, schemes=list(TABLE_SCHEMES))
+@given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 100),
+       state=st.sampled_from([("haar-pure", None), ("ginibre", 1), ("ginibre", None)]),
+       exact=st.booleans(),
+       shot_grid=st.lists(st.sampled_from([300, 2_000, 30_000]), min_size=1, max_size=2,
+                          unique=True),
+       n_seeds=st.integers(1, 3),
+       schemes=st.lists(st.sampled_from(TABLE_SCHEMES), min_size=1, unique=True))
+def test_compare_scores_every_cell_as_run_reconstruction_does(
+        d, seed, state, exact, shot_grid, n_seeds, schemes):
+    # Every trace distance the sweep computes is the one run_reconstruction
+    # gives for that experiment's config, bit for bit; mixed_b takes the
+    # mixed_a score; and when experiments fail, the sweep raises the error
+    # of the first failing (scheme, shots, seed index) in sorted order.
+    cfg = ExperimentConfig(dim=d, scheme="mixed_a", data_mode="exact" if exact else "sampled",
+                           shots=shot_grid[0], seed=seed, state_spec=state[0],
+                           state_rank=state[1], state_seed=seed + 1, pointer_g=0.2)
+    if exact:
+        shot_grid = [0]
+    expected = _one_by_one(cfg, schemes, shot_grid, n_seeds)
+    scored = {}
+    real_score = harness._score
+
+    def recording_score(cfg, *args):
+        result = real_score(cfg, *args)
+        scored[(cfg.scheme, cfg.shots, cfg.seed)] = result[1]["trace_distance"]
+        return result
+
+    failures = [key for key in sorted(expected) if isinstance(expected[key], Exception)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_score", recording_score)
+        if failures:
+            first = expected[failures[0]]
+            with pytest.raises(type(first)) as raised:
+                compare_schemes(cfg, schemes, shot_grid, n_seeds=n_seeds)
+            assert str(raised.value) == str(first)
+            return
+        rows = compare_schemes(cfg, schemes, shot_grid, n_seeds=n_seeds)
+    for (scheme, shots, seed_), value in scored.items():
+        key = (scheme, shots, (seed_ - cfg.seed) if not exact else 0)
+        assert value == expected[key]
+    # every experiment was scored, once, under its own name or mixed_a's
+    names = {key[0] for key in expected}
+    scored_names = {key[0] for key in scored}
+    assert scored_names == (names - {"mixed_b"} if "mixed_a" in names else names)
+    assert len(scored) == sum(key[0] in scored_names for key in expected)
+    by_cell = {(row["scheme"], row["shots"]): row for row in rows if "skipped" not in row}
+    for scheme, shots in by_cell:
+        values = [expected[(scheme, shots, s)] for s in range(1 if exact else n_seeds)]
+        q25, q50, q75 = np.percentile(values, [25.0, 50.0, 75.0])
+        assert by_cell[(scheme, shots)]["median"] == float(q50)
+        assert by_cell[(scheme, shots)]["iqr"] == float(q75 - q25)
+        if scheme == "mixed_b" and "mixed_a" in schemes:
+            assert by_cell[(scheme, shots)] == {**by_cell[("mixed_a", shots)],
+                                                "scheme": "mixed_b"}
+
+
+def _count_calls(monkeypatch, names):
+    """Count the calls of each named pointer function, patched wherever a
+    weaktomo module binds the name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(pointer, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (pointer, harness):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_compare_computes_one_law_per_measured_and_one_draw_per_cell(monkeypatch):
+    # The basis-A schemes share a law and each cell's table; single_projector
+    # and single_observable measure their own observables.  Run one by one,
+    # the 6 schemes x 2 shots x 3 seeds make 36 laws and 36 draws.
+    cfg = ExperimentConfig(dim=3, scheme="all_data", data_mode="sampled", shots=20_000,
+                           seed=4, state_seed=9, pointer_g=0.2)
+    calls = _count_calls(monkeypatch, ("_law", "_draw_cells"))
+    compare_schemes(cfg, [*TABLE_SCHEMES, "partial"], [20_000, 80_000], n_seeds=3)
+    assert calls == {"_law": 3, "_draw_cells": 3 * 2 * 3}
+    calls.update(_law=0, _draw_cells=0)
+    _one_by_one(cfg, TABLE_SCHEMES, [20_000, 80_000], 3)
+    assert calls == {"_law": 36, "_draw_cells": 36}
+    calls.update(_law=0, _draw_cells=0)
+    compare_schemes(replace(cfg, data_mode="exact"), TABLE_SCHEMES, [0])
+    assert calls == {"_law": 0, "_draw_cells": 0}
+
+
+@pytest.mark.parametrize("seed, n_seeds, error, message", [
+    # mixed_a fails first at seed 17, postselected only at seed 25
+    (0, 200, DegenerateDataError, "matrix has no positive spectral weight to normalize"),
+    # at seed 25 both schemes fail on the one table of one cell: mixed_a's
+    # error sorts first
+    (18, 10, MissingDataError, "table rows [0] are undefined; the a-basis sum needs "
+                               "every outcome"),
+])
+@pytest.mark.parametrize("schemes", [["postselected", "mixed_a"], ["mixed_a", "postselected"]])
+def test_compare_raises_the_first_failing_experiment_in_sorted_order(
+        seed, n_seeds, error, message, schemes):
+    cfg = ExperimentConfig(dim=2, scheme="mixed_a", data_mode="sampled", shots=1000,
+                           seed=seed, state_seed=3)
+    expected = _one_by_one(cfg, schemes, [1000], n_seeds)
+    first = next(expected[key] for key in sorted(expected)
+                 if isinstance(expected[key], Exception))
+    assert (type(first), str(first)) == (error, message)
+    with pytest.raises(error) as raised:
+        compare_schemes(cfg, schemes, [1000], n_seeds=n_seeds)
+    assert str(raised.value) == message
 
 
 def test_thread_cap_env(monkeypatch):

@@ -313,6 +313,29 @@ def test_observable_eigensystem_roundtrip():
     assert obs.non_degenerate
 
 
+@pytest.mark.parametrize("d", [2, 3, 8, 64])
+def test_reference_basis_shortcut_is_byte_equal_to_the_product(d):
+    # over reference_basis(d) the observable is diag(lambda), built without
+    # the products by its identity vectors; a fresh basis with the same
+    # vectors goes through them, and turns each -0.0 eigenvalue into 0.0
+    fresh = OrthonormalBasis(np.eye(d))
+    rng = np.random.default_rng(d)
+    for lam in (np.arange(d, dtype=float), -np.arange(d, dtype=float),
+                rng.standard_normal(d), np.where(rng.random(d) < 0.5, -0.0, 0.0)):
+        short = Observable.from_eigensystem(lam, reference_basis(d))
+        full = Observable.from_eigensystem(lam, fresh)
+        assert short.matrix.tobytes() == full.matrix.tobytes()
+        assert short.eigenvalues.tobytes() == full.eigenvalues.tobytes()
+        # the rebuild check reads the same diagonal: it keeps the matrix
+        # within 1e-10 and refuses one beyond it, over either basis
+        for basis in (reference_basis(d), fresh):
+            off = np.zeros((d, d), dtype=complex)
+            off[0, 1] = off[1, 0] = 5e-11
+            Observable(short.matrix + off, lam, basis, short.non_degenerate)
+            with pytest.raises(ValueError, match="does not reproduce"):
+                Observable(short.matrix + 4 * off, lam, basis, short.non_degenerate)
+
+
 def test_observable_projector_degenerate_for_d3():
     proj = Observable.projector(random_pure_state(3, 2))
     assert not proj.non_degenerate  # eigenvalue 0 is repeated
