@@ -2,8 +2,8 @@
 
 Subcommands:
   gen          write a random state, a basis, or a starter config
-  simulate     produce the data a config's scheme reads: exact table JSON or
-               sampled records CSV
+  simulate     produce the data a config's scheme reads, partial included:
+               exact table JSON or sampled records CSV
   reconstruct  run a reconstruction scheme on simulated or loaded data
   verify       check invariants of a state/basis/table/config file
   demo-phase   small-phase detection demo
@@ -23,7 +23,7 @@ import numpy as np
 from . import serialize
 from .errors import PreconditionError, WeakTomoError
 from .harness import (
-    SCHEMES,
+    STATE_SCHEMES,
     ExperimentConfig,
     compare_schemes,
     demo_phase_detection,
@@ -40,9 +40,6 @@ from .qcore import (
     random_pure_state,
 )
 from .weakval import check_sum_rules
-
-_STATE_SCHEMES = tuple(name for name, scheme in SCHEMES.items()
-                       if scheme.measured is not None)
 
 
 class _UsageError(Exception):
@@ -324,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="score schemes over a shot grid")
     _add_common(p)
-    p.add_argument("--schemes", default=",".join(_STATE_SCHEMES))
+    p.add_argument("--schemes", default=",".join(STATE_SCHEMES))
     p.add_argument("--shots-grid", default="10000", metavar="N,N,...",
                    help="comma-separated shot counts")
     p.add_argument("--seeds", type=int, default=20,

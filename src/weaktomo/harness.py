@@ -2,14 +2,18 @@
 
 A single ExperimentConfig fully determines a run: the true state, the
 post-selection basis, the pointer parameters, the reconstruction scheme, and
-(for sampled mode) the shot budget and seed.  Identical configs give
-bit-identical results regardless of worker count; parallelism only ever
-distributes independently seeded cells.  A scheme comparison shares work
-across its experiments, not results: each (shots, seed) cell draws one table
-per measured object for every scheme that reads it, and each experiment's
-score is bit for bit the one its own run_reconstruction gives.
+(for sampled mode) the shot budget and seed.  Every scheme, partial
+tomography included, is one ``Scheme`` row: a run builds one ``Source``,
+computes or draws its table, and the scheme's reconstruct and score steps
+read both.  Identical configs give bit-identical results regardless of
+worker count; parallelism only ever distributes independently seeded cells.
+A scheme comparison shares work across its experiments, not results: each
+(shots, seed) cell draws one table per source for every scheme that reads
+it, and each experiment's score is bit for bit the one its own
+run_reconstruction gives.
 """
 
+import functools
 import math
 import os
 import time
@@ -30,6 +34,7 @@ from .qcore import (
     Observable,
     OrthonormalBasis,
     StateVector,
+    TransitionMatrix,
     fidelity,
     fourier_basis,
     random_density_matrix,
@@ -51,6 +56,8 @@ from .pointer import (
     sample_records,
 )
 from .recon import (
+    DensityEstimate,
+    ElementPair,
     estimate_element_nonorthogonal,
     estimate_element_orthogonal,
     reconstruct_mixed_abasis,
@@ -213,126 +220,187 @@ def _resolve_partial_pair(cfg: ExperimentConfig) -> tuple[StateVector, StateVect
 class ResultBundle:
     """Everything one run produced.
 
-    ``estimate`` is a StateVector, a DensityEstimate, or an ElementPair
-    depending on the scheme; ``table`` holds the (exact or estimated)
-    weak-value table the scheme read, None for partial tomography.
-    wall_time is informational and never serialized, keeping seeded outputs
-    byte-identical.
+    ``estimate`` is a StateVector, a DensityEstimate, or a complex element
+    or an ElementPair for partial tomography; ``table`` holds the (exact or
+    estimated) weak-value table the scheme read.  wall_time is informational
+    and never serialized, keeping seeded outputs byte-identical.
     """
 
     scheme: str
     config: ExperimentConfig
     estimate: object
     metrics: dict
-    table: WeakValueTable | None = None
+    table: WeakValueTable
     kernel: object = None
     wall_time: float = 0.0
 
 
-def _basis_a(cfg: ExperimentConfig) -> OrthonormalBasis:
-    return reference_basis(cfg.dim)
+@dataclass(frozen=True)
+class Source:
+    """What one run measures, built once and read by every step: ``measured``
+    as ``weak_value_table`` takes it (basis A: d pointers; an Observable:
+    one) over ``basis`` with ``pointers``, and the scheme's ``probe``: the
+    post-selection row, phi, or the pair (a, b) and its route."""
+
+    measured: object
+    basis: OrthonormalBasis
+    pointers: PointerConfig
+    probe: object = None
+
+    @functools.cached_property
+    def beta(self) -> TransitionMatrix:
+        """beta from basis A to ``basis``, built on first read, after the table:
+        built before it, an exact d=256 all_data run took 5% longer (2 CPUs)."""
+        return transition_matrix(reference_basis(self.basis.dim), self.basis)
 
 
-def _phi_projector(cfg: ExperimentConfig) -> Observable:
-    return Observable.projector(_resolve_phi(cfg))
+def _basis_a_source(cfg: ExperimentConfig, basis_b: OrthonormalBasis) -> Source:
+    return Source(reference_basis(cfg.dim), basis_b, cfg.pointer_config(cfg.dim),
+                  cfg.postselect_row)
 
 
-def _lambda_observable(cfg: ExperimentConfig) -> Observable:
-    lam = np.arange(cfg.dim, dtype=float) if cfg.lambdas is None else cfg.lambdas
-    lam = np.asarray(lam, dtype=float)
+def _projector_source(cfg: ExperimentConfig, basis_b: OrthonormalBasis) -> Source:
+    phi = _resolve_phi(cfg)
+    return Source(Observable.projector(phi), basis_b, cfg.pointer_config(1), phi)
+
+
+def _observable_source(cfg: ExperimentConfig, basis_b: OrthonormalBasis) -> Source:
+    lam = np.asarray(np.arange(cfg.dim) if cfg.lambdas is None else cfg.lambdas, dtype=float)
     if lam.size != cfg.dim:
         raise ValueError(f"need {cfg.dim} eigenvalues, got {lam.size}")
-    return Observable.from_eigensystem(lam, reference_basis(cfg.dim))
+    return Source(Observable.from_eigensystem(lam, reference_basis(cfg.dim)), basis_b,
+                  cfg.pointer_config(1))
 
 
-def _postselected(cfg, table, beta, basis_b):
-    row = cfg.postselect_row
+def _partial_source(cfg: ExperimentConfig, basis_b: OrthonormalBasis) -> Source:
+    """A non-orthogonal pair weakly measures |a><a| and post-selects on b; an
+    orthogonal pair weakly measures the projector onto the bridge state
+    (a + b)/sqrt2 and post-selects on a and on b.  Either way the table is
+    read over a basis that the post-selection vectors begin, so the pair's
+    own basis takes the place of basis B.  The probe is (a, b, bridged)."""
+    a, b = _resolve_partial_pair(cfg)
+    bridged = abs(b.overlap(a)) <= 1e-12
+    if bridged:
+        measured, posts = StateVector.normalized(a.amplitudes + b.amplitudes), [a, b]
+    else:
+        measured, posts = a, [b]
+    return Source(Observable.projector(measured), _complete_basis([p.amplitudes for p in posts]),
+                  cfg.pointer_config(1), (a, b, bridged))
+
+
+def _postselected(src: Source, table: WeakValueTable):
+    row = src.probe
     if not table.defined[row]:
         raise MissingDataError(f"post-selection outcome {row} is undefined")
-    return reconstruct_pure_postselected(table.W[row], beta.beta[row]), {}, None
+    return reconstruct_pure_postselected(table.W[row], src.beta.beta[row]), {}, None
 
 
-def _all_data(cfg, table, beta, basis_b):
-    result = reconstruct_pure_all_data(table, beta)
+def _all_data(src: Source, table: WeakValueTable):
+    result = reconstruct_pure_all_data(table, src.beta)
     return result.merged, {"consistency": result.consistency}, None
 
 
-def _single_projector(cfg, table, beta, basis_b):
+def _single_projector(src: Source, table: WeakValueTable):
     if not table.defined.all():
         raise MissingDataError(
             f"outcomes {np.where(~table.defined)[0].tolist()} are undefined; "
             "this scheme sums over every outcome")
-    estimate = reconstruct_pure_single_projector(table.W[:, 0], _resolve_phi(cfg), basis_b)
-    return estimate, {}, None
+    return reconstruct_pure_single_projector(table.W[:, 0], src.probe, src.basis), {}, None
 
 
-def _single_observable(cfg, table, beta, basis_b):
+def _single_observable(src: Source, table: WeakValueTable):
     rows = np.where(table.defined)[0]
     if rows.size == 0:
         raise MissingDataError("every outcome is undefined")
     estimate, kernel = reconstruct_pure_single_observable(
-        table.W[:, 0], _lambda_observable(cfg), beta, rows=rows)
+        table.W[:, 0], src.measured, src.beta, rows=rows)
     return estimate, {"kernel_residual": kernel.smallest_eig}, kernel
 
 
-def _mixed(cfg, table, beta, basis_b):
-    result = reconstruct_mixed_abasis(table, beta)
+def _mixed(src: Source, table: WeakValueTable):
+    result = reconstruct_mixed_abasis(table, src.beta)
     return result, {"hermiticity_gap": result.hermiticity_defect}, None
+
+
+def _partial(src: Source, table: WeakValueTable):
+    """The element <a|rho|b>, or both orientations through the bridge."""
+    a, b, bridged = src.probe
+    n = 2 if bridged else 1
+    if not table.defined[:n].all():
+        raise MissingDataError("a post-selection outcome of the pair is undefined: "
+                               "zero probability, or no sampled trial reached it")
+    if n == 1:
+        return estimate_element_nonorthogonal(table.W[0, 0], table.P[0], b.overlap(a)), {}, None
+    pair = estimate_element_orthogonal(table.W[0, 0], table.W[1, 0], table.P[0], table.P[1])
+    return pair, {"hermiticity_gap": pair.hermiticity_gap}, None
+
+
+def _state_score(src: Source, estimate, truth) -> dict:
+    """Fidelity and trace distance of a state estimate; a mixed estimate is
+    scored by its physical projection."""
+    state = estimate.physical if isinstance(estimate, DensityEstimate) else estimate
+    return {"fidelity": fidelity(state, truth), "trace_distance": trace_distance(state, truth)}
+
+
+def _element_score(src: Source, estimate, truth) -> dict:
+    """|estimate - <a|rho|b>|, or for a pair the error of <b|rho|a>."""
+    a, b, _ = src.probe
+    if isinstance(estimate, ElementPair):
+        a, b, estimate = b, a, estimate.element_ba
+    true = complex(np.vdot(a.amplitudes, _as_density(truth) @ b.amplitudes))
+    return {"element_error": abs(estimate - true)}
 
 
 @dataclass(frozen=True)
 class Scheme:
-    """``measured(cfg)``: what the scheme weakly measures, as
-    ``weak_value_table`` takes it (basis A: d pointers; an Observable: one),
-    None when the scheme generates its own data.  ``pure``: it needs a pure
-    truth.  ``reconstruct(cfg, table, beta, basis_b)`` returns the estimate,
-    scheme-specific metrics and the kernel diagnostics (or None)."""
+    """``source(cfg, basis_b)`` builds the run's Source; ``reconstruct(src,
+    table)`` returns the estimate, its own metrics and the kernel diagnostics
+    (or None); ``score(src, estimate, truth)`` returns the metrics against
+    the truth.  ``pure``: the scheme needs a pure truth."""
 
-    measured: Callable | None
+    source: Callable
+    reconstruct: Callable
     pure: bool
-    reconstruct: Callable | None = None
+    score: Callable = _state_score
 
 
-_MIXED = Scheme(_basis_a, False, _mixed)
+_MIXED = Scheme(_basis_a_source, _mixed, False)
 SCHEMES = {
-    "postselected": Scheme(_basis_a, True, _postselected),
-    "all_data": Scheme(_basis_a, True, _all_data),
-    "single_projector": Scheme(_phi_projector, True, _single_projector),
-    "single_observable": Scheme(_lambda_observable, True, _single_observable),
+    "postselected": Scheme(_basis_a_source, _postselected, True),
+    "all_data": Scheme(_basis_a_source, _all_data, True),
+    "single_projector": Scheme(_projector_source, _single_projector, True),
+    "single_observable": Scheme(_observable_source, _single_observable, True),
     # One estimator under its a-basis and its b-basis name.
     "mixed_a": _MIXED,
     "mixed_b": _MIXED,
-    "partial": Scheme(None, False),
+    "partial": Scheme(_partial_source, _partial, False, _element_score),
 }
 PURE_SCHEMES = tuple(name for name, scheme in SCHEMES.items() if scheme.pure)
-
-_OWN_DATA = "partial tomography generates its own data"
-
-
-def _measurement(cfg: ExperimentConfig) -> tuple[object, PointerConfig]:
-    """What the configured scheme weakly measures, and its pointers."""
-    measured = SCHEMES[cfg.scheme].measured(cfg)
-    return measured, cfg.pointer_config(1 if isinstance(measured, Observable) else cfg.dim)
+STATE_SCHEMES = tuple(name for name, scheme in SCHEMES.items() if scheme.score is _state_score)
 
 
-def _table(cfg: ExperimentConfig, truth: StateVector | DensityMatrix, measured,
-           basis_b: OrthonormalBasis, pcfg: PointerConfig, law=None) -> WeakValueTable:
-    """The weak-value table of ``measured`` over basis B: in closed form in
-    exact mode, estimated from ``cfg.shots`` sampled trials otherwise.
-    ``law`` is what the tables come from, when the caller holds it for many:
-    the closed-form table in exact mode, else ``_law``'s outcome law and
-    first-order shifts."""
-    if cfg.data_mode == "sampled":
-        return _sampled_table(truth, measured, basis_b, pcfg, cfg.shots, cfg.seed,
-                              _resolve_noise(cfg), law=law)
-    return weak_value_table(truth, measured, basis_b) if law is None else law
+def _source(cfg: ExperimentConfig, basis_b: OrthonormalBasis) -> Source:
+    """What the configured scheme measures: the one thing a run builds."""
+    return SCHEMES[cfg.scheme].source(cfg, basis_b)
 
 
-def _transition(cfg: ExperimentConfig, measured, basis_b: OrthonormalBasis):
-    """beta from basis A to B.  Basis A is the reference basis, which the
-    d-pointer schemes measure."""
-    basis_a = measured if isinstance(measured, OrthonormalBasis) else reference_basis(cfg.dim)
-    return transition_matrix(basis_a, basis_b)
+def _law_of(cfg: ExperimentConfig, truth: StateVector | DensityMatrix, src: Source):
+    """What the source's tables come from: the closed-form table in exact
+    mode, else ``_law``'s outcome law and first-order shifts."""
+    if cfg.data_mode == "exact":
+        return weak_value_table(truth, src.measured, src.basis)
+    return _law(truth, src.measured, src.basis, src.pointers)
+
+
+def _table(cfg: ExperimentConfig, truth: StateVector | DensityMatrix, src: Source,
+           law=None) -> WeakValueTable:
+    """The source's table, estimated from ``cfg.shots`` sampled trials in
+    sampled mode; ``law`` is its ``_law_of``, when the caller holds it for many."""
+    law = _law_of(cfg, truth, src) if law is None else law
+    if cfg.data_mode == "exact":
+        return law
+    return _sampled_table(truth, src.measured, src.basis, src.pointers, cfg.shots, cfg.seed,
+                          _resolve_noise(cfg), law=law)
 
 
 def _resolve_truth(cfg: ExperimentConfig) -> StateVector | DensityMatrix:
@@ -348,19 +416,15 @@ def simulate(cfg: ExperimentConfig) -> WeakValueTable | RecordStream:
     """The data the configured scheme consumes, as ``weaktomo simulate`` writes it.
 
     Exact mode gives the closed-form weak-value table (d x d for the basis-A
-    schemes, d x 1 for the single-observable ones); sampled mode gives the
-    pointer records of ``cfg.shots`` trials.  Partial tomography raises
-    SchemeInapplicableError: its data depend on the configured vector pair.
-    So does a pure-state scheme on a mixed truth, which it could not read.
+    schemes, d x 1 for the one-pointer ones, partial included); sampled mode
+    gives the pointer records of ``cfg.shots`` trials.  A pure-state scheme
+    on a mixed truth, which it could not read, raises SchemeInapplicableError.
     """
-    if SCHEMES[cfg.scheme].measured is None:
-        raise SchemeInapplicableError(f"{_OWN_DATA}; there is nothing to simulate")
     truth = _resolve_truth(cfg)
-    measured, pcfg = _measurement(cfg)
-    basis_b = _resolve_basis(cfg)
+    src = _source(cfg, _resolve_basis(cfg))
     if cfg.data_mode == "exact":
-        return weak_value_table(truth, measured, basis_b)
-    return sample_records(truth, measured, basis_b, pcfg, cfg.shots, cfg.seed,
+        return weak_value_table(truth, src.measured, src.basis)
+    return sample_records(truth, src.measured, src.basis, src.pointers, cfg.shots, cfg.seed,
                           _resolve_noise(cfg))
 
 
@@ -382,35 +446,23 @@ def run_reconstruction(cfg: ExperimentConfig, *,
     that do not grow with the shots.  That table has the law of estimating
     from ``simulate(cfg)``'s records, not their bits; pass
     ``estimate_weak_values`` of those records as ``table`` to reproduce the
-    records route.  A provided ``table`` (d x d for basis-A schemes, d x 1 for single-observable
-    ones) bypasses data generation.  Partial tomography always generates its
-    own data: its post-selection geometry depends on the configured pair.
+    records route.  A provided ``table`` (d x d for basis-A schemes, d x 1
+    for the one-pointer ones, partial included) bypasses data generation.
     Metrics include fidelity and trace distance for state schemes and the
     element error for partial tomography.  Every scheme is scored against the
     truth as it was resolved, so a mixed estimate of a pure truth gets the
     fidelity <psi|rho|psi>.
     """
     t0 = time.perf_counter()
-    scheme = SCHEMES[cfg.scheme]
     truth = _resolve_truth(cfg)
-    basis_b = _resolve_basis(cfg)
-    kernel = None
-    if scheme.measured is None:
-        if table is not None:
-            raise SchemeInapplicableError(f"{_OWN_DATA}; it cannot consume a table")
-        estimate, metrics = _run_partial(cfg, truth)
-        metrics = _finite_metrics(metrics)
-    else:
-        measured, pcfg = _measurement(cfg)
-        if table is None:
-            table = _table(cfg, truth, measured, basis_b, pcfg)
-        elif (table.dim, table.n_pointers) != (cfg.dim, pcfg.n_pointers):
-            raise SchemeInapplicableError(
-                f"scheme {cfg.scheme!r} consumes a {cfg.dim} x {pcfg.n_pointers} table, "
-                f"got {table.dim} x {table.n_pointers}")
-        estimate, metrics, kernel = _score(cfg, scheme, truth, table,
-                                           _transition(cfg, measured, basis_b), basis_b)
-
+    src = _source(cfg, _resolve_basis(cfg))
+    if table is None:
+        table = _table(cfg, truth, src)
+    elif (table.dim, table.n_pointers) != (cfg.dim, src.pointers.n_pointers):
+        raise SchemeInapplicableError(
+            f"scheme {cfg.scheme!r} consumes a {cfg.dim} x {src.pointers.n_pointers} table, "
+            f"got {table.dim} x {table.n_pointers}")
+    estimate, metrics, kernel = _score(cfg, SCHEMES[cfg.scheme], truth, src, table)
     return ResultBundle(
         scheme=cfg.scheme,
         config=cfg,
@@ -423,51 +475,14 @@ def run_reconstruction(cfg: ExperimentConfig, *,
 
 
 def _score(cfg: ExperimentConfig, scheme: Scheme, truth: StateVector | DensityMatrix,
-           table: WeakValueTable, beta, basis_b: OrthonormalBasis):
+           src: Source, table: WeakValueTable):
     """Reconstruct with ``scheme`` from ``table`` and score the estimate
-    against ``truth``: the estimate, its finite metrics (the scheme's own,
-    fidelity and trace distance) and the kernel diagnostics or None."""
-    estimate, metrics, kernel = scheme.reconstruct(cfg, table, beta, basis_b)
-    state = estimate if scheme.pure else estimate.physical
-    metrics["fidelity"] = fidelity(state, truth)
-    metrics["trace_distance"] = trace_distance(state, truth)
+    against ``truth``: the estimate, its finite metrics (the scheme's own and
+    its score step's) and the kernel diagnostics or None.  ``cfg`` names the
+    experiment to a wrapper of this function; the source holds what it set."""
+    estimate, metrics, kernel = scheme.reconstruct(src, table)
+    metrics.update(scheme.score(src, estimate, truth))
     return estimate, _finite_metrics(metrics), kernel
-
-
-def _pair_data(cfg: ExperimentConfig, truth: StateVector | DensityMatrix,
-               observable: Observable, posts: list[StateVector]):
-    """Weak values of ``observable`` and outcome probabilities at ``posts``,
-    read from the table over a basis that the posts begin."""
-    n = len(posts)
-    basis = _complete_basis([post.amplitudes for post in posts])
-    table = _table(cfg, truth, observable, basis, cfg.pointer_config(1))
-    if not table.defined[:n].all():
-        raise MissingDataError("a post-selection outcome of the pair is undefined: "
-                               "zero probability, or no sampled trial reached it")
-    return table.W[:n, 0], table.P[:n]
-
-
-def _run_partial(cfg: ExperimentConfig, truth: StateVector | DensityMatrix):
-    """Estimate the single element <a|rho|b>, routing on the pair's overlap.
-
-    A non-orthogonal pair weakly measures |a><a| and post-selects on b; an
-    orthogonal pair weakly measures the projector onto the bridge state
-    (a + b)/sqrt2 and post-selects on a and on b separately.
-    """
-    a, b = _resolve_partial_pair(cfg)
-    overlap_ba = b.overlap(a)
-    mat = _as_density(truth)
-    if abs(overlap_ba) > 1e-12:
-        (w,), (p_b,) = _pair_data(cfg, truth, Observable.projector(a), [b])
-        element = estimate_element_nonorthogonal(w, p_b, overlap_ba)
-        true_ab = complex(np.vdot(a.amplitudes, mat @ b.amplitudes))
-        return element, {"element_error": abs(element - true_ab)}
-    bridge = StateVector.normalized(a.amplitudes + b.amplitudes)
-    (w, w_prime), (p_a, p_b) = _pair_data(cfg, truth, Observable.projector(bridge), [a, b])
-    pair = estimate_element_orthogonal(w, w_prime, p_a, p_b)
-    true_ba = complex(np.vdot(b.amplitudes, mat @ a.amplitudes))
-    return pair, {"element_error": abs(pair.element_ba - true_ba),
-                  "hermiticity_gap": pair.hermiticity_gap}
 
 
 @dataclass(frozen=True)
@@ -551,17 +566,6 @@ def _attempt(fn, *args):
         return exc
 
 
-def _source(cfg: ExperimentConfig, truth: StateVector | DensityMatrix,
-            basis_b: OrthonormalBasis) -> tuple:
-    """What the configured scheme's tables come from, built once for many:
-    its measured object, pointers, ``_table`` law and beta, in the order a
-    run builds them."""
-    measured, pcfg = _measurement(cfg)
-    law = (weak_value_table(truth, measured, basis_b) if cfg.data_mode == "exact"
-           else _law(truth, measured, basis_b, pcfg))
-    return measured, pcfg, law, _transition(cfg, measured, basis_b)
-
-
 def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
                     n_seeds: int = 20) -> list[dict]:
     """Score several schemes across a shot grid with a common true state.
@@ -570,15 +574,16 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
     and reports the median and interquartile range of the trace distance to
     the truth, plus the discarded-data fraction (nonzero only for the
     postselected scheme, which keeps a single outcome).  Schemes that cannot
-    run on the configured state are reported as skipped.
+    run on the configured state, and partial tomography, which is scored by
+    its element error and has no trace distance, are reported as skipped.
 
     Every trace distance is the one ``run_reconstruction`` gives for that
     (scheme, shots, seed) config, bit for bit, and every such config is
     built and checked, but work that the experiments share is done once.
-    The truth, basis B, and each measured object's pointers, law and beta
-    are built once per sweep.  Each (shots, seed) cell draws one table per
-    distinct measured object, which every scheme that measures it reads:
-    postselected, all_data, mixed_a and mixed_b all read the basis-A table.
+    The truth, basis B, and each distinct ``_source`` and its law are built
+    once per sweep.  Each (shots, seed) cell draws one table per source,
+    which every scheme built on it reads: postselected, all_data, mixed_a
+    and mixed_b all read the basis-A table.
     Each distinct estimator is scored once on it, so mixed_b, the mixed_a
     estimator under its b-basis name, takes mixed_a's score.  Cells are the
     unit of work of a thread pool capped by ``thread_cap()``; results are
@@ -600,7 +605,7 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}; options: {tuple(SCHEMES)}")
-        if SCHEMES[scheme].measured is None:
+        if scheme not in STATE_SCHEMES:
             skipped[scheme] = "estimates one element, no state-level trace distance"
             continue
         if SCHEMES[scheme].pure and not isinstance(truth, StateVector):
@@ -611,35 +616,39 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
                 jobs[(scheme, int(shots), s_idx)] = replace(
                     cfg_base, scheme=scheme, shots=int(shots), seed=seed)
 
-    # Scheme names grouped by what they measure, then by estimator; each
-    # group's tables come from one source, built with its first name's config.
+    # Scheme names grouped by their source builder, then by estimator; each
+    # group's tables come from one source and law, built with its first
+    # name's config.
     groups: dict[Callable, dict[Scheme, list[str]]] = {}
     for name in sorted({key[0] for key in jobs}):
         scheme = SCHEMES[name]
-        groups.setdefault(scheme.measured, {}).setdefault(scheme, []).append(name)
+        groups.setdefault(scheme.source, {}).setdefault(scheme, []).append(name)
     cells = sorted({key[1:] for key in jobs})
+
+    def prepare(cfg):
+        src = _source(cfg, basis_b)
+        return src, _law_of(cfg, truth, src)
+
     plan = []
     for by_scheme in groups.values():
         lead = next(iter(by_scheme.values()))[0]
-        plan.append((lead, _attempt(_source, jobs[(lead, *cells[0])], truth, basis_b),
-                     by_scheme))
+        plan.append((lead, _attempt(prepare, jobs[(lead, *cells[0])]), by_scheme))
 
-    def distance(cfg, scheme, table, beta) -> float:
-        return _score(cfg, scheme, truth, table, beta, basis_b)[1]["trace_distance"]
+    def distance(cfg, scheme, src, table) -> float:
+        return _score(cfg, scheme, truth, src, table)[1]["trace_distance"]
 
     def score_cell(cell) -> dict:
         """Trace distance, or the error raised, of every experiment in a cell."""
         out = {}
-        for lead, source, by_scheme in plan:
-            table = source
-            if not isinstance(source, Exception):
-                measured, pcfg, law, beta = source
-                table = _attempt(_table, jobs[(lead, *cell)], truth, measured, basis_b,
-                                 pcfg, law)
+        for lead, prepared, by_scheme in plan:
+            table = prepared
+            if not isinstance(prepared, Exception):
+                src, law = prepared
+                table = _attempt(_table, jobs[(lead, *cell)], truth, src, law)
             for scheme, names in by_scheme.items():
                 value = table
                 if not isinstance(table, Exception):
-                    value = _attempt(distance, jobs[(names[0], *cell)], scheme, table, beta)
+                    value = _attempt(distance, jobs[(names[0], *cell)], scheme, src, table)
                 out.update(((name, *cell), value) for name in names)
         return out
 

@@ -351,10 +351,12 @@ def _simplex_projection(vals: np.ndarray) -> np.ndarray:
     k = np.arange(1, vals.size + 1)
     shifts = (np.cumsum(desc) - 1.0) / k
     # The condition holds for a leading run of k; use its end.  k = 1 always
-    # qualifies in exact arithmetic, but not in floats once desc[0] - 1 rounds.
+    # qualifies in exact arithmetic, but not in floats once desc[0] - 1 rounds
+    # (about 1e17); shifting every eigenvalue alike leaves the projection
+    # unmoved, and with the top one at 0, k = 1 qualifies.
     run = np.flatnonzero(desc - shifts > 0)
     if not run.size:
-        raise DegenerateDataError(f"eigenvalue {desc[0]:.3e} is too large for a unit trace")
+        return _simplex_projection(vals - desc[0])
     return np.clip(vals - shifts[run[-1]], 0.0, None)
 
 
@@ -365,8 +367,6 @@ def _nearest_state(raw) -> tuple[DensityMatrix, float]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {raw.shape}")
     hermitized = (raw + raw.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(hermitized)
-    if np.clip(vals, 0.0, None).sum() <= PROB_FLOOR:
-        raise DegenerateDataError("matrix has no positive spectral weight to normalize")
     return _density_from_spectrum(_simplex_projection(vals), vecs), float(vals[0])
 
 
@@ -375,7 +375,9 @@ def project_to_physical(raw: np.ndarray) -> DensityMatrix:
 
     Hermitizes raw and projects its eigenvalues onto the probability simplex
     in the same eigenbasis (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)),
-    which gives the unit-trace PSD matrix closest to raw.
-    Raises DegenerateDataError when raw has no positive spectral weight.
+    which gives the unit-trace PSD matrix closest to raw.  Every Hermitian
+    part has one: a spectrum with no positive weight projects too, so -I
+    becomes I/d, and an eigenvalue too large for a unit trace to resolve
+    gives its eigenvector's projector.
     """
     return _nearest_state(raw)[0]

@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .qcore import DensityMatrix, StateVector
+from .qcore import StateVector, _check_finite
 from .weakval import WeakValueTable
 from .harness import ExperimentConfig, PhaseDemoReport, ResultBundle
 from .recon import DensityEstimate, ElementPair
@@ -52,24 +52,20 @@ def array_to_json(arr) -> dict:
 
 
 def array_from_json(obj) -> np.ndarray:
+    """Decode ``array_to_json`` output; a non-finite entry raises ValueError."""
     re = _floats(obj, "re").reshape(-1)
     im = _floats(obj, "im").reshape(-1)
     if re.shape != im.shape:
         raise ValueError("re and im parts have different lengths")
     arr = re.astype(complex)
     arr.imag = im  # not re + 1j * im, which evaluates 0 * inf on an infinite im
+    _check_finite(arr, "array")
     d = _count(obj["dim"], "dim")
     if arr.size == d:
         return arr
     if arr.size == d * d:
         return arr.reshape(d, d)
     raise ValueError(f"dim {d} admits {d} or {d * d} entries, got {arr.size}")
-
-
-def decode_state(obj):
-    """Decode {"dim","re","im"} into a StateVector (1-D) or DensityMatrix (2-D)."""
-    arr = array_from_json(obj)
-    return StateVector(arr) if arr.ndim == 1 else DensityMatrix(arr)
 
 
 def table_to_json(table: WeakValueTable) -> dict:
@@ -228,16 +224,16 @@ def _diagnostics(bundle: ResultBundle) -> dict:
 def bundle_to_json(bundle: ResultBundle) -> dict:
     """Serialize a run.  Wall time is deliberately left out so that repeated
     seeded runs produce byte-identical files.  The table the scheme read, of
-    any pointer count, goes under "table" in the ``table_to_json`` layout,
-    with its trial count; partial tomography writes None."""
-    table = bundle.table
+    any pointer count and for every scheme, partial tomography included,
+    goes under "table" in the ``table_to_json`` layout, with its trial
+    count."""
     return {
         "scheme": bundle.scheme,
         "config": config_to_dict(bundle.config),
         "estimate": _estimate_to_json(bundle.estimate),
         "metrics": {k: float(v) for k, v in sorted(bundle.metrics.items())},
         "diagnostics": _diagnostics(bundle),
-        "table": None if table is None else table_to_json(table),
+        "table": table_to_json(bundle.table),
     }
 
 
@@ -279,11 +275,6 @@ def comparison_to_csv(rows) -> str:
 
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def dump_path(obj, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps(obj))
 
 
 def load_path(path):

@@ -230,11 +230,33 @@ def test_simulate_single_pointer_schemes_round_trip(tmp_path, scheme):
     assert json.loads(proc.stderr)["error"] == "dimension-mismatch"
 
 
-def test_simulate_partial_is_inapplicable():
-    proc = run_cli("simulate", "--set", "dim=2", "--set", "scheme=partial",
-                   "--set", "state_spec=ginibre")
-    assert proc.returncode == 1
-    assert json.loads(proc.stderr)["error"] == "scheme-inapplicable"
+def test_simulate_partial_writes_the_pairs_table(tmp_path):
+    # partial reads a d x 1 table, of the default non-orthogonal pair or of
+    # an orthogonal pair through its bridge; simulate writes it, and the
+    # reconstruction from the written table is the in-memory exact one
+    orthogonal = [f'{name}={{"dim": 3, "re": {re}, "im": [0, 0, 0]}}'
+                  for name, re in (("partial_a", [1, 0, 0]), ("partial_b", [0, 0, 1]))]
+    table, records = tmp_path / "table.json", tmp_path / "records.csv"
+    for pair in ([], orthogonal):
+        common = ["--set", "dim=3", "--set", "scheme=partial", "--set", "state_spec=ginibre",
+                  "--seed", "1", *(arg for value in pair for arg in ("--set", value))]
+        proc = run_cli("simulate", *common, "--exact", "--out", str(table))
+        assert proc.returncode == 0, proc.stderr
+        assert np.array(json.loads(table.read_text())["W_re"]).shape == (3, 1)
+        from_table = run_cli("reconstruct", *common, "--exact", "--table", str(table),
+                             "--quiet")
+        exact = run_cli("reconstruct", *common, "--exact", "--quiet")
+        assert from_table.returncode == exact.returncode == 0, from_table.stderr
+        assert from_table.stdout == exact.stdout
+        assert json.loads(exact.stdout)["metrics"]["element_error"] <= 1e-12
+        assert run_cli("simulate", *common, "--sampled", "--shots", "5000",
+                       "--out", str(records)).returncode == 0
+        proc = run_cli("reconstruct", *common, "--sampled", "--shots", "5000",
+                       "--records", str(records), "--quiet")
+        assert proc.returncode == 0, proc.stderr
+        bundle = json.loads(proc.stdout)
+        assert np.array(bundle["table"]["W_re"]).shape == (3, 1)
+        assert bundle["table"]["n_trials"] == 5000
 
 
 @pytest.mark.parametrize("mode", ["--exact", "--sampled"])
@@ -458,14 +480,14 @@ def test_compare_sampled_defaults_base_shots_to_grid():
 
 
 def test_compare_with_a_failing_experiment_exits_with_its_error():
-    # 4 of these 200 mixed_a experiments fail; the first, seed 17, is
-    # degenerate, and its error ends the sweep
+    # one of these 200 mixed_a experiments, seed 25, fails: no trial reached
+    # outcome 0, and its error ends the sweep
     proc = run_cli("compare", "--sampled", "--set", "dim=2", "--set", "state_seed=3",
                    "--shots-grid", "1000", "--schemes", "mixed_a", "--seeds", "200")
     assert proc.returncode == 1
     assert json.loads(proc.stderr) == {
-        "error": "degenerate-data",
-        "message": "matrix has no positive spectral weight to normalize"}
+        "error": "missing-data",
+        "message": "table rows [0] are undefined; the a-basis sum needs every outcome"}
 
 
 def test_compare_rejects_unknown_scheme():

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from weaktomo import (
-    DegenerateDataError,
+    AmbiguousReconstructionError,
     ElementPair,
     ExperimentConfig,
     MissingDataError,
@@ -33,7 +33,7 @@ from weaktomo import (
     transition_matrix,
     weak_value_table,
 )
-from weaktomo import harness, pointer
+from weaktomo import harness, pointer, qcore
 from weaktomo.harness import _resolve_state
 from weaktomo.qcore import _complete_basis
 
@@ -147,12 +147,35 @@ def test_reconstruction_rejects_mismatched_payloads():
 
 
 def test_partial_scheme_generates_its_own_data():
+    # partial reads the d x 1 table of its pair's projector over the pair's
+    # own basis, not a basis-A table
     cfg = ExperimentConfig(dim=2, scheme="partial", state_spec="explicit",
                            state=RHO_EXAMPLE)
+    bundle = run_reconstruction(cfg)
+    assert (bundle.table.dim, bundle.table.n_pointers) == (2, 1)
+    assert run_reconstruction(cfg, table=bundle.table).estimate == bundle.estimate
     table = weak_value_table(_resolve_state(cfg), reference_basis(2),
                              fourier_basis(2))
     with pytest.raises(SchemeInapplicableError):
         run_reconstruction(cfg, table=table)
+
+
+@pytest.mark.parametrize("orthogonal", [False, True])
+def test_partial_run_completes_the_pair_basis_once(monkeypatch, orthogonal):
+    calls = []
+    real = harness._complete_basis
+    monkeypatch.setattr(harness, "_complete_basis",
+                        lambda columns: calls.append(len(columns)) or real(columns))
+    pair = {}
+    if orthogonal:
+        pair = dict(partial_a=np.array([1.0, 0.0, 0.0], dtype=complex),
+                    partial_b=np.array([0.0, 0.0, 1.0], dtype=complex))
+    for mode in ("exact", "sampled"):
+        run_reconstruction(ExperimentConfig(dim=3, scheme="partial", state_spec="ginibre",
+                                            state_seed=2, data_mode=mode, shots=5_000,
+                                            **pair))
+    # one post-selection vector, b, or two, a and b through the bridge
+    assert calls == [2 if orthogonal else 1] * 2
 
 
 # ------------------------------------------------------------------- partial
@@ -460,7 +483,8 @@ def test_compare_thread_count_does_not_change_results(monkeypatch):
     assert serial == threaded
 
 
-TABLE_SCHEMES = tuple(name for name, scheme in SCHEMES.items() if scheme.measured)
+TABLE_SCHEMES = tuple(name for name, scheme in SCHEMES.items()
+                      if scheme.score is harness._state_score)
 
 
 def _one_by_one(cfg, schemes, shot_grid, n_seeds):
@@ -588,8 +612,6 @@ def test_compare_computes_one_law_per_measured_and_one_draw_per_cell(monkeypatch
 
 
 @pytest.mark.parametrize("seed, n_seeds, error, message", [
-    # mixed_a fails first at seed 17, postselected only at seed 25
-    (0, 200, DegenerateDataError, "matrix has no positive spectral weight to normalize"),
     # at seed 25 both schemes fail on the one table of one cell: mixed_a's
     # error sorts first
     (18, 10, MissingDataError, "table rows [0] are undefined; the a-basis sum needs "
@@ -607,6 +629,37 @@ def test_compare_raises_the_first_failing_experiment_in_sorted_order(
     with pytest.raises(error) as raised:
         compare_schemes(cfg, schemes, [1000], n_seeds=n_seeds)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("schemes", [["single_observable", "single_projector"],
+                                     ["single_projector", "single_observable"]])
+def test_compare_raises_the_first_failing_experiment_across_error_classes(schemes):
+    # single_projector misses an outcome from seed 0 on; single_observable
+    # fails only at seed 12, with an ambiguous kernel, but its key sorts first
+    cfg = ExperimentConfig(dim=3, scheme="single_observable", data_mode="sampled",
+                           shots=30, seed=0, state_seed=5)
+    expected = _one_by_one(cfg, schemes, [30], 13)
+    failures = sorted(key for key in expected if isinstance(expected[key], Exception))
+    assert failures[0] == ("single_observable", 30, 12)
+    assert ("single_projector", 30, 0) in failures
+    assert ({type(expected[key]) for key in failures}
+            == {AmbiguousReconstructionError, MissingDataError})
+    with pytest.raises(AmbiguousReconstructionError) as raised:
+        compare_schemes(cfg, schemes, [30], n_seeds=13)
+    assert str(raised.value) == str(expected[failures[0]])
+
+
+def test_compare_builds_one_observable_per_measured_object(monkeypatch):
+    # single_projector and single_observable each measure one Observable,
+    # built once per sweep and read by all 40 of its experiments
+    built = []
+    real = qcore.Observable.__post_init__
+    monkeypatch.setattr(qcore.Observable, "__post_init__",
+                        lambda self: built.append(self.dim) or real(self))
+    cfg = ExperimentConfig(dim=8, scheme="all_data", data_mode="sampled", shots=10_000,
+                           seed=3, state_seed=5)
+    compare_schemes(cfg, TABLE_SCHEMES, [10_000, 100_000], n_seeds=20)
+    assert built == [8, 8]
 
 
 def test_thread_cap_env(monkeypatch):

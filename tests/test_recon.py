@@ -399,14 +399,23 @@ def test_project_physical_rejects_nonsquare():
 
 
 def test_project_physical_rejects_negative_weight():
-    with pytest.raises(DegenerateDataError):
-        project_to_physical(-np.eye(2, dtype=complex))
+    # Nothing is refused: a spectrum with no positive weight has a nearest
+    # state too, the simplex point its eigenvalues shift onto.
+    for d in (2, 3, 5):
+        state = project_to_physical(-np.eye(d, dtype=complex))
+        assert np.max(np.abs(state.elements - np.eye(d) / d)) <= 1e-15
+    state = project_to_physical(np.diag([-0.3, -0.1]).astype(complex))
+    assert np.max(np.abs(state.elements - np.diag([0.4, 0.6]))) <= 1e-15
 
 
 def test_project_physical_rejects_eigenvalue_beyond_unit_trace_resolution():
-    # 1e17 - 1 rounds to 1e17, so no eigenvalue count passes the threshold test
-    with pytest.raises(DegenerateDataError):
-        project_to_physical(np.diag([1e17, 0.0]).astype(complex))
+    # 1e17 - 1 rounds to 1e17, so no eigenvalue count passes the threshold
+    # test; the nearest state is then the top eigenvector's projector, or an
+    # even mixture of the tied top ones
+    for vals, expected in (([0.0, 1e17, -3.0], [0.0, 1.0, 0.0]),
+                           ([1e17, 5.0, 1e17], [0.5, 0.0, 0.5])):
+        state = project_to_physical(np.diag(vals).astype(complex))
+        assert state.elements.tobytes() == np.diag(expected).astype(complex).tobytes()
 
 
 def test_project_physical_is_nearest_state():
@@ -490,10 +499,7 @@ def test_mixed_estimator_matches_the_bbasis_oracle(seed, d, scale):
     w = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     p = rng.dirichlet(np.ones(d))
     table = WeakValueTable(dim=d, W=w, P=p, defined=np.ones(d, dtype=bool))
-    try:
-        raw = reconstruct_mixed_abasis(table, beta).raw
-    except DegenerateDataError:
-        assume(False)  # no positive spectral weight to project; rare at d = 2
+    raw = reconstruct_mixed_abasis(table, beta).raw
     expected = oracle_mixed_bbasis(table.W, table.P, beta.beta)
     assert np.max(np.abs(raw - expected)) <= 1e-12 * np.max(np.abs(raw))
 
