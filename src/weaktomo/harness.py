@@ -581,7 +581,8 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
     (scheme, shots, seed) config, bit for bit, and every such config is
     built and checked, but work that the experiments share is done once.
     The truth, basis B, and each distinct ``_source`` and its law are built
-    once per sweep.  Each (shots, seed) cell draws one table per source,
+    once per sweep, and the discard fraction is read off the basis-A
+    source's law.  Each (shots, seed) cell draws one table per source,
     which every scheme built on it reads: postselected, all_data, mixed_a
     and mixed_b all read the basis-A table.
     Each distinct estimator is scored once on it, so mixed_b, the mixed_a
@@ -629,10 +630,10 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
         src = _source(cfg, basis_b)
         return src, _law_of(cfg, truth, src)
 
-    plan = []
-    for by_scheme in groups.values():
+    plan = {}
+    for builder, by_scheme in groups.items():
         lead = next(iter(by_scheme.values()))[0]
-        plan.append((lead, _attempt(prepare, jobs[(lead, *cells[0])]), by_scheme))
+        plan[builder] = (lead, _attempt(prepare, jobs[(lead, *cells[0])]), by_scheme)
 
     def distance(cfg, scheme, src, table) -> float:
         return _score(cfg, scheme, truth, src, table)[1]["trace_distance"]
@@ -640,7 +641,7 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
     def score_cell(cell) -> dict:
         """Trace distance, or the error raised, of every experiment in a cell."""
         out = {}
-        for lead, prepared, by_scheme in plan:
+        for lead, prepared, by_scheme in plan.values():
             table = prepared
             if not isinstance(prepared, Exception):
                 src, law = prepared
@@ -660,9 +661,12 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
         if isinstance(results[key], Exception):
             raise results[key]
 
-    # Discard fraction: the postselected scheme keeps one outcome of B.
-    p_kept = float(weak_value_table(truth, reference_basis(cfg_base.dim),
-                                    basis_b).P[cfg_base.postselect_row])
+    # Discard fraction: the postselected scheme keeps one outcome of B, whose
+    # probability its source's law holds (the exact table, or P, dq and dp).
+    p_kept = None
+    if any(key[0] == "postselected" for key in jobs):
+        _, (_, law), _ = plan[SCHEMES["postselected"].source]
+        p_kept = float((law.P if exact else law[0])[cfg_base.postselect_row])
     rows = [{"scheme": scheme, "skipped": reason} for scheme, reason in skipped.items()]
     for scheme in schemes:
         if scheme in skipped:

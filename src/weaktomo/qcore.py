@@ -110,13 +110,16 @@ class DensityMatrix:
     """Mixed state: Hermitian, positive semidefinite, unit trace.
 
     The PSD check is a Cholesky factorisation of rho + 1e-10 I, which
-    succeeds exactly when no eigenvalue of rho is below -1e-10.
+    succeeds exactly when no eigenvalue of rho is below -1e-10.  A state
+    built by ``_density_from_spectrum`` or ``_density_from_cholesky``
+    carries a square root of its matrix, which ``fidelity`` reads.
     """
 
     elements: np.ndarray
-    # (eigenvalues, eigenvectors) of ``elements`` when the matrix was built
-    # from its eigendecomposition; fidelity reuses it instead of calling eigh.
-    _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # A square root L of ``elements`` (L L^dag = rho) when the matrix was
+    # built from one: V sqrt(Lambda) from its eigendecomposition, or its
+    # Cholesky factor; fidelity reads it instead of calling eigh.
+    _root: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = _unit_trace_hermitian(self.elements)
@@ -131,24 +134,43 @@ class DensityMatrix:
         return self.elements.shape[0]
 
 
+def _carrying_root(mat: np.ndarray, root: np.ndarray) -> DensityMatrix:
+    """The checked matrix as a DensityMatrix with its square root attached."""
+    root.setflags(write=False)
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "elements", mat)
+    object.__setattr__(rho, "_root", root)
+    return rho
+
+
 def _density_from_spectrum(vals: np.ndarray, vecs: np.ndarray) -> DensityMatrix:
-    """The DensityMatrix V diag(vals) V^dag, carrying (vals, vecs).
+    """The DensityMatrix V diag(vals) V^dag, carrying V sqrt(vals).
 
     It is checked as every density matrix is, except that PSD is read off
     the spectrum it is built from: no value below -1e-10, and V unitary
     within 1e-10.
     """
-    vals, vecs = _frozen(vals, float), np.asarray(vecs, dtype=complex)
-    vecs.setflags(write=False)
+    vals, vecs = np.asarray(vals, dtype=float), np.asarray(vecs, dtype=complex)
     mat = _unit_trace_hermitian((vecs * vals) @ vecs.conj().T)
     if vals.min() < -ATOL_EIG:
         raise ValueError(_NEGATIVE_EIGENVALUE)
-    if np.max(np.abs(vecs.conj().T @ vecs - np.eye(vals.size))) > ATOL_EIG:
+    # V^dag V - I, with 1 taken off a strided view of the diagonal: np.eye
+    # fills I through a flat iterator, about 5.6 kB of transient memory at
+    # any d, which would set this route's peak apart from the Cholesky one's.
+    defect = vecs.conj().T @ vecs
+    defect.reshape(-1)[:: vals.size + 1] -= 1.0
+    if np.max(np.abs(defect)) > ATOL_EIG:
         raise ValueError("eigenvectors are not orthonormal within 1e-10")
-    rho = object.__new__(DensityMatrix)
-    object.__setattr__(rho, "elements", mat)
-    object.__setattr__(rho, "_spectrum", (vals, vecs))
-    return rho
+    return _carrying_root(mat, vecs * np.sqrt(np.clip(vals, 0.0, None)))
+
+
+def _density_from_cholesky(mat: np.ndarray) -> DensityMatrix:
+    """The DensityMatrix ``mat``, carrying its Cholesky factor L (L L^dag =
+    mat).  The factorisation is the PSD check, a stricter one than every
+    other density matrix gets: it succeeds only on a positive definite
+    matrix, and raises ``np.linalg.LinAlgError`` otherwise."""
+    root = np.linalg.cholesky(mat)
+    return _carrying_root(_unit_trace_hermitian(mat), root)
 
 
 @dataclass(frozen=True)
@@ -371,8 +393,10 @@ def fidelity(x, y) -> float:
     Pure-pure pairs use |<x|y>|^2; a pure-mixed pair uses <psi|rho|psi>;
     the general case is (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, with rho = x,
     read as (sum_k sqrt(mu_k))^2 over the eigenvalues mu_k of L^dag sigma L,
-    L = V sqrt(Lambda) from the eigendecomposition x carries, if it does.
-    L L^dag = rho, so those are the eigenvalues of sqrt(rho) sigma sqrt(rho).
+    for any L with L L^dag = rho: the square root x carries (V sqrt(Lambda)
+    or a Cholesky factor, see ``DensityMatrix``), else V sqrt(Lambda) from
+    eigh of rho.  L = sqrt(rho) U for a unitary U, so those are the
+    eigenvalues of sqrt(rho) sigma sqrt(rho).
     Eigenvalues below d * eps * max(mu), numpy's rank tolerance, are
     rounding noise of the zero ones and are dropped.
     """
@@ -389,8 +413,10 @@ def fidelity(x, y) -> float:
     rho, sigma = _as_density(x), _as_density(y)
     if rho.shape != sigma.shape:
         raise DimensionMismatchError(f"shapes {rho.shape} and {sigma.shape} differ")
-    vals, vecs = x._spectrum if x._spectrum is not None else np.linalg.eigh(rho)
-    factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    factor = x._root
+    if factor is None:
+        vals, vecs = np.linalg.eigh(rho)
+        factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
     inner = np.linalg.eigvalsh(factor.conj().T @ sigma @ factor)
     kept = inner[inner > max(inner[-1], 0.0) * inner.size * np.finfo(float).eps]
     return float(min(np.sqrt(kept).sum() ** 2, 1.0))

@@ -41,6 +41,9 @@ from .qcore import (
     OrthonormalBasis,
     StateVector,
     TransitionMatrix,
+    _check_dim,
+    _check_finite,
+    _density_from_cholesky,
     _density_from_spectrum,
     fix_global_phase,
 )
@@ -345,27 +348,54 @@ def _simplex_projection(vals: np.ndarray) -> np.ndarray:
 
     Shifts every eigenvalue down by one threshold and clips at zero, with the
     threshold chosen so the result sums to one; (0.7, 0.5, -0.2) becomes
-    (0.6, 0.4, 0).
+    (0.6, 0.4, 0).  The threshold is at least the top eigenvalue less 1, so
+    only eigenvalues above that enter its sums, which then stay in the float
+    range.  When the top eigenvalue less 1 rounds to itself (from about 1e16
+    on), a unit trace cannot be resolved against it, and the eigenvalues tied
+    at the top share the unit weight evenly.
     """
     desc = vals[::-1]
-    k = np.arange(1, vals.size + 1)
-    shifts = (np.cumsum(desc) - 1.0) / k
-    # The condition holds for a leading run of k; use its end.  k = 1 always
-    # qualifies in exact arithmetic, but not in floats once desc[0] - 1 rounds
-    # (about 1e17); shifting every eigenvalue alike leaves the projection
-    # unmoved, and with the top one at 0, k = 1 qualifies.
+    if desc[0] - 1.0 == desc[0]:
+        top = vals == desc[0]
+        return top / np.count_nonzero(top)
+    # The condition holds for a leading run of k, k = 1 among them; use its end.
+    desc = desc[desc > desc[0] - 1.0]
+    shifts = (np.cumsum(desc) - 1.0) / np.arange(1, desc.size + 1)
     run = np.flatnonzero(desc - shifts > 0)
-    if not run.size:
-        return _simplex_projection(vals - desc[0])
     return np.clip(vals - shifts[run[-1]], 0.0, None)
 
 
 def _nearest_state(raw) -> tuple[DensityMatrix, float]:
-    """Nearest state to raw, plus the smallest eigenvalue of its Hermitian part."""
+    """Nearest state to raw, plus the least eigenvalue of its Hermitian part H.
+
+    When no eigenvalue of H is clipped, the projection shifts them all down
+    by tau = (tr H - 1) / d and the state is H - tau I itself.  A Cholesky
+    factorisation tells the two cases apart: it succeeds exactly when
+    H - tau I is positive definite, and the state carries the factor.  The
+    diagonal of such a state lies in (0, 1), so H whose diagonal spans 1 or
+    more skips the attempt, and no trace or shift that is tried can overflow.
+    Otherwise: eigh, the simplex projection of the eigenvalues, and the
+    state built from that spectrum.
+    """
     raw = np.asarray(raw, dtype=complex)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {raw.shape}")
-    hermitized = (raw + raw.conj().T) / 2.0
+    d = raw.shape[0]
+    _check_dim(d)
+    _check_finite(raw, "raw estimate")
+    # Halves first: the bits of (raw + raw^dag) / 2 above the subnormal
+    # range, and no finite entry overflows.
+    hermitized = raw / 2.0 + raw.conj().T / 2.0
+    diag = hermitized.diagonal().real
+    if diag.max() < diag.min() + 1.0:
+        shifted = hermitized.copy()
+        shifted.reshape(-1)[:: d + 1] -= (diag.sum() - 1.0) / d
+        try:
+            state = _density_from_cholesky(shifted)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return state, float(np.linalg.eigvalsh(hermitized)[0])
     vals, vecs = np.linalg.eigh(hermitized)
     return _density_from_spectrum(_simplex_projection(vals), vecs), float(vals[0])
 
@@ -378,6 +408,13 @@ def project_to_physical(raw: np.ndarray) -> DensityMatrix:
     which gives the unit-trace PSD matrix closest to raw.  Every Hermitian
     part has one: a spectrum with no positive weight projects too, so -I
     becomes I/d, and an eigenvalue too large for a unit trace to resolve
-    gives its eigenvector's projector.
+    gives its eigenvector's projector.  When no eigenvalue is clipped the
+    state is the Hermitian part shifted by a multiple of I, found with a
+    Cholesky factorisation and no eigenvectors; it carries that factor, and
+    a clipped one carries V sqrt(Lambda), for ``fidelity`` to read.
+
+    Raises DimensionMismatchError for a non-square matrix,
+    InvalidDimensionError below 2 x 2 and ValueError for a non-finite
+    entry, before any LAPACK call.
     """
     return _nearest_state(raw)[0]

@@ -95,6 +95,20 @@ def oracle_clip_renormalise(h: np.ndarray) -> np.ndarray:
     return (vecs * (clipped / clipped.sum())) @ vecs.conj().T
 
 
+def oracle_nearest_state(h: np.ndarray) -> np.ndarray:
+    """Nearest state to h in Frobenius norm (Smolin, Gambetta & Smith): one
+    eigendecomposition of the Hermitian part, whose eigenvalues shift down by
+    the threshold theta_k = (sum of the top k - 1) / k of the largest k whose
+    k-th eigenvalue stays above it, clipped at zero, in the same eigenbasis."""
+    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    desc = sorted(vals, reverse=True)
+    for k in range(len(desc), 0, -1):
+        theta = (sum(desc[:k]) - 1.0) / k
+        if desc[k - 1] > theta:
+            break
+    return (vecs * np.clip(vals - theta, 0.0, None)) @ vecs.conj().T
+
+
 def oracle_grid(n_points: int, extent: float):
     """Positions on [-extent, extent) and their DFT-conjugate angular
     momenta, FFT-ordered."""

@@ -578,8 +578,8 @@ def test_compare_scores_every_cell_as_run_reconstruction_does(
 
 
 def _count_calls(monkeypatch, names):
-    """Count the calls of each named pointer function, patched wherever a
-    weaktomo module binds the name."""
+    """Count the calls of each named function that pointer binds, patched
+    wherever a weaktomo module binds the name."""
     calls = dict.fromkeys(names, 0)
     for name in names:
         real = getattr(pointer, name)
@@ -597,18 +597,24 @@ def _count_calls(monkeypatch, names):
 def test_compare_computes_one_law_per_measured_and_one_draw_per_cell(monkeypatch):
     # The basis-A schemes share a law and each cell's table; single_projector
     # and single_observable measure their own observables.  Run one by one,
-    # the 6 schemes x 2 shots x 3 seeds make 36 laws and 36 draws.
+    # the 6 schemes x 2 shots x 3 seeds make 36 laws and 36 draws.  Each law
+    # is one weak-value table, and the discard fraction reads the basis-A
+    # law's P: no sweep builds a table of its own for it.
+    names = ("_law", "_draw_cells", "weak_value_table")
     cfg = ExperimentConfig(dim=3, scheme="all_data", data_mode="sampled", shots=20_000,
                            seed=4, state_seed=9, pointer_g=0.2)
-    calls = _count_calls(monkeypatch, ("_law", "_draw_cells"))
+    calls = _count_calls(monkeypatch, names)
     compare_schemes(cfg, [*TABLE_SCHEMES, "partial"], [20_000, 80_000], n_seeds=3)
-    assert calls == {"_law": 3, "_draw_cells": 3 * 2 * 3}
-    calls.update(_law=0, _draw_cells=0)
+    assert calls == {"_law": 3, "_draw_cells": 3 * 2 * 3, "weak_value_table": 3}
+    calls.update(dict.fromkeys(names, 0))
     _one_by_one(cfg, TABLE_SCHEMES, [20_000, 80_000], 3)
-    assert calls == {"_law": 36, "_draw_cells": 36}
-    calls.update(_law=0, _draw_cells=0)
+    assert calls == {"_law": 36, "_draw_cells": 36, "weak_value_table": 36}
+    calls.update(dict.fromkeys(names, 0))
     compare_schemes(replace(cfg, data_mode="exact"), TABLE_SCHEMES, [0])
-    assert calls == {"_law": 0, "_draw_cells": 0}
+    assert calls == {"_law": 0, "_draw_cells": 0, "weak_value_table": 3}
+    calls.update(dict.fromkeys(names, 0))
+    compare_schemes(cfg, ["postselected"], [20_000], n_seeds=2)
+    assert calls == {"_law": 1, "_draw_cells": 2, "weak_value_table": 1}
 
 
 @pytest.mark.parametrize("seed, n_seeds, error, message", [

@@ -242,7 +242,7 @@ def test_density_from_spectrum_checks_the_spectrum_it_carries():
     vecs = np.linalg.qr(np.random.default_rng(0).standard_normal((d, d)) + 0j)[0]
     rho = _density_from_spectrum(vals, vecs)
     assert np.max(np.abs(rho.elements - (vecs * vals) @ vecs.conj().T)) == 0.0
-    assert rho._spectrum[0].tolist() == vals.tolist()
+    assert rho._root.tobytes() == (vecs * np.sqrt(vals)).tobytes()
     negative = np.array([-1e-9, 0.2, 0.3, 0.5 + 1e-9])
     with pytest.raises(ValueError, match="below -1e-10"):
         _density_from_spectrum(negative, vecs)

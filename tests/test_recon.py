@@ -5,13 +5,19 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import oracle_clip_renormalise, oracle_consistency, oracle_mixed_bbasis
+from oracles import (
+    oracle_clip_renormalise,
+    oracle_consistency,
+    oracle_mixed_bbasis,
+    oracle_nearest_state,
+)
 from weaktomo import (
     AmbiguousReconstructionError,
     DegenerateDataError,
     DensityMatrix,
     DimensionMismatchError,
     ExperimentConfig,
+    InvalidDimensionError,
     MissingDataError,
     Observable,
     OrthonormalBasis,
@@ -40,6 +46,7 @@ from weaktomo import (
     weak_value,
     weak_value_table,
 )
+from weaktomo.recon import _nearest_state
 
 RHO_EXAMPLE = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
 # (sqrt(3)/2, 1/2): every scheme below recovers this state from exact data
@@ -425,7 +432,29 @@ def test_project_physical_is_nearest_state():
     assert np.max(np.abs(out.elements - np.diag([0.6, 0.4, 0.0]))) < 1e-12
 
 
-# ------------------------------------------- one eigendecomposition per estimate
+def test_project_physical_refuses_non_finite_and_empty_input_before_lapack(monkeypatch):
+    calls = _count_eigen_calls(monkeypatch)
+    with pytest.raises(ValueError, match="non-finite"):
+        project_to_physical(np.diag([np.inf, 1.0]).astype(complex))
+    with pytest.raises(ValueError, match="non-finite"):
+        project_to_physical(np.array([[0.5, np.nan], [0.0, 0.5]], dtype=complex))
+    with pytest.raises(InvalidDimensionError):
+        project_to_physical(np.zeros((0, 0), dtype=complex))
+    assert calls == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
+
+
+def test_project_physical_of_entries_near_the_float_limit():
+    # Each ended in a RecursionError after overflow warnings: (raw + raw^dag)
+    # overflowed, and the simplex projection re-entered on infinities.  Their
+    # top eigenvalue (about 1e308) cannot resolve a unit trace, so the nearest
+    # state is its eigenvector's projector.
+    state = project_to_physical(np.array([[1e308, 0], [0, -1e308]], dtype=complex))
+    assert state.elements.tobytes() == np.diag([1.0, 0.0]).astype(complex).tobytes()
+    state = project_to_physical(np.array([[1, 1e308], [1e308, 0]], dtype=complex))
+    assert np.max(np.abs(state.elements - 0.5)) <= 1e-15
+
+
+# --------------------------------------------------- LAPACK calls per estimate
 
 
 def _count_eigen_calls(monkeypatch):
@@ -442,13 +471,37 @@ def _count_eigen_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("scheme", ["mixed_a", "mixed_b"])
-def test_exact_mixed_run_makes_one_eigh_two_eigvalsh_one_cholesky(monkeypatch, scheme):
-    # cholesky: the Ginibre truth's PSD check. eigh: the physical projection,
-    # whose spectrum is the estimate's PSD check. eigvalsh: the inner root of
-    # fidelity, and trace_distance.
+def test_exact_mixed_run_makes_no_eigh_three_eigvalsh_two_cholesky(monkeypatch, scheme):
+    # The full-rank truth's raw estimate needs no clipping, so the projection
+    # is one shift.  cholesky: the Ginibre truth's PSD check, and the shifted
+    # estimate's, whose factor fidelity reads.  eigvalsh: min_eig_raw, the
+    # inner root of fidelity, and trace_distance.
     calls = _count_eigen_calls(monkeypatch)
     run_reconstruction(ExperimentConfig(scheme=scheme, dim=8, state_spec="ginibre", seed=5))
-    assert calls == {"eigh": 1, "eigvalsh": 2, "cholesky": 1}
+    assert calls == {"eigh": 0, "eigvalsh": 3, "cholesky": 2}
+
+
+def test_clipped_exact_mixed_run_makes_one_eigh(monkeypatch):
+    # A rank-2 truth's raw estimate has eigenvalues at rounding level around
+    # 0, some negative, so the shifted matrix is refused by cholesky and the
+    # projection goes through eigh, whose spectrum gives min_eig_raw and the
+    # root fidelity reads.
+    calls = _count_eigen_calls(monkeypatch)
+    bundle = run_reconstruction(ExperimentConfig(scheme="mixed_a", dim=8, state_spec="ginibre",
+                                                 state_rank=2, seed=5))
+    assert calls == {"eigh": 1, "eigvalsh": 2, "cholesky": 2}
+    assert bundle.estimate.min_eig_raw < 0.0
+
+
+def test_least_eigenvalue_at_the_shift_takes_the_spectral_branch(monkeypatch):
+    # Eigenvalues (0.25, 0.5, 1): tau = (1.75 - 1) / 3 = 0.25, so H - tau I
+    # is singular, and cholesky refuses its zero pivot.
+    calls = _count_eigen_calls(monkeypatch)
+    state, min_eig = _nearest_state(np.diag([0.25, 0.5, 1.0]).astype(complex))
+    assert calls == {"eigh": 1, "eigvalsh": 0, "cholesky": 1}
+    assert min_eig == 0.25
+    assert np.max(np.abs(state.elements - np.diag([0.0, 0.25, 0.75]))) <= 1e-16
+    assert np.max(np.abs(state._root @ state._root.conj().T - state.elements)) <= 1e-15
 
 
 def test_all_data_reconstruction_makes_no_eigendecomposition(monkeypatch):
@@ -518,6 +571,59 @@ def test_projection_returns_the_nearest_state(seed, vals):
     assert np.linalg.norm(out - raw) <= np.linalg.norm(clipped - raw) + 1e-12
 
 
+def _spectrum(kind: str, rng, d: int) -> np.ndarray:
+    if kind == "interior":
+        # a unit-trace positive definite spectrum under a common shift
+        p = rng.uniform(0.1, 1.0, d)
+        return p / p.sum() + rng.uniform(-1.0, 1.0)
+    if kind == "clipping":
+        return rng.uniform(-1.0, 2.0, d)
+    return rng.choice(rng.uniform(-1.0, 1.0, 2), d)  # tied: two values repeated
+
+
+@given(seed=SEEDS, d=st.integers(2, 16), kind=st.sampled_from(["interior", "clipping", "tied"]),
+       skew=st.floats(0.0, 0.1))
+def test_projection_matches_the_eigh_oracle_on_both_branches(seed, d, kind, skew):
+    rng = np.random.default_rng(seed)
+    v = _random_unitary(rng, d)
+    raw = (v * _spectrum(kind, rng, d)) @ v.conj().T
+    raw = raw + skew * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    state = project_to_physical(raw)
+    out = state.elements
+    assert np.max(np.abs(out - oracle_nearest_state(raw))) <= 1e-12
+    assert abs(np.trace(out) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(out).min() >= -1e-12
+    assert np.max(np.abs(state._root @ state._root.conj().T - out)) <= 1e-12
+    if kind == "interior" and skew == 0.0:
+        # the shifted matrix is the state, and its Cholesky factor its root
+        assert not np.triu(state._root, 1).any()
+
+
+@given(seed=SEEDS, d=st.integers(2, 6), exponent=st.floats(-300.0, 308.0),
+       shape=st.sampled_from(["dense", "diagonal", "tied", "constant"]))
+def test_projection_of_any_finite_matrix_is_a_state_or_a_trace_error(seed, d, exponent, shape):
+    # Entries up to 1e308 in magnitude, with no warning (the suite turns
+    # them into errors).  Top eigenvalues tied within 1 at magnitudes whose
+    # rounding exceeds 1e-12 may miss the unit trace; that is refused.
+    rng = np.random.default_rng(seed)
+    if shape == "dense":
+        raw = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+    elif shape == "diagonal":
+        raw = np.diag(rng.uniform(-1, 1, d)).astype(complex)
+    elif shape == "tied":
+        raw = np.diag(rng.choice([-1.0, 0.5, 1.0], d)).astype(complex)
+    else:
+        raw = np.full((d, d), rng.choice([-1.0, 1.0]), dtype=complex)
+    raw = raw / np.abs(raw).max() * 10.0**exponent
+    try:
+        state = project_to_physical(raw)
+    except ValueError as exc:
+        assert "trace" in str(exc)
+        return
+    assert abs(np.trace(state.elements) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(state.elements).min() >= -1e-12
+
+
 @given(seed=SEEDS, d=DIMS, rank=st.integers(1, 6))
 def test_projection_is_the_identity_on_states(seed, d, rank):
     rho = random_density_matrix(d, min(rank, d), seed)
@@ -536,18 +642,39 @@ def test_min_eig_raw_is_the_least_eigenvalue_of_the_raw_estimate(seed, d, scale)
     assert abs(est.min_eig_raw - np.linalg.eigvalsh(hermitized).min()) <= 1e-12
 
 
+def _support_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    # (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 on the eigenvectors of rho
+    # whose eigenvalues are not rounding-level zeros
+    vals, vecs = np.linalg.eigh(rho)
+    kept = vals > 1e-12
+    factor = vecs[:, kept] * np.sqrt(vals[kept])
+    return np.sqrt(np.linalg.eigvalsh(factor.conj().T @ sigma @ factor)).sum() ** 2
+
+
 @given(seed=SEEDS, d=DIMS, scale=st.floats(0.0, 0.01))
 def test_fidelity_with_carried_spectrum_equals_fresh_matrix(seed, d, scale):
-    # Full-rank projections only: on a rank-deficient one, eigh of the fresh
-    # matrix returns rounding-level eigenvalues where the carried spectrum
-    # holds exact zeros, and their square roots (about 1e-8) enter fidelity.
+    # The raw matrix needs no clipping, so the state carries the Cholesky
+    # factor of the shifted matrix.  Pushing its least eigenvalue below zero
+    # makes it clip, and the state carries V sqrt(Lambda) of the projected
+    # spectrum.  That state is rank-deficient, where eigh of the fresh matrix
+    # returns rounding-level eigenvalues at the exact zeros the carried
+    # spectrum holds, and their square roots (about 1e-8) enter fidelity; it
+    # is checked against the fidelity read on its support.
     rng = np.random.default_rng(seed)
     spectrum = rng.uniform(1.0, 2.0, d)
     v = _random_unitary(rng, d)
     noise = scale * rng.standard_normal((d, d))
-    raw = (v * (spectrum / spectrum.sum())) @ v.conj().T + noise
-    carried = project_to_physical(raw)
-    assert carried._spectrum is not None
     truth = random_density_matrix(d, d, seed + 1)
+    interior = (v * (spectrum / spectrum.sum())) @ v.conj().T + noise
+    carried = project_to_physical(interior)
+    assert not np.triu(carried._root, 1).any()
     fresh = DensityMatrix(carried.elements)
+    assert fresh._root is None
     assert abs(fidelity(carried, truth) - fidelity(fresh, truth)) <= 1e-12
+    clipped = project_to_physical(interior - 2.0 * np.outer(v[:, 0], v[:, 0].conj()))
+    assert np.triu(clipped._root, 1).any()
+    assert abs(fidelity(clipped, truth)
+               - _support_fidelity(clipped.elements, truth.elements)) <= 1e-12
+    for state in (carried, clipped):
+        root = state._root
+        assert np.max(np.abs(root @ root.conj().T - state.elements)) <= 1e-12
