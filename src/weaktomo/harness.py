@@ -5,12 +5,12 @@ post-selection basis, the pointer parameters, the reconstruction scheme, and
 (for sampled mode) the shot budget and seed.  Every scheme, partial
 tomography included, is one ``Scheme`` row: a run builds one ``Source``,
 computes or draws its table, and the scheme's reconstruct and score steps
-read both.  Identical configs give bit-identical results regardless of
-worker count; parallelism only ever distributes independently seeded cells.
-A scheme comparison shares work across its experiments, not results: each
-(shots, seed) cell draws one table per source for every scheme that reads
-it, and each experiment's score is bit for bit the one its own
-run_reconstruction gives.
+read both.  Identical configs give bit-identical results, and no function
+starts a thread.  A scheme comparison shares work across its experiments,
+not results: its configs are checked once per shot count, each (shots,
+seed) cell draws one table per source for every scheme that reads it, and
+each experiment's score is bit for bit the one its own run_reconstruction
+gives.
 """
 
 import functools
@@ -18,7 +18,6 @@ import math
 import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,7 +72,8 @@ DATA_MODES = ("exact", "sampled")
 
 
 def thread_cap() -> int:
-    """Worker-count cap: WEAKTOMO_THREADS when set, else the CPU count."""
+    """Worker-count cap: WEAKTOMO_THREADS when set, else the CPU count.  No
+    other weaktomo code reads WEAKTOMO_THREADS or calls this function."""
     cpus = os.cpu_count() or 1
     raw = os.environ.get("WEAKTOMO_THREADS", "")
     try:
@@ -89,6 +89,11 @@ def _check_integer(value, name: str, low=-math.inf, high=math.inf) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if not low <= value <= high:
         raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+
+
+def _check_scheme(name) -> None:
+    if name not in SCHEMES:
+        raise ValueError(f"unknown scheme {name!r}; options: {tuple(SCHEMES)}")
 
 
 @dataclass(frozen=True)
@@ -126,8 +131,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; options: {tuple(SCHEMES)}")
+        _check_scheme(self.scheme)
         if self.data_mode not in DATA_MODES:
             raise ValueError(f"unknown data_mode {self.data_mode!r}")
         if self.state_spec not in STATE_SPECS:
@@ -463,15 +467,8 @@ def run_reconstruction(cfg: ExperimentConfig, *,
             f"scheme {cfg.scheme!r} consumes a {cfg.dim} x {src.pointers.n_pointers} table, "
             f"got {table.dim} x {table.n_pointers}")
     estimate, metrics, kernel = _score(cfg, SCHEMES[cfg.scheme], truth, src, table)
-    return ResultBundle(
-        scheme=cfg.scheme,
-        config=cfg,
-        estimate=estimate,
-        metrics=metrics,
-        table=table,
-        kernel=kernel,
-        wall_time=time.perf_counter() - t0,
-    )
+    return ResultBundle(scheme=cfg.scheme, config=cfg, estimate=estimate, metrics=metrics,
+                        table=table, kernel=kernel, wall_time=time.perf_counter() - t0)
 
 
 def _score(cfg: ExperimentConfig, scheme: Scheme, truth: StateVector | DensityMatrix,
@@ -558,12 +555,22 @@ def demo_phase_detection(theta: float, g: float = 0.01, sigma_p: float = 0.5,
 
 
 def _attempt(fn, *args):
-    """``fn(*args)``, or the exception it raised, held as an executor's future
-    holds it, so that a sweep raises its experiments' errors in their order."""
+    """``fn(*args)``, or the exception it raised, held so that a sweep raises
+    its experiments' errors in their sorted order, not in the order they ran."""
     try:
         return fn(*args)
     except Exception as exc:
         return exc
+
+
+def _experiment(cfg: ExperimentConfig, scheme: str, seed: int) -> ExperimentConfig:
+    """``replace(cfg, scheme=scheme, seed=seed)`` for a checked ``cfg``: no other
+    check of ``__post_init__`` reads the two fields, so only they are checked."""
+    _check_scheme(scheme)
+    _check_integer(seed, "seed", 0)
+    out = object.__new__(ExperimentConfig)
+    out.__dict__.update(cfg.__dict__, scheme=scheme, seed=seed)
+    return out
 
 
 def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
@@ -576,26 +583,36 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
     postselected scheme, which keeps a single outcome).  Schemes that cannot
     run on the configured state, and partial tomography, which is scored by
     its element error and has no trace distance, are reported as skipped.
+    An n_seeds below 1, a shot count that the config refuses, and a repeated
+    scheme or shot count raise ValueError before any experiment runs.
 
     Every trace distance is the one ``run_reconstruction`` gives for that
     (scheme, shots, seed) config, bit for bit, and every such config is
-    built and checked, but work that the experiments share is done once.
-    The truth, basis B, and each distinct ``_source`` and its law are built
-    once per sweep, and the discard fraction is read off the basis-A
-    source's law.  Each (shots, seed) cell draws one table per source,
-    which every scheme built on it reads: postselected, all_data, mixed_a
-    and mixed_b all read the basis-A table.
-    Each distinct estimator is scored once on it, so mixed_b, the mixed_a
-    estimator under its b-basis name, takes mixed_a's score.  Cells are the
-    unit of work of a thread pool capped by ``thread_cap()``; results are
-    aggregated in a fixed order, so the table never depends on scheduling.
+    built, but work that the experiments share is done once.  Each shot
+    count's config is built by ``replace``, with every check; its
+    experiments' configs copy it and check only their scheme and seed.  The
+    truth, basis B, and each distinct ``_source`` and its law are built once
+    per sweep, and the discard fraction is read off the basis-A source's
+    law.  Each (shots, seed) cell draws one table per source, which every
+    scheme built on it reads (postselected, all_data, mixed_a and mixed_b
+    read the basis-A table), and scores each distinct estimator once on it,
+    so mixed_b, the mixed_a estimator under its b-basis name, takes mixed_a's
+    score.  Cells run one by one, in sorted order, in the calling thread.
     When experiments fail, the sweep raises the error of the first failing
     (scheme, shots, seed index) key in sorted order.
     """
+    schemes, shot_grid = list(schemes), list(shot_grid)
+    _check_integer(n_seeds, "n_seeds", 1)
+    for scheme in schemes:
+        _check_scheme(scheme)
     if cfg_base.state_seed is None and cfg_base.state_spec != "explicit":
-        # Every cell must score against the same true state even though the
-        # sampling seed varies.
+        # Every cell scores against one true state; only the sampling seed varies.
         cfg_base = replace(cfg_base, state_seed=cfg_base.seed)
+    per_shots = [replace(cfg_base, shots=shots) for shots in shot_grid]
+    for name, values in (("schemes", schemes), ("shot counts", [int(c.shots) for c in per_shots])):
+        repeated = list(dict.fromkeys(v for v in values if values.count(v) > 1))
+        if repeated:
+            raise ValueError(f"repeated {name}: {repeated}")
     truth = _resolve_state(cfg_base)
     basis_b = _resolve_basis(cfg_base)
     skipped: dict[str, str] = {}
@@ -604,22 +621,18 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
     seeds = [cfg_base.seed] if exact else [cfg_base.seed + s for s in range(n_seeds)]
 
     for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}; options: {tuple(SCHEMES)}")
         if scheme not in STATE_SCHEMES:
             skipped[scheme] = "estimates one element, no state-level trace distance"
             continue
         if SCHEMES[scheme].pure and not isinstance(truth, StateVector):
             skipped[scheme] = "state is mixed"
             continue
-        for shots in shot_grid:
+        for cfg in per_shots:
             for s_idx, seed in enumerate(seeds):
-                jobs[(scheme, int(shots), s_idx)] = replace(
-                    cfg_base, scheme=scheme, shots=int(shots), seed=seed)
+                jobs[(scheme, int(cfg.shots), s_idx)] = _experiment(cfg, scheme, seed)
 
-    # Scheme names grouped by their source builder, then by estimator; each
-    # group's tables come from one source and law, built with its first
-    # name's config.
+    # Scheme names by source builder, then by estimator; each group's tables
+    # come from one source and law, built with its first name's config.
     groups: dict[Callable, dict[Scheme, list[str]]] = {}
     for name in sorted({key[0] for key in jobs}):
         scheme = SCHEMES[name]
@@ -638,9 +651,9 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
     def distance(cfg, scheme, src, table) -> float:
         return _score(cfg, scheme, truth, src, table)[1]["trace_distance"]
 
-    def score_cell(cell) -> dict:
-        """Trace distance, or the error raised, of every experiment in a cell."""
-        out = {}
+    # Trace distance, or the error raised, of every experiment, cell by cell.
+    results: dict[tuple, float | Exception] = {}
+    for cell in cells:
         for lead, prepared, by_scheme in plan.values():
             table = prepared
             if not isinstance(prepared, Exception):
@@ -650,13 +663,7 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
                 value = table
                 if not isinstance(table, Exception):
                     value = _attempt(distance, jobs[(names[0], *cell)], scheme, src, table)
-                out.update(((name, *cell), value) for name in names)
-        return out
-
-    results: dict[tuple, float | Exception] = {}
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        for out in pool.map(score_cell, cells):
-            results.update(out)
+                results.update(((name, *cell), value) for name in names)
     for key in sorted(results):
         if isinstance(results[key], Exception):
             raise results[key]
@@ -675,12 +682,7 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
             values = np.array([results[(scheme, int(shots), s_idx)]
                                for s_idx in range(len(seeds))])
             q25, q50, q75 = np.percentile(values, [25.0, 50.0, 75.0])
-            rows.append({
-                "scheme": scheme,
-                "shots": int(shots),
-                "metric": "trace_distance",
-                "median": float(q50),
-                "iqr": float(q75 - q25),
-                "discard_fraction": 1.0 - p_kept if scheme == "postselected" else 0.0,
-            })
+            rows.append({"scheme": scheme, "shots": int(shots), "metric": "trace_distance",
+                         "median": float(q50), "iqr": float(q75 - q25),
+                         "discard_fraction": 1.0 - p_kept if scheme == "postselected" else 0.0})
     return rows

@@ -180,15 +180,13 @@ def reconstruct_pure_all_data(table: WeakValueTable, beta: TransitionMatrix) -> 
     norm = np.linalg.norm(merged)
     if norm == 0:
         raise DegenerateDataError("candidates cancel; merged state is the zero vector")
-    # Pairwise overlaps <c_a|c_b>, a < b, from one Gram matrix of the candidates.
+    # Infidelities 1 - |<c_a|c_b>|^2, a < b, from the candidates' Gram matrix G;
+    # the rest reads 0, as |G_ab| and |G_ba| can differ in the last bit.
     cand = np.stack([per_row[j].amplitudes for j in usable], axis=1)
-    upper = np.triu_indices(len(usable), 1)
-    overlaps = (cand.conj().T @ cand)[upper]
-    return PureStateEstimate(
-        merged=StateVector(fix_global_phase(merged / norm)),
-        per_row=per_row,
-        consistency=float(np.max(1.0 - np.abs(overlaps) ** 2, initial=0.0)),
-    )
+    infidelity = 1.0 - np.abs(cand.conj().T @ cand) ** 2
+    infidelity[np.tri(len(usable), dtype=bool)] = 0.0
+    return PureStateEstimate(merged=StateVector(fix_global_phase(merged / norm)),
+                             per_row=per_row, consistency=float(infidelity.max()))
 
 
 def reconstruct_pure_single_projector(w, phi: StateVector,

@@ -88,6 +88,14 @@ def oracle_consistency(candidates: list) -> float:
     return worst
 
 
+def oracle_gram_consistency(candidates: list) -> float:
+    """Largest pairwise infidelity 1 - |<c_a|c_b>|^2, a < b, read off the
+    candidates' Gram matrix at the index pairs that np.triu_indices lists."""
+    cand = np.stack(candidates, axis=1)
+    overlaps = (cand.conj().T @ cand)[np.triu_indices(cand.shape[1], 1)]
+    return float(np.max(1.0 - np.abs(overlaps) ** 2, initial=0.0))
+
+
 def oracle_clip_renormalise(h: np.ndarray) -> np.ndarray:
     """Hermitize, clip negative eigenvalues and rescale to unit trace."""
     vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)

@@ -207,9 +207,9 @@ def test_statistical_convergence():
              f"{medians[2]:.4f}, 1e4/1e6 ratio {ratio:.2f}, {elapsed:.1f}s")
 
 
-def test_deterministic_seeded_outputs(monkeypatch):
-    # reruns of a seeded experiment serialize to identical bytes, and the
-    # worker-count cap never leaks into any reported number
+def test_deterministic_seeded_outputs():
+    # reruns of a seeded experiment and of a seeded sweep serialize to
+    # identical bytes
     cfg = ExperimentConfig(dim=2, scheme="all_data", data_mode="sampled",
                            state_spec="explicit", state=PSI_EXAMPLE,
                            shots=20_000, seed=7)
@@ -222,8 +222,7 @@ def test_deterministic_seeded_outputs(monkeypatch):
     json_ok = dumps[0] == dumps[1]
     csv_ok = csvs[0] == csvs[1]
 
-    def comparison_bytes(threads):
-        monkeypatch.setenv("WEAKTOMO_THREADS", threads)
+    def comparison_bytes():
         base = ExperimentConfig(dim=2, scheme="all_data", data_mode="sampled",
                                 state_spec="explicit", state=PSI_EXAMPLE,
                                 shots=1, seed=3)
@@ -231,8 +230,8 @@ def test_deterministic_seeded_outputs(monkeypatch):
                                [1000, 4000], n_seeds=6)
         return serialize.comparison_to_csv(rows).encode()
 
-    thread_ok = comparison_bytes("1") == comparison_bytes("4")
-    ok = json_ok and csv_ok and thread_ok
+    sweep_ok = comparison_bytes() == comparison_bytes()
+    ok = json_ok and csv_ok and sweep_ok
     _verdict("deterministic seeded outputs", ok,
              f"rerun JSON identical: {json_ok}, rerun CSV identical: {csv_ok}, "
-             f"thread-count invariant: {thread_ok}")
+             f"rerun comparison CSV identical: {sweep_ok}")

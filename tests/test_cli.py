@@ -456,14 +456,21 @@ def test_compare_exact_csv(tmp_path):
     assert float(body["mixed_a"].split(",")[3]) < 1e-10
 
 
-def test_compare_thread_env_does_not_change_bytes(tmp_path):
-    args = ("compare", "--set", "dim=2", "--set", "state_seed=0", "--sampled",
-            "--shots", "1", "--schemes", "all_data", "--shots-grid", "2000",
-            "--seeds", "5", "--quiet")
-    one = run_cli(*args, env={"WEAKTOMO_THREADS": "1"})
-    four = run_cli(*args, env={"WEAKTOMO_THREADS": "4"})
-    assert one.returncode == 0 and four.returncode == 0
-    assert one.stdout == four.stdout
+@pytest.mark.parametrize("argv, message", [
+    (["--seeds", "0"], "n_seeds must lie in [1, inf], got 0"),
+    (["--seeds", "-2"], "n_seeds must lie in [1, inf], got -2"),
+    (["--shots-grid", "1000.7"], "invalid literal for int() with base 10: '1000.7'"),
+    (["--shots-grid", "2000,500,2000"], "repeated shot counts: [2000]"),
+    (["--schemes", "all_data,mixed_a,all_data"], "repeated schemes: ['all_data']"),
+])
+def test_compare_bad_sweep_argument_is_invalid_value(argv, message):
+    base = {"--shots-grid": "2000", "--seeds": "5", "--schemes": "all_data"}
+    base.update(zip(argv[::2], argv[1::2]))
+    proc = run_cli("compare", "--set", "dim=2", "--set", "state_seed=0", "--sampled",
+                   *(item for pair in base.items() for item in pair), "--quiet")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr) == {"error": "invalid-value", "message": message}
 
 
 def test_compare_sampled_defaults_base_shots_to_grid():

@@ -1,8 +1,9 @@
 """End-to-end experiment runs, the phase demo, and scheme comparison."""
 
+import dataclasses
 import math
 import os
-import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -465,22 +466,105 @@ def test_compare_sampled_error_halves_with_quadrupled_shots():
     assert 0.5 / 1.3 < ratio < 0.5 * 1.3
 
 
-def test_compare_thread_count_does_not_change_results(monkeypatch):
-    # Cells share the law and, within a cell, the table; a thread switch
-    # every microsecond interleaves the workers as finely as it can.
+def test_compare_runs_in_the_calling_thread(monkeypatch):
+    # No worker thread is started; a rerun gives the same rows.
     cfg = ExperimentConfig(dim=2, scheme="all_data", data_mode="sampled",
                            shots=5_000, seed=0, state_seed=0)
     schemes = ["all_data", "mixed_a", "mixed_b", "single_observable"]
-    monkeypatch.setenv("WEAKTOMO_THREADS", "1")
-    serial = compare_schemes(cfg, schemes, [5_000, 20_000], n_seeds=8)
-    monkeypatch.setenv("WEAKTOMO_THREADS", "4")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = compare_schemes(cfg, schemes, [5_000, 20_000], n_seeds=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert serial == threaded
+    first = compare_schemes(cfg, schemes, [5_000, 20_000], n_seeds=8)
+
+    def refuse(self):
+        raise AssertionError("compare_schemes started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert compare_schemes(cfg, schemes, [5_000, 20_000], n_seeds=8) == first
+
+
+@pytest.mark.parametrize("schemes, shot_grid, n_seeds, message", [
+    (["all_data"], [1000], 0, "n_seeds must lie in [1, inf], got 0"),
+    (["all_data"], [1000], -3, "n_seeds must lie in [1, inf], got -3"),
+    (["all_data"], [1000], 2.0, "n_seeds must be an integer, got 2.0"),
+    (["all_data"], [1000.7], 4, "shots must be an integer, got 1000.7"),
+    (["partial"], [1000.7], 4, "shots must be an integer, got 1000.7"),
+    (["all_data"], [True], 4, "shots must be an integer, got True"),
+    (["all_data"], [0], 4, "shots must lie in [1, inf], got 0"),
+    (["all_data"], [1000, 4000, np.int64(1000)], 4, "repeated shot counts: [1000]"),
+    (["all_data", "mixed_a", "all_data", "partial", "partial"], [1000], 4,
+     "repeated schemes: ['all_data', 'partial']"),
+])
+def test_compare_rejects_bad_sweep_arguments_before_any_work(
+        monkeypatch, schemes, shot_grid, n_seeds, message):
+    # A skipped scheme (partial) does not exempt the grid from its checks.
+    cfg = ExperimentConfig(dim=2, scheme="all_data", data_mode="sampled",
+                           shots=1000, seed=0, state_seed=0)
+
+    def refuse(cfg):
+        raise AssertionError("the sweep resolved its state")
+
+    monkeypatch.setattr(harness, "_resolve_state", refuse)
+    with pytest.raises(ValueError) as raised:
+        compare_schemes(cfg, schemes, shot_grid, n_seeds=n_seeds)
+    assert str(raised.value) == message
+
+
+def _assert_same_config(got: ExperimentConfig, want: ExperimentConfig) -> None:
+    for field in dataclasses.fields(ExperimentConfig):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b), field.name
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b) and a.dtype == b.dtype, field.name
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize("data_mode, shot_grid", [("sampled", [20_000, np.int64(5_000)]),
+                                                  ("exact", [0])])
+def test_compare_builds_each_config_as_replace_does(monkeypatch, data_mode, shot_grid):
+    # Every array-valued field is set, so a copy that dropped or shared one
+    # would show; each experiment gets a config of its own.
+    d = 3
+    rng = np.random.default_rng(4)
+    state = random_pure_state(d, 8).amplitudes
+    basis = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    cfg = ExperimentConfig(dim=d, scheme="mixed_a", data_mode=data_mode, shots=shot_grid[0],
+                           seed=11, state_spec="explicit", state=state,
+                           basis_spec="explicit", basis_b=basis, pointer_g=0.2,
+                           phi=np.array([1.0, 2.0, 1j]), lambdas=np.array([0.5, -1.0, 2.0]),
+                           partial_a=np.array([1.0, 0.0, 0.0]),
+                           partial_b=np.array([0.0, 1.0, 1.0]))
+    schemes = ["postselected", "mixed_b", "single_observable", "single_projector", "partial"]
+    built = []
+    real = harness._experiment
+
+    def recording(*args):
+        built.append((args, real(*args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(harness, "_experiment", recording)
+    compare_schemes(cfg, schemes, shot_grid, n_seeds=3)
+    seeds = 1 if data_mode == "exact" else 3
+    assert len(built) == 4 * len(shot_grid) * seeds
+    assert len({id(config) for _, config in built}) == len(built)
+    keys = set()
+    for (base, scheme, seed), config in built:
+        keys.add((scheme, int(base.shots), seed))
+        _assert_same_config(config, replace(cfg, scheme=scheme, shots=base.shots, seed=seed))
+    assert keys == {(scheme, int(shots), 11 + s) for scheme in schemes[:4]
+                    for shots in shot_grid for s in range(seeds)}
+
+
+@pytest.mark.parametrize("shot_grid", [[1000, 10**12], [10**12, 1000]])
+def test_compare_raises_the_readout_check_of_a_grid_shot_count(shot_grid):
+    # At 1e12 shots the momentum readouts of a pointer centred at 1e148
+    # could square past the float range; the base config's 1000 shots pass.
+    cfg = ExperimentConfig(dim=2, scheme="all_data", data_mode="sampled", shots=1000,
+                           seed=0, state_seed=0, pointer_mean_p=1e148)
+    with pytest.raises(ValueError) as one_by_one:
+        run_reconstruction(replace(cfg, scheme="mixed_a", shots=10**12, seed=1))
+    assert "momentum_readout_bound_times_root_2_shots" in str(one_by_one.value)
+    with pytest.raises(ValueError) as swept:
+        compare_schemes(cfg, ["mixed_a", "all_data"], shot_grid, n_seeds=2)
+    assert str(swept.value) == str(one_by_one.value)
 
 
 TABLE_SCHEMES = tuple(name for name, scheme in SCHEMES.items()

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from oracles import (
     oracle_clip_renormalise,
     oracle_consistency,
+    oracle_gram_consistency,
     oracle_mixed_bbasis,
     oracle_nearest_state,
 )
@@ -46,6 +47,7 @@ from weaktomo import (
     weak_value,
     weak_value_table,
 )
+from weaktomo.qcore import _complete_basis
 from weaktomo.recon import _nearest_state
 
 RHO_EXAMPLE = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
@@ -541,6 +543,35 @@ def test_all_data_consistency_matches_pairwise_oracle(seed, d, scale):
     est = reconstruct_pure_all_data(table, beta)
     candidates = [c.amplitudes for c in est.per_row if c is not None]
     assert abs(est.consistency - oracle_consistency(candidates)) <= 1e-12
+
+
+# Two cases where the Gram matrix's lower triangle would give another maximum.
+@example(seed=3, d=5, blocked=2, masked=0.2, scale=0.3)
+@example(seed=24, d=8, blocked=0, masked=0.2, scale=0.3)
+@given(seed=SEEDS, d=st.integers(2, 16), blocked=st.integers(0, 14),
+       masked=st.floats(0.0, 0.7), scale=st.floats(0.0, 0.5))
+def test_all_data_consistency_equals_the_gram_oracle_bit_for_bit(seed, d, blocked, masked,
+                                                                 scale):
+    # Basis B starts with `blocked` vectors orthogonal to a_0, whose rows
+    # beta blocks; a random share of the other rows is masked.
+    rng = np.random.default_rng(seed)
+    blocked = min(blocked, d - 2)
+    cols = []
+    if blocked:
+        g = rng.standard_normal((d - 1, blocked)) + 1j * rng.standard_normal((d - 1, blocked))
+        cols = list(np.vstack([np.zeros(blocked), np.linalg.qr(g)[0]]).T)
+    basis_a = reference_basis(d)
+    basis_b = _complete_basis(cols) if cols else OrthonormalBasis(_random_unitary(rng, d))
+    beta = transition_matrix(basis_a, basis_b)
+    table = _noisy_table(weak_value_table(random_pure_state(d, seed), basis_a, basis_b),
+                         rng, scale)
+    keep = table.defined & (rng.random(d) >= masked)
+    assume((keep & (np.abs(beta.beta).min(axis=1) > 1e-12 * np.abs(beta.beta).max())).any())
+    est = reconstruct_pure_all_data(
+        WeakValueTable(dim=d, W=table.W, P=table.P, defined=keep), beta)
+    candidates = [c.amplitudes for c in est.per_row if c is not None]
+    assert all(est.per_row[j] is None for j in range(blocked))
+    assert est.consistency == oracle_gram_consistency(candidates)
 
 
 @given(seed=SEEDS, d=st.integers(2, 8), scale=st.floats(1e-6, 1e6))
