@@ -7,10 +7,10 @@ tomography included, is one ``Scheme`` row: a run builds one ``Source``,
 computes or draws its table, and the scheme's reconstruct and score steps
 read both.  Identical configs give bit-identical results, and no function
 starts a thread.  A scheme comparison shares work across its experiments,
-not results: its configs are checked once per shot count, each (shots,
-seed) cell draws one table per source for every scheme that reads it, and
-each experiment's score is bit for bit the one its own run_reconstruction
-gives.
+not results: its configs are checked once per shot count, each source
+draws the tables of a shot count's seeds in batches, one per seed for
+every scheme that reads it, and each experiment's score is bit for bit the
+one its own run_reconstruction gives.
 """
 
 import functools
@@ -50,6 +50,8 @@ from .pointer import (
     PointerConfig,
     RecordStream,
     _check_readout_scales,
+    _draw_cells,
+    _estimate_cells,
     _law,
     _sampled_table,
     sample_records,
@@ -69,6 +71,10 @@ from .recon import (
 STATE_SPECS = ("haar-pure", "ginibre", "explicit")
 BASIS_SPECS = ("fourier", "explicit")
 DATA_MODES = ("exact", "sampled")
+# A comparison draws the seeds of each (source, shots) in batches of at most
+# this many cells, 2 d^2 a seed, so that its peak memory at large d stays
+# near one run's: from d=65 on a batch holds one seed, at d=2 it holds 2048.
+_BATCH_CELLS = 1 << 14
 
 
 def thread_cap() -> int:
@@ -396,15 +402,14 @@ def _law_of(cfg: ExperimentConfig, truth: StateVector | DensityMatrix, src: Sour
     return _law(truth, src.measured, src.basis, src.pointers)
 
 
-def _table(cfg: ExperimentConfig, truth: StateVector | DensityMatrix, src: Source,
-           law=None) -> WeakValueTable:
-    """The source's table, estimated from ``cfg.shots`` sampled trials in
-    sampled mode; ``law`` is its ``_law_of``, when the caller holds it for many."""
-    law = _law_of(cfg, truth, src) if law is None else law
+def _table(cfg: ExperimentConfig, truth: StateVector | DensityMatrix,
+           src: Source) -> WeakValueTable:
+    """The source's table, estimated from ``cfg.shots`` sampled trials of
+    ``cfg.seed`` in sampled mode."""
     if cfg.data_mode == "exact":
-        return law
+        return weak_value_table(truth, src.measured, src.basis)
     return _sampled_table(truth, src.measured, src.basis, src.pointers, cfg.shots, cfg.seed,
-                          _resolve_noise(cfg), law=law)
+                          _resolve_noise(cfg))
 
 
 def _resolve_truth(cfg: ExperimentConfig) -> StateVector | DensityMatrix:
@@ -593,13 +598,17 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
     experiments' configs copy it and check only their scheme and seed.  The
     truth, basis B, and each distinct ``_source`` and its law are built once
     per sweep, and the discard fraction is read off the basis-A source's
-    law.  Each (shots, seed) cell draws one table per source, which every
-    scheme built on it reads (postselected, all_data, mixed_a and mixed_b
-    read the basis-A table), and scores each distinct estimator once on it,
-    so mixed_b, the mixed_a estimator under its b-basis name, takes mixed_a's
-    score.  Cells run one by one, in sorted order, in the calling thread.
-    When experiments fail, the sweep raises the error of the first failing
-    (scheme, shots, seed index) key in sorted order.
+    law.  Each source draws the tables of a shot count's seeds in batches
+    of at most ``_BATCH_CELLS`` cells, one ``_draw_cells`` call a batch,
+    which checks the readout law once; a seed's table has the bits of its
+    own run's.  Every scheme built on a source reads its tables
+    (postselected, all_data, mixed_a and mixed_b read the basis-A table),
+    and each (shots, seed) cell scores each distinct estimator once, so
+    mixed_b, the mixed_a estimator under its b-basis name, takes mixed_a's
+    score.  Cells are scored one by one, in sorted order, in the calling
+    thread.  An error that a batch raises goes to every experiment of that
+    source in the batch.  When experiments fail, the sweep raises the error
+    of the first failing (scheme, shots, seed index) key in sorted order.
     """
     schemes, shot_grid = list(schemes), list(shot_grid)
     _check_integer(n_seeds, "n_seeds", 1)
@@ -651,19 +660,35 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
     def distance(cfg, scheme, src, table) -> float:
         return _score(cfg, scheme, truth, src, table)[1]["trace_distance"]
 
-    # Trace distance, or the error raised, of every experiment, cell by cell.
+    def draw(cfg, src, law, batch) -> list[WeakValueTable]:
+        if exact:
+            return [law]
+        cells = _draw_cells(*law, src.pointers, cfg.shots, [seeds[s] for s in batch],
+                            _resolve_noise(cfg))
+        return _estimate_cells(cells, src.pointers)
+
+    # Trace distance, or the error raised, of every experiment: each batch of
+    # seeds of a shot count draws its tables source by source, then its
+    # cells are scored in sorted order.
+    per_batch = max(1, _BATCH_CELLS // (2 * cfg_base.dim**2))
     results: dict[tuple, float | Exception] = {}
-    for cell in cells:
-        for lead, prepared, by_scheme in plan.values():
-            table = prepared
-            if not isinstance(prepared, Exception):
-                src, law = prepared
-                table = _attempt(_table, jobs[(lead, *cell)], truth, src, law)
-            for scheme, names in by_scheme.items():
-                value = table
-                if not isinstance(table, Exception):
-                    value = _attempt(distance, jobs[(names[0], *cell)], scheme, src, table)
-                results.update(((name, *cell), value) for name in names)
+    for shots in sorted({cell[0] for cell in cells}):
+        for start in range(0, len(seeds), per_batch):
+            batch = range(start, min(start + per_batch, len(seeds)))
+            drawn = {}
+            for builder, (lead, prepared, _) in plan.items():
+                drawn[builder] = prepared
+                if not isinstance(prepared, Exception):
+                    drawn[builder] = _attempt(draw, jobs[(lead, shots, start)], *prepared, batch)
+            for s_idx in batch:
+                for builder, (_, prepared, by_scheme) in plan.items():
+                    tables = drawn[builder]
+                    for scheme, names in by_scheme.items():
+                        value = tables
+                        if not isinstance(tables, Exception):
+                            value = _attempt(distance, jobs[(names[0], shots, s_idx)], scheme,
+                                             prepared[0], tables[s_idx - start])
+                        results.update(((name, shots, s_idx), value) for name in names)
     for key in sorted(results):
         if isinstance(results[key], Exception):
             raise results[key]

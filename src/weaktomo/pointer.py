@@ -540,8 +540,9 @@ def _sample_stream(P, dq, dp, cfg: PointerConfig, shots: int, seed: int,
 
 
 def _cell_sums(outcomes, quad, readout, d: int):
-    """Per-cell count, sum and sum of squares, shape (d, n, 2), and trials per
-    outcome, of trials given by outcome, quadrature code and (n,) readouts.
+    """Per-cell count, sum and sum of squares, shape (1, d, n, 2), and trials
+    per outcome, shape (1, d), of trials given by outcome, quadrature code
+    and (n,) readouts: the stack of one seed that ``_estimate_cells`` reads.
     np.add.at adds each readout into its (outcome, pointer, quadrature) cell
     in trial order.
     """
@@ -553,43 +554,52 @@ def _cell_sums(outcomes, quad, readout, d: int):
     sumsq = np.zeros(d * n * 2)
     np.add.at(sums, idx, values)
     np.add.at(sumsq, idx, values**2)
-    per_trial = per_trial.reshape(d, 1, 2)
-    shape = (d, n, 2)
+    per_trial = per_trial.reshape(1, d, 1, 2)
+    shape = (1, d, n, 2)
     # Every trial reads every pointer once, in the trial's quadrature.
-    return (np.repeat(per_trial, n, axis=1), sums.reshape(shape), sumsq.reshape(shape),
-            per_trial.sum(axis=(1, 2)))
+    return (np.repeat(per_trial, n, axis=2), sums.reshape(shape), sumsq.reshape(shape),
+            per_trial.sum(axis=(2, 3)))
 
 
-def _draw_cells(P, dq, dp, cfg: PointerConfig, shots: int, seed: int,
+def _draw_cells(P, dq, dp, cfg: PointerConfig, shots: int, seeds,
                 noise: NoiseModel | None):
-    """``_cell_sums`` of ``shots`` sampled trials, drawn from its law directly.
+    """``_cell_sums`` of ``shots`` sampled trials, drawn from its law directly,
+    for each seed of ``seeds``, stacked along a leading seed axis.
 
-    One generator seeded by ``seed`` draws the outcome counts of the
-    ceil(shots/2) position trials and of the floor(shots/2) momentum trials,
-    each as a multinomial over P.  A trial reads all its pointers in one
-    quadrature, so a cell's count is that of its (outcome, quadrature).  The
-    n readouts of a cell are i.i.d. N(mu, sigma^2), independent of the other
-    cells given the counts, so their mean is mu + sigma Z / sqrt(n) and, by
-    Cochran's theorem, independently of it, their sum of squared deviations
-    is sigma^2 times a chi^2 with n - 1 degrees of freedom.  Time and memory
-    are O(d * n_pointers), whatever ``shots`` is; shots beyond 2^63 - 1 raise
-    ResourceLimitError.
+    Each seed's own generator draws the outcome counts of the ceil(shots/2)
+    position trials and of the floor(shots/2) momentum trials, each as a
+    multinomial over P.  A trial reads all its pointers in one quadrature, so
+    a cell's count is that of its (outcome, quadrature).  The n readouts of a
+    cell are i.i.d. N(mu, sigma^2), independent of the other cells given the
+    counts, so their mean is mu + sigma Z / sqrt(n) and, by Cochran's
+    theorem, independently of it, their sum of squared deviations is
+    sigma^2 times a chi^2 with n - 1 degrees of freedom.  A seed's draws
+    are the same calls in the same order whatever the batch, and the
+    arithmetic after them is elementwise, so a seed's cells have the same
+    bits alone or in a batch.  The readout law is checked once per batch.
+    Time and memory are O(len(seeds) * d * n_pointers), whatever ``shots``
+    is; shots beyond 2^63 - 1 raise ResourceLimitError.
     """
     _check_shots(shots)
     if shots > np.iinfo(np.int64).max:
         raise ResourceLimitError(f"{shots} shots do not fit a 64-bit trial count")
     means, spreads = _readout_law(dq, dp, cfg, noise, shots)
-    rng = np.random.default_rng(seed)
     p = P / P.sum()
-    per_trial = np.stack([rng.multinomial((shots + 1) // 2, p),
-                          rng.multinomial(shots // 2, p)], axis=1)    # (d, 2)
-    counts = np.broadcast_to(per_trial[:, :, None], means.shape)       # (d, 2, n)
+    per_trial = np.empty((len(seeds), P.size, 2), dtype=np.int64)
+    z, chi2 = np.empty((2, len(seeds), *means.shape))
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        per_trial[k, :, QUAD_POSITION] = rng.multinomial((shots + 1) // 2, p)
+        per_trial[k, :, QUAD_MOMENTUM] = rng.multinomial(shots // 2, p)
+        rng.standard_normal(out=z[k])
+        rng.standard_gamma(np.maximum(per_trial[k, :, :, None] - 1, 0) / 2.0, out=chi2[k])
+    chi2 *= 2.0
+    counts = np.broadcast_to(per_trial[..., None], z.shape)    # (S, d, 2, n)
     filled = counts > 0
-    mean = means + spreads * rng.standard_normal(means.shape) / np.sqrt(np.maximum(counts, 1))
-    chi2 = 2.0 * rng.standard_gamma(np.maximum(counts - 1, 0) / 2.0)
+    mean = means + spreads * z / np.sqrt(np.maximum(counts, 1))
     sums = np.where(filled, counts * mean, 0.0)
     sumsq = np.where(filled, spreads**2 * chi2 + counts * mean**2, 0.0)
-    return (*(a.transpose(0, 2, 1) for a in (counts, sums, sumsq)), per_trial.sum(axis=1))
+    return (*(a.transpose(0, 1, 3, 2) for a in (counts, sums, sumsq)), per_trial.sum(axis=2))
 
 
 def _law(rho, measured, basis_b: OrthonormalBasis, cfg: PointerConfig):
@@ -670,13 +680,14 @@ def _record_cells(records: RecordStream, dim: int, n_pointers: int):
     return _cell_sums(outcome[:, 0], quad[:, 0], by_trial(records.readout), dim)
 
 
-def _estimate_cells(cells, cfg: PointerConfig) -> WeakValueTable:
-    """The estimate shared by records and in-memory sampled cells."""
+def _estimate_cells(cells, cfg: PointerConfig) -> list[WeakValueTable]:
+    """The estimate shared by records and in-memory sampled cells: one table
+    per seed of a stack of cells (``_cell_sums`` or ``_draw_cells``)."""
     if cfg.g <= 0:
         raise PreconditionError("estimation divides by g; all couplings must be positive")
     counts, sums, sumsq, trials = cells
-    n_trials = int(trials.sum())
-    if n_trials == 0:
+    n_trials = trials.sum(axis=1)
+    if not n_trials.all():
         raise InvalidRecordsError("record stream is empty")
     shape = counts.shape
     means = np.divide(sums, counts, out=np.zeros(shape), where=counts > 0)
@@ -685,14 +696,16 @@ def _estimate_cells(cells, cfg: PointerConfig) -> WeakValueTable:
                     out=np.zeros(shape), where=counts > 1)
     stderr = np.sqrt(np.divide(np.clip(var, 0.0, None), counts,
                                out=np.zeros(shape), where=counts > 1))
-    defined = counts.min(axis=(1, 2)) > 0
+    defined = counts.min(axis=(2, 3)) > 0
     im_scale = 2.0 * cfg.g * cfg.sigma_p**2
-    re = (means[:, :, QUAD_POSITION] - cfg.mean_q) / cfg.g
-    im = (means[:, :, QUAD_MOMENTUM] - cfg.mean_p) / im_scale
-    return WeakValueTable(dim=trials.size, W=re + 1j * im, P=trials / n_trials,
-                          defined=defined, stderr_re=stderr[:, :, QUAD_POSITION] / cfg.g,
-                          stderr_im=stderr[:, :, QUAD_MOMENTUM] / im_scale,
-                          n_trials=n_trials)
+    W = ((means[..., QUAD_POSITION] - cfg.mean_q) / cfg.g
+         + 1j * ((means[..., QUAD_MOMENTUM] - cfg.mean_p) / im_scale))
+    P = trials / n_trials[:, None]
+    err_re = stderr[..., QUAD_POSITION] / cfg.g
+    err_im = stderr[..., QUAD_MOMENTUM] / im_scale
+    return [WeakValueTable(dim=trials.shape[1], W=W[k], P=P[k], defined=defined[k],
+                           stderr_re=err_re[k], stderr_im=err_im[k], n_trials=int(n_trials[k]))
+            for k in range(trials.shape[0])]
 
 
 def estimate_weak_values(records: RecordStream, cfg: PointerConfig, dim: int) -> WeakValueTable:
@@ -707,21 +720,18 @@ def estimate_weak_values(records: RecordStream, cfg: PointerConfig, dim: int) ->
     readout, or a row out of the trial layout ``sample_records`` writes
     raises InvalidRecordsError naming the first such row.
     """
-    return _estimate_cells(_record_cells(records, dim, cfg.n_pointers), cfg)
+    return _estimate_cells(_record_cells(records, dim, cfg.n_pointers), cfg)[0]
 
 
 def _sampled_table(rho, measured, basis_b: OrthonormalBasis, cfg: PointerConfig,
-                   shots: int, seed: int, noise: NoiseModel | None,
-                   law=None) -> WeakValueTable:
+                   shots: int, seed: int, noise: NoiseModel | None) -> WeakValueTable:
     """A table with the law of ``estimate_weak_values(sample_records(...))``.
 
     The estimator reads per-cell sums that ``_draw_cells`` draws directly,
-    so no trial is drawn and the cost does not depend on ``shots``.  The
-    table is a function of the arguments, but its bits differ from those of
-    the records route with the same seed.  It raises what that route raises.
-    ``law`` is ``_law(rho, measured, basis_b, cfg)``, when the caller holds
-    it for many draws of one run.
+    as a batch of one seed, so no trial is drawn and the cost does not
+    depend on ``shots``.  The table is a function of the arguments, but its
+    bits differ from those of the records route with the same seed.  It
+    raises what that route raises.
     """
-    if law is None:
-        law = _law(rho, measured, basis_b, cfg)
-    return _estimate_cells(_draw_cells(*law, cfg, shots, seed, noise), cfg)
+    law = _law(rho, measured, basis_b, cfg)
+    return _estimate_cells(_draw_cells(*law, cfg, shots, [seed], noise), cfg)[0]

@@ -21,7 +21,8 @@ basis.  Returned matrices are expressed against basis A, which in this
 package is always the computational reference basis.
 """
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,13 +77,22 @@ class DensityEstimate:
 
     physical is the nearest state to raw (see ``project_to_physical``);
     hermiticity_defect = max |raw - raw^dag| entrywise; min_eig_raw is the
-    smallest eigenvalue of the Hermitized raw matrix before projection.
+    smallest eigenvalue of the Hermitized raw matrix before projection.  A
+    projection that needed the spectrum passes its least eigenvalue as
+    ``spectrum_min``; otherwise min_eig_raw is computed on first read, since
+    only diagnostics read it.
     """
 
     raw: np.ndarray
     physical: DensityMatrix
     hermiticity_defect: float
-    min_eig_raw: float
+    spectrum_min: float | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def min_eig_raw(self) -> float:
+        if self.spectrum_min is not None:
+            return self.spectrum_min
+        return float(np.linalg.eigvalsh(_hermitian_part(self.raw))[0])
 
 
 @dataclass(frozen=True)
@@ -268,12 +278,8 @@ def reconstruct_pure_single_observable(w, observable: Observable, beta: Transiti
 def _project_pipeline(raw: np.ndarray) -> DensityEstimate:
     defect = float(np.max(np.abs(raw - raw.conj().T)))
     physical, min_eig = _nearest_state(raw)
-    return DensityEstimate(
-        raw=raw,
-        physical=physical,
-        hermiticity_defect=defect,
-        min_eig_raw=min_eig,
-    )
+    return DensityEstimate(raw=raw, physical=physical, hermiticity_defect=defect,
+                           spectrum_min=min_eig)
 
 
 def reconstruct_mixed_abasis(table: WeakValueTable, beta: TransitionMatrix) -> DensityEstimate:
@@ -363,8 +369,15 @@ def _simplex_projection(vals: np.ndarray) -> np.ndarray:
     return np.clip(vals - shifts[run[-1]], 0.0, None)
 
 
-def _nearest_state(raw) -> tuple[DensityMatrix, float]:
-    """Nearest state to raw, plus the least eigenvalue of its Hermitian part H.
+def _hermitian_part(raw: np.ndarray) -> np.ndarray:
+    """(raw + raw^dag) / 2, halves first: its bits above the subnormal range,
+    and no finite entry overflows."""
+    return raw / 2.0 + raw.conj().T / 2.0
+
+
+def _nearest_state(raw) -> tuple[DensityMatrix, float | None]:
+    """Nearest state to raw, plus the least eigenvalue of its Hermitian part H
+    when the projection computed the spectrum, else None.
 
     When no eigenvalue of H is clipped, the projection shifts them all down
     by tau = (tr H - 1) / d and the state is H - tau I itself.  A Cholesky
@@ -381,9 +394,7 @@ def _nearest_state(raw) -> tuple[DensityMatrix, float]:
     d = raw.shape[0]
     _check_dim(d)
     _check_finite(raw, "raw estimate")
-    # Halves first: the bits of (raw + raw^dag) / 2 above the subnormal
-    # range, and no finite entry overflows.
-    hermitized = raw / 2.0 + raw.conj().T / 2.0
+    hermitized = _hermitian_part(raw)
     diag = hermitized.diagonal().real
     if diag.max() < diag.min() + 1.0:
         shifted = hermitized.copy()
@@ -393,7 +404,7 @@ def _nearest_state(raw) -> tuple[DensityMatrix, float]:
         except np.linalg.LinAlgError:
             pass
         else:
-            return state, float(np.linalg.eigvalsh(hermitized)[0])
+            return state, None
     vals, vecs = np.linalg.eigh(hermitized)
     return _density_from_spectrum(_simplex_projection(vals), vecs), float(vals[0])
 

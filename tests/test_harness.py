@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -678,18 +679,20 @@ def _count_calls(monkeypatch, names):
     return calls
 
 
-def test_compare_computes_one_law_per_measured_and_one_draw_per_cell(monkeypatch):
-    # The basis-A schemes share a law and each cell's table; single_projector
-    # and single_observable measure their own observables.  Run one by one,
-    # the 6 schemes x 2 shots x 3 seeds make 36 laws and 36 draws.  Each law
-    # is one weak-value table, and the discard fraction reads the basis-A
-    # law's P: no sweep builds a table of its own for it.
+def test_compare_computes_one_law_per_measured_and_one_draw_per_batch(monkeypatch):
+    # The basis-A schemes share a law and each batch of tables; single_projector
+    # and single_observable measure their own observables.  At d=3 the 3 seeds
+    # of a shot count fit one batch, so each of the 3 sources draws once per
+    # shot count.  Run one by one, the 6 schemes x 2 shots x 3 seeds make 36
+    # laws and 36 draws.  Each law is one weak-value table, and the discard
+    # fraction reads the basis-A law's P: no sweep builds a table of its own
+    # for it.
     names = ("_law", "_draw_cells", "weak_value_table")
     cfg = ExperimentConfig(dim=3, scheme="all_data", data_mode="sampled", shots=20_000,
                            seed=4, state_seed=9, pointer_g=0.2)
     calls = _count_calls(monkeypatch, names)
-    compare_schemes(cfg, [*TABLE_SCHEMES, "partial"], [20_000, 80_000], n_seeds=3)
-    assert calls == {"_law": 3, "_draw_cells": 3 * 2 * 3, "weak_value_table": 3}
+    rows = compare_schemes(cfg, [*TABLE_SCHEMES, "partial"], [20_000, 80_000], n_seeds=3)
+    assert calls == {"_law": 3, "_draw_cells": 3 * 2, "weak_value_table": 3}
     calls.update(dict.fromkeys(names, 0))
     _one_by_one(cfg, TABLE_SCHEMES, [20_000, 80_000], 3)
     assert calls == {"_law": 36, "_draw_cells": 36, "weak_value_table": 36}
@@ -698,7 +701,36 @@ def test_compare_computes_one_law_per_measured_and_one_draw_per_cell(monkeypatch
     assert calls == {"_law": 0, "_draw_cells": 0, "weak_value_table": 3}
     calls.update(dict.fromkeys(names, 0))
     compare_schemes(cfg, ["postselected"], [20_000], n_seeds=2)
-    assert calls == {"_law": 1, "_draw_cells": 2, "weak_value_table": 1}
+    assert calls == {"_law": 1, "_draw_cells": 1, "weak_value_table": 1}
+    # A budget of 36 cells holds two seeds of 2 d^2 = 18: the 3 seeds take
+    # batches of 2 and 1, and the rows do not move.
+    monkeypatch.setattr(harness, "_BATCH_CELLS", 36)
+    calls.update(dict.fromkeys(names, 0))
+    assert compare_schemes(cfg, [*TABLE_SCHEMES, "partial"], [20_000, 80_000],
+                           n_seeds=3) == rows
+    assert calls == {"_law": 3, "_draw_cells": 3 * 2 * 2, "weak_value_table": 3}
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compare_peak_at_large_d_stays_near_one_run():
+    # At d=128 a seed's 2 d^2 cells exceed the batch budget, so each batch
+    # holds one seed; drawn all at once, the 20 seeds stacked about 14 times
+    # one run's peak.
+    cfg = ExperimentConfig(dim=128, scheme="mixed_a", data_mode="sampled", shots=10**6,
+                           seed=3, state_seed=5)
+    schemes = ["postselected", "all_data", "mixed_a", "mixed_b"]
+    run_reconstruction(cfg)  # warm-up: first-call allocations are not the run's
+    one_run = _traced_peak(lambda: run_reconstruction(cfg))
+    sweep = _traced_peak(lambda: compare_schemes(cfg, schemes, [10**6], n_seeds=20))
+    assert sweep < 1.5 * one_run, (sweep, one_run)
 
 
 @pytest.mark.parametrize("seed, n_seeds, error, message", [

@@ -476,10 +476,15 @@ def _count_eigen_calls(monkeypatch):
 def test_exact_mixed_run_makes_no_eigh_three_eigvalsh_two_cholesky(monkeypatch, scheme):
     # The full-rank truth's raw estimate needs no clipping, so the projection
     # is one shift.  cholesky: the Ginibre truth's PSD check, and the shifted
-    # estimate's, whose factor fidelity reads.  eigvalsh: min_eig_raw, the
-    # inner root of fidelity, and trace_distance.
+    # estimate's, whose factor fidelity reads.  eigvalsh: the inner root of
+    # fidelity and trace_distance; min_eig_raw makes the third on first read
+    # and no more after it.
     calls = _count_eigen_calls(monkeypatch)
-    run_reconstruction(ExperimentConfig(scheme=scheme, dim=8, state_spec="ginibre", seed=5))
+    bundle = run_reconstruction(ExperimentConfig(scheme=scheme, dim=8, state_spec="ginibre",
+                                                 seed=5))
+    assert calls == {"eigh": 0, "eigvalsh": 2, "cholesky": 2}
+    first = bundle.estimate.min_eig_raw
+    assert bundle.estimate.min_eig_raw == first > 0.0
     assert calls == {"eigh": 0, "eigvalsh": 3, "cholesky": 2}
 
 

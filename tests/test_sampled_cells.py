@@ -40,6 +40,7 @@ from weaktomo import (
 from weaktomo.pointer import (
     RECORD_ROW_LIMIT,
     _draw_cells,
+    _estimate_cells,
     _law,
     _record_cells,
     _sampled_table,
@@ -134,28 +135,32 @@ def test_in_memory_column_equals_records_path(d):
 
 
 def _scaled_chi2(cells, spreads):
-    """(n - 1) s^2 / sigma^2 and n - 1 of every cell with n >= 2."""
+    """(n - 1) s^2 / sigma^2 and n - 1 of every cell with n >= 2, over a
+    stack of seeds."""
     counts, sums, sumsq, _ = cells
     keep = counts > 1
     n = counts[keep]
+    spreads = np.broadcast_to(spreads, counts.shape)
     return (sumsq[keep] - sums[keep] ** 2 / n) / spreads[keep] ** 2, n - 1
 
 
 @pytest.mark.parametrize("route", ["in_memory", "records"])
 def test_cell_sum_of_squares_is_chi2(route):
     # d = 3 at 600 shots: 18 cells with about 100 readouts each, per seed.
+    # The in-memory route draws every seed in one batch.
     args = _table_args(3, 7)
     P, dq, dp = _law(*args)
     pcfg = args[3]
     spreads = np.empty((3, 3, 2))
     spreads[..., 0] = pcfg.sigma_q * NOISE.readout_sigma_scale
     spreads[..., 1] = pcfg.sigma_p * NOISE.readout_sigma_scale
+    if route == "in_memory":
+        stacks = [_draw_cells(P, dq, dp, pcfg, 600, SEEDS, NOISE)]
+    else:
+        stacks = [_record_cells(sample_records(*args, 600, seed, NOISE), 3, 3)
+                  for seed in SEEDS]
     u, k = [], []
-    for seed in SEEDS:
-        if route == "in_memory":
-            cells = _draw_cells(P, dq, dp, pcfg, 600, seed, NOISE)
-        else:
-            cells = _record_cells(sample_records(*args, 600, seed, NOISE), 3, 3)
+    for cells in stacks:
         x, dof = _scaled_chi2(cells, spreads)
         u.append((x - dof) / np.sqrt(2.0 * dof))
         k.append(dof)
@@ -164,6 +169,27 @@ def test_cell_sum_of_squares_is_chi2(route):
     assert abs(u.mean()) * np.sqrt(u.size) < Z_BOUND
     var_of_u2 = np.mean(2.0 + 12.0 / k) / u.size
     assert abs(np.mean(u**2) - 1.0) / np.sqrt(var_of_u2) < Z_BOUND
+
+
+@given(d=st.integers(2, 6), one_pointer=st.booleans(), state_seed=st.integers(0, 2**31 - 1),
+       shots=st.one_of(st.integers(1, 3), st.integers(4, 10**7)),
+       scale=st.sampled_from([0.0, 1.3]),
+       seeds=st.lists(st.integers(0, 2**64), min_size=1, max_size=6))
+def test_a_batch_of_seeds_gives_each_seed_the_bits_it_has_alone(
+        d, one_pointer, state_seed, shots, scale, seeds):
+    # One to three shots leave cells empty or with one readout; a zero noise
+    # scale gives every readout its cell's mean.
+    args = (_column_args if one_pointer else _table_args)(d, state_seed)
+    law, pcfg = _law(*args), args[3]
+    noise = NoiseModel(readout_sigma_scale=scale, systematic_offset=0.01)
+    batch = _estimate_cells(_draw_cells(*law, pcfg, shots, seeds, noise), pcfg)
+    assert len(batch) == len(seeds)
+    for seed, table in zip(seeds, batch):
+        alone, = _estimate_cells(_draw_cells(*law, pcfg, shots, [seed], noise), pcfg)
+        for name in ("W", "P", "defined", "stderr_re", "stderr_im"):
+            got, want = getattr(table, name), getattr(alone, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert table.n_trials == alone.n_trials == shots
 
 
 def test_masked_outcome_gives_an_undefined_row_on_both_routes():
