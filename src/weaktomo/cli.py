@@ -236,12 +236,15 @@ def _cmd_demo_phase(args) -> int:
 
 def _cmd_compare(args) -> int:
     shot_grid = [int(s) for s in args.shots_grid.split(",") if s.strip()]
-    if args.sampled and args.shots is None and shot_grid:
+    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    for option, values in (("--schemes", schemes), ("--shots-grid", shot_grid)):
+        if not values:
+            raise _UsageError(f"{option} is empty")
+    if args.sampled and args.shots is None:
         # the grid overrides the shot count per cell; the base config only
         # needs a positive value to validate
         args.shots = shot_grid[0]
     cfg = _build_config(args, default_scheme="all_data")
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     rows = compare_schemes(cfg, schemes, shot_grid, n_seeds=args.seeds)
     csv_text = serialize.comparison_to_csv(rows)
     if not args.quiet:

@@ -3,14 +3,15 @@
 A single ExperimentConfig fully determines a run: the true state, the
 post-selection basis, the pointer parameters, the reconstruction scheme, and
 (for sampled mode) the shot budget and seed.  Every scheme, partial
-tomography included, is one ``Scheme`` row: a run builds one ``Source``,
-computes or draws its table, and the scheme's reconstruct and score steps
-read both.  Identical configs give bit-identical results, and no function
-starts a thread.  A scheme comparison shares work across its experiments,
-not results: its configs are checked once per shot count, each source
-draws the tables of a shot count's seeds in batches, one per seed for
-every scheme that reads it, and each experiment's score is bit for bit the
-one its own run_reconstruction gives.
+tomography included, is one ``Scheme`` row: a run builds one ``Source`` and
+its law, takes its table from ``_tables``, and the scheme's reconstruct and
+score steps read both.  Identical configs give bit-identical results, and no
+function starts a thread.  A scheme comparison shares work across its
+experiments, not results: it checks one config per shot count, builds each
+source and law once, and walks source, then shot count, then batch of
+seeds, drawing each batch's tables through the same ``_tables`` and scoring
+each with every distinct scheme that reads it, so each experiment's score is
+bit for bit the one its own run_reconstruction gives.
 """
 
 import functools
@@ -53,7 +54,6 @@ from .pointer import (
     _draw_cells,
     _estimate_cells,
     _law,
-    _sampled_table,
     sample_records,
 )
 from .recon import (
@@ -135,8 +135,7 @@ class ExperimentConfig:
     partial_b: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
+        _check_integer(self.dim, "dim", 2)
         _check_scheme(self.scheme)
         if self.data_mode not in DATA_MODES:
             raise ValueError(f"unknown data_mode {self.data_mode!r}")
@@ -402,14 +401,14 @@ def _law_of(cfg: ExperimentConfig, truth: StateVector | DensityMatrix, src: Sour
     return _law(truth, src.measured, src.basis, src.pointers)
 
 
-def _table(cfg: ExperimentConfig, truth: StateVector | DensityMatrix,
-           src: Source) -> WeakValueTable:
-    """The source's table, estimated from ``cfg.shots`` sampled trials of
-    ``cfg.seed`` in sampled mode."""
+def _tables(cfg: ExperimentConfig, src: Source, law, seeds) -> list[WeakValueTable]:
+    """The source's table for each seed, from ``_law_of``'s ``law``: the exact
+    table itself in exact mode, else estimated from ``cfg.shots`` sampled
+    trials of the seed, the seeds drawn in one batch."""
     if cfg.data_mode == "exact":
-        return weak_value_table(truth, src.measured, src.basis)
-    return _sampled_table(truth, src.measured, src.basis, src.pointers, cfg.shots, cfg.seed,
-                          _resolve_noise(cfg))
+        return [law] * len(seeds)
+    return _estimate_cells(_draw_cells(*law, src.pointers, cfg.shots, seeds, _resolve_noise(cfg)),
+                           src.pointers)
 
 
 def _resolve_truth(cfg: ExperimentConfig) -> StateVector | DensityMatrix:
@@ -466,22 +465,21 @@ def run_reconstruction(cfg: ExperimentConfig, *,
     truth = _resolve_truth(cfg)
     src = _source(cfg, _resolve_basis(cfg))
     if table is None:
-        table = _table(cfg, truth, src)
+        table = _tables(cfg, src, _law_of(cfg, truth, src), [cfg.seed])[0]
     elif (table.dim, table.n_pointers) != (cfg.dim, src.pointers.n_pointers):
         raise SchemeInapplicableError(
             f"scheme {cfg.scheme!r} consumes a {cfg.dim} x {src.pointers.n_pointers} table, "
             f"got {table.dim} x {table.n_pointers}")
-    estimate, metrics, kernel = _score(cfg, SCHEMES[cfg.scheme], truth, src, table)
+    estimate, metrics, kernel = _score(SCHEMES[cfg.scheme], truth, src, table)
     return ResultBundle(scheme=cfg.scheme, config=cfg, estimate=estimate, metrics=metrics,
                         table=table, kernel=kernel, wall_time=time.perf_counter() - t0)
 
 
-def _score(cfg: ExperimentConfig, scheme: Scheme, truth: StateVector | DensityMatrix,
-           src: Source, table: WeakValueTable):
+def _score(scheme: Scheme, truth: StateVector | DensityMatrix, src: Source,
+           table: WeakValueTable):
     """Reconstruct with ``scheme`` from ``table`` and score the estimate
     against ``truth``: the estimate, its finite metrics (the scheme's own and
-    its score step's) and the kernel diagnostics or None.  ``cfg`` names the
-    experiment to a wrapper of this function; the source holds what it set."""
+    its score step's) and the kernel diagnostics or None."""
     estimate, metrics, kernel = scheme.reconstruct(src, table)
     metrics.update(scheme.score(src, estimate, truth))
     return estimate, _finite_metrics(metrics), kernel
@@ -561,21 +559,15 @@ def demo_phase_detection(theta: float, g: float = 0.01, sigma_p: float = 0.5,
 
 def _attempt(fn, *args):
     """``fn(*args)``, or the exception it raised, held so that a sweep raises
-    its experiments' errors in their sorted order, not in the order they ran."""
+    its experiments' errors in their sorted order, not in the order they ran.
+    An exception held in ``args`` by an earlier step is returned as it is."""
+    for arg in args:
+        if isinstance(arg, Exception):
+            return arg
     try:
         return fn(*args)
     except Exception as exc:
         return exc
-
-
-def _experiment(cfg: ExperimentConfig, scheme: str, seed: int) -> ExperimentConfig:
-    """``replace(cfg, scheme=scheme, seed=seed)`` for a checked ``cfg``: no other
-    check of ``__post_init__`` reads the two fields, so only they are checked."""
-    _check_scheme(scheme)
-    _check_integer(seed, "seed", 0)
-    out = object.__new__(ExperimentConfig)
-    out.__dict__.update(cfg.__dict__, scheme=scheme, seed=seed)
-    return out
 
 
 def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
@@ -588,32 +580,34 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
     postselected scheme, which keeps a single outcome).  Schemes that cannot
     run on the configured state, and partial tomography, which is scored by
     its element error and has no trace distance, are reported as skipped.
-    An n_seeds below 1, a shot count that the config refuses, and a repeated
-    scheme or shot count raise ValueError before any experiment runs.
+    An empty scheme list or shot grid, an n_seeds below 1, a shot count that
+    the config refuses, and a repeated scheme or shot count raise ValueError
+    before any experiment runs.
 
     Every trace distance is the one ``run_reconstruction`` gives for that
-    (scheme, shots, seed) config, bit for bit, and every such config is
-    built, but work that the experiments share is done once.  Each shot
-    count's config is built by ``replace``, with every check; its
-    experiments' configs copy it and check only their scheme and seed.  The
-    truth, basis B, and each distinct ``_source`` and its law are built once
-    per sweep, and the discard fraction is read off the basis-A source's
-    law.  Each source draws the tables of a shot count's seeds in batches
-    of at most ``_BATCH_CELLS`` cells, one ``_draw_cells`` call a batch,
-    which checks the readout law once; a seed's table has the bits of its
-    own run's.  Every scheme built on a source reads its tables
-    (postselected, all_data, mixed_a and mixed_b read the basis-A table),
-    and each (shots, seed) cell scores each distinct estimator once, so
-    mixed_b, the mixed_a estimator under its b-basis name, takes mixed_a's
-    score.  Cells are scored one by one, in sorted order, in the calling
-    thread.  An error that a batch raises goes to every experiment of that
-    source in the batch.  When experiments fail, the sweep raises the error
-    of the first failing (scheme, shots, seed index) key in sorted order.
+    (scheme, shots, seed) config, bit for bit: both take their tables from
+    ``_tables`` and score them with ``_score``.  Work that the experiments
+    share is done once.  Each shot count's config is built by ``replace``,
+    with every check, and the seeds are ``cfg_base.seed`` plus 0 to
+    n_seeds - 1.  The truth, basis B, and each distinct source and its law
+    are built once per sweep, and the discard fraction is read off the
+    basis-A source's law.  The sweep walks source, then shot count, then
+    batch of at most ``_BATCH_CELLS`` cells, drawn by one ``_tables`` call;
+    each distinct ``Scheme`` built on the source scores each table once, in
+    the calling thread.  So postselected, all_data, mixed_a and mixed_b read
+    one basis-A table a seed, and mixed_b, the mixed_a estimator under its
+    b-basis name, takes mixed_a's score.  An error that a source, its law or
+    a batch raises goes to every experiment that reads it.  When experiments
+    fail, the sweep raises the error of the first failing (scheme, shots,
+    seed index) key in sorted order.
     """
     schemes, shot_grid = list(schemes), list(shot_grid)
     _check_integer(n_seeds, "n_seeds", 1)
     for scheme in schemes:
         _check_scheme(scheme)
+    for name, values in (("schemes", schemes), ("shot counts", shot_grid)):
+        if not values:
+            raise ValueError(f"no {name} to compare")
     if cfg_base.state_seed is None and cfg_base.state_spec != "explicit":
         # Every cell scores against one true state; only the sampling seed varies.
         cfg_base = replace(cfg_base, state_seed=cfg_base.seed)
@@ -624,81 +618,48 @@ def compare_schemes(cfg_base: ExperimentConfig, schemes, shot_grid,
             raise ValueError(f"repeated {name}: {repeated}")
     truth = _resolve_state(cfg_base)
     basis_b = _resolve_basis(cfg_base)
-    skipped: dict[str, str] = {}
-    jobs: dict[tuple, ExperimentConfig] = {}
     exact = cfg_base.data_mode == "exact"
-    seeds = [cfg_base.seed] if exact else [cfg_base.seed + s for s in range(n_seeds)]
+    seeds = [cfg_base.seed] if exact else [int(cfg_base.seed) + s for s in range(n_seeds)]
 
-    for scheme in schemes:
-        if scheme not in STATE_SCHEMES:
-            skipped[scheme] = "estimates one element, no state-level trace distance"
-            continue
-        if SCHEMES[scheme].pure and not isinstance(truth, StateVector):
-            skipped[scheme] = "state is mixed"
-            continue
-        for cfg in per_shots:
-            for s_idx, seed in enumerate(seeds):
-                jobs[(scheme, int(cfg.shots), s_idx)] = _experiment(cfg, scheme, seed)
-
-    # Scheme names by source builder, then by estimator; each group's tables
-    # come from one source and law, built with its first name's config.
+    # Scheme names by source builder, then by estimator.
+    skipped: dict[str, str] = {}
     groups: dict[Callable, dict[Scheme, list[str]]] = {}
-    for name in sorted({key[0] for key in jobs}):
+    for name in schemes:
         scheme = SCHEMES[name]
-        groups.setdefault(scheme.source, {}).setdefault(scheme, []).append(name)
-    cells = sorted({key[1:] for key in jobs})
+        if name not in STATE_SCHEMES:
+            skipped[name] = "estimates one element, no state-level trace distance"
+        elif scheme.pure and not isinstance(truth, StateVector):
+            skipped[name] = "state is mixed"
+        else:
+            groups.setdefault(scheme.source, {}).setdefault(scheme, []).append(name)
 
-    def prepare(cfg):
-        src = _source(cfg, basis_b)
-        return src, _law_of(cfg, truth, src)
-
-    plan = {}
-    for builder, by_scheme in groups.items():
-        lead = next(iter(by_scheme.values()))[0]
-        plan[builder] = (lead, _attempt(prepare, jobs[(lead, *cells[0])]), by_scheme)
-
-    def distance(cfg, scheme, src, table) -> float:
-        return _score(cfg, scheme, truth, src, table)[1]["trace_distance"]
-
-    def draw(cfg, src, law, batch) -> list[WeakValueTable]:
-        if exact:
-            return [law]
-        cells = _draw_cells(*law, src.pointers, cfg.shots, [seeds[s] for s in batch],
-                            _resolve_noise(cfg))
-        return _estimate_cells(cells, src.pointers)
-
-    # Trace distance, or the error raised, of every experiment: each batch of
-    # seeds of a shot count draws its tables source by source, then its
-    # cells are scored in sorted order.
+    # Trace distance, or the error held, of every (scheme, shots, seed index).
     per_batch = max(1, _BATCH_CELLS // (2 * cfg_base.dim**2))
     results: dict[tuple, float | Exception] = {}
-    for shots in sorted({cell[0] for cell in cells}):
-        for start in range(0, len(seeds), per_batch):
-            batch = range(start, min(start + per_batch, len(seeds)))
-            drawn = {}
-            for builder, (lead, prepared, _) in plan.items():
-                drawn[builder] = prepared
-                if not isinstance(prepared, Exception):
-                    drawn[builder] = _attempt(draw, jobs[(lead, shots, start)], *prepared, batch)
-            for s_idx in batch:
-                for builder, (_, prepared, by_scheme) in plan.items():
-                    tables = drawn[builder]
+    laws = {}
+    for builder, by_scheme in groups.items():
+        src = _attempt(builder, cfg_base, basis_b)
+        laws[builder] = law = _attempt(_law_of, cfg_base, truth, src)
+        for cfg in per_shots:
+            for start in range(0, len(seeds), per_batch):
+                batch = seeds[start:start + per_batch]
+                tables = _attempt(_tables, cfg, src, law, batch)
+                if isinstance(tables, Exception):
+                    tables = [tables] * len(batch)
+                for s_idx, table in enumerate(tables, start):
                     for scheme, names in by_scheme.items():
-                        value = tables
-                        if not isinstance(tables, Exception):
-                            value = _attempt(distance, jobs[(names[0], shots, s_idx)], scheme,
-                                             prepared[0], tables[s_idx - start])
-                        results.update(((name, shots, s_idx), value) for name in names)
+                        value = _attempt(_score, scheme, truth, src, table)
+                        if not isinstance(value, Exception):
+                            value = value[1]["trace_distance"]
+                        results.update(((name, int(cfg.shots), s_idx), value) for name in names)
     for key in sorted(results):
         if isinstance(results[key], Exception):
             raise results[key]
 
     # Discard fraction: the postselected scheme keeps one outcome of B, whose
-    # probability its source's law holds (the exact table, or P, dq and dp).
-    p_kept = None
-    if any(key[0] == "postselected" for key in jobs):
-        _, (_, law), _ = plan[SCHEMES["postselected"].source]
-        p_kept = float((law.P if exact else law[0])[cfg_base.postselect_row])
+    # probability the basis-A law holds (the exact table, or P, dq and dp).
+    law = laws.get(SCHEMES["postselected"].source)
+    p_kept = None if law is None else float((law.P if exact else law[0])[cfg_base.postselect_row])
     rows = [{"scheme": scheme, "skipped": reason} for scheme, reason in skipped.items()]
     for scheme in schemes:
         if scheme in skipped:

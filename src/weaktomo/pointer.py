@@ -722,16 +722,3 @@ def estimate_weak_values(records: RecordStream, cfg: PointerConfig, dim: int) ->
     """
     return _estimate_cells(_record_cells(records, dim, cfg.n_pointers), cfg)[0]
 
-
-def _sampled_table(rho, measured, basis_b: OrthonormalBasis, cfg: PointerConfig,
-                   shots: int, seed: int, noise: NoiseModel | None) -> WeakValueTable:
-    """A table with the law of ``estimate_weak_values(sample_records(...))``.
-
-    The estimator reads per-cell sums that ``_draw_cells`` draws directly,
-    as a batch of one seed, so no trial is drawn and the cost does not
-    depend on ``shots``.  The table is a function of the arguments, but its
-    bits differ from those of the records route with the same seed.  It
-    raises what that route raises.
-    """
-    law = _law(rho, measured, basis_b, cfg)
-    return _estimate_cells(_draw_cells(*law, cfg, shots, [seed], noise), cfg)[0]

@@ -119,6 +119,16 @@ def test_verify_table_sum_rules(tmp_path):
     assert json.loads(bad.stdout)["ok"] is False
 
 
+@pytest.mark.parametrize("dim", ["2.5", "3.0", "true"])
+def test_verify_rejects_a_config_whose_dim_is_no_integer(tmp_path, dim):
+    f = tmp_path / "cfg.json"
+    f.write_text(f'{{"dim": {dim}, "scheme": "all_data"}}')
+    proc = run_cli("verify", str(f))
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "invalid-value"
+    assert "dim must be an integer" in proc.stderr
+
+
 def test_verify_rejects_unrecognized_payload(tmp_path):
     f = tmp_path / "junk.json"
     f.write_text('{"foo": 1}')
@@ -504,6 +514,16 @@ def test_compare_rejects_unknown_scheme():
     assert json.loads(proc.stderr)["error"] == "invalid-value"
 
 
+@pytest.mark.parametrize("args", [["--exact", "--schemes", ""],
+                                  ["--exact", "--shots-grid", ""],
+                                  ["--sampled", "--shots-grid", " , "]])
+def test_compare_with_an_empty_sweep_is_usage_error(args):
+    proc = run_cli("compare", "--set", "dim=2", *args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage error")
+    assert f"{args[1]} is empty" in proc.stderr
+
+
 # ------------------------------------------------------------------- usage
 
 
@@ -539,7 +559,7 @@ def test_negative_noise_scale_is_usage_error(mode, tmp_path):
 @pytest.mark.parametrize("setting", ["shots=2.5", "shots=true", "seed=1e400", "seed=2.5",
                                      "seed=-1", "state_seed=1.5", "state_seed=-1",
                                      "state_rank=1.5", "state_rank=0", "state_rank=3",
-                                     "postselect_row=0.5"])
+                                     "postselect_row=0.5", "dim=3.0", "dim=2.5"])
 def test_integer_field_that_is_no_integer_is_usage_error(setting, tmp_path):
     out = tmp_path / "b.json"
     proc = run_cli("reconstruct", "--set", "dim=2", "--set", "scheme=mixed_a",

@@ -1,6 +1,5 @@
 """End-to-end experiment runs, the phase demo, and scheme comparison."""
 
-import dataclasses
 import math
 import os
 import threading
@@ -492,6 +491,8 @@ def test_compare_runs_in_the_calling_thread(monkeypatch):
     (["all_data"], [1000, 4000, np.int64(1000)], 4, "repeated shot counts: [1000]"),
     (["all_data", "mixed_a", "all_data", "partial", "partial"], [1000], 4,
      "repeated schemes: ['all_data', 'partial']"),
+    ([], [1000], 4, "no schemes to compare"),
+    (["all_data"], [], 4, "no shot counts to compare"),
 ])
 def test_compare_rejects_bad_sweep_arguments_before_any_work(
         monkeypatch, schemes, shot_grid, n_seeds, message):
@@ -508,50 +509,56 @@ def test_compare_rejects_bad_sweep_arguments_before_any_work(
     assert str(raised.value) == message
 
 
-def _assert_same_config(got: ExperimentConfig, want: ExperimentConfig) -> None:
-    for field in dataclasses.fields(ExperimentConfig):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        assert type(a) is type(b), field.name
-        if isinstance(b, np.ndarray):
-            assert np.array_equal(a, b) and a.dtype == b.dtype, field.name
-        else:
-            assert a == b, field.name
+def test_compare_sweeps_a_numpy_seed_as_a_python_int():
+    # np.int64(2**63 - 1) + 1 would wrap to a negative seed
+    cfg = ExperimentConfig(dim=2, scheme="all_data", data_mode="sampled", shots=5_000,
+                           seed=2**63 - 1, state_seed=0, pointer_g=0.2)
+    schemes = ["postselected", "all_data", "mixed_a"]
+    rows = compare_schemes(cfg, schemes, [5_000], n_seeds=2)
+    assert compare_schemes(replace(cfg, seed=np.int64(2**63 - 1)), schemes, [5_000],
+                           n_seeds=2) == rows
 
 
 @pytest.mark.parametrize("data_mode, shot_grid", [("sampled", [20_000, np.int64(5_000)]),
                                                   ("exact", [0])])
-def test_compare_builds_each_config_as_replace_does(monkeypatch, data_mode, shot_grid):
-    # Every array-valued field is set, so a copy that dropped or shared one
-    # would show; each experiment gets a config of its own.
+@pytest.mark.parametrize("state_spec", ["explicit", "haar-pure"])
+def test_compare_checks_one_config_per_shot_count(monkeypatch, data_mode, shot_grid,
+                                                  state_spec):
+    # Every array-valued field is set, and every row is the one the
+    # experiments give run one by one; the sweep builds one config per shot
+    # count, plus one to pin an unpinned state_seed, whatever its schemes and
+    # seeds.
     d = 3
     rng = np.random.default_rng(4)
     state = random_pure_state(d, 8).amplitudes
     basis = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
     cfg = ExperimentConfig(dim=d, scheme="mixed_a", data_mode=data_mode, shots=shot_grid[0],
-                           seed=11, state_spec="explicit", state=state,
+                           seed=11, state_spec=state_spec, state=state,
                            basis_spec="explicit", basis_b=basis, pointer_g=0.2,
                            phi=np.array([1.0, 2.0, 1j]), lambdas=np.array([0.5, -1.0, 2.0]),
                            partial_a=np.array([1.0, 0.0, 0.0]),
                            partial_b=np.array([0.0, 1.0, 1.0]))
     schemes = ["postselected", "mixed_b", "single_observable", "single_projector", "partial"]
-    built = []
-    real = harness._experiment
-
-    def recording(*args):
-        built.append((args, real(*args)))
-        return built[-1][1]
-
-    monkeypatch.setattr(harness, "_experiment", recording)
-    compare_schemes(cfg, schemes, shot_grid, n_seeds=3)
-    seeds = 1 if data_mode == "exact" else 3
-    assert len(built) == 4 * len(shot_grid) * seeds
-    assert len({id(config) for _, config in built}) == len(built)
-    keys = set()
-    for (base, scheme, seed), config in built:
-        keys.add((scheme, int(base.shots), seed))
-        _assert_same_config(config, replace(cfg, scheme=scheme, shots=base.shots, seed=seed))
-    assert keys == {(scheme, int(shots), 11 + s) for scheme in schemes[:4]
-                    for shots in shot_grid for s in range(seeds)}
+    checked = []
+    real = ExperimentConfig.__post_init__
+    monkeypatch.setattr(ExperimentConfig, "__post_init__",
+                        lambda self: checked.append(self.shots) or real(self))
+    rows = compare_schemes(cfg, schemes, shot_grid, n_seeds=3)
+    pinned = [cfg.shots] if state_spec != "explicit" else []
+    assert checked == pinned + shot_grid
+    checked.clear()
+    compare_schemes(cfg, schemes[:1], shot_grid, n_seeds=1)
+    assert checked == pinned + shot_grid
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", real)
+    pinned_cfg = replace(cfg, state_seed=cfg.seed) if pinned else cfg
+    n_seeds = 1 if data_mode == "exact" else 3
+    expected = _one_by_one(pinned_cfg, schemes[:4], [int(s) for s in shot_grid], n_seeds)
+    by_cell = {(row["scheme"], row["shots"]): row for row in rows if "skipped" not in row}
+    assert sorted(by_cell) == sorted({key[:2] for key in expected})
+    for (scheme, shots), row in by_cell.items():
+        values = [expected[(scheme, shots, s)] for s in range(n_seeds)]
+        q25, q50, q75 = np.percentile(values, [25.0, 50.0, 75.0])
+        assert (row["median"], row["iqr"]) == (float(q50), float(q75 - q25))
 
 
 @pytest.mark.parametrize("shot_grid", [[1000, 10**12], [10**12, 1000]])
@@ -626,15 +633,26 @@ def test_compare_scores_every_cell_as_run_reconstruction_does(
         shot_grid = [0]
     expected = _one_by_one(cfg, schemes, shot_grid, n_seeds)
     scored = {}
-    real_score = harness._score
+    # Each table the sweep draws, by id, with its (shots, seed); the tables
+    # are held so that no id is reused.
+    drawn = {}
+    real_tables, real_score = harness._tables, harness._score
 
-    def recording_score(cfg, *args):
-        result = real_score(cfg, *args)
-        scored[(cfg.scheme, cfg.shots, cfg.seed)] = result[1]["trace_distance"]
+    def recording_tables(cfg, src, law, seeds):
+        tables = real_tables(cfg, src, law, seeds)
+        drawn.update((id(table), (table, cfg.shots, seed)) for table, seed in zip(tables, seeds))
+        return tables
+
+    def recording_score(scheme, truth, src, table):
+        result = real_score(scheme, truth, src, table)
+        name = min(name for name in schemes if SCHEMES[name] is scheme)
+        _, shots, seed_ = drawn[id(table)]
+        scored[(name, shots, seed_)] = result[1]["trace_distance"]
         return result
 
     failures = [key for key in sorted(expected) if isinstance(expected[key], Exception)]
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_tables", recording_tables)
         patch.setattr(harness, "_score", recording_score)
         if failures:
             first = expected[failures[0]]
@@ -803,6 +821,9 @@ def test_thread_cap_env(monkeypatch):
 
 def test_config_validation():
     for fields in ({"dim": 1},
+                   {"dim": 2.5},
+                   {"dim": 3.0},
+                   {"dim": True},
                    {"scheme": "no-such-scheme"},
                    {"data_mode": "psychic"},
                    {"data_mode": "sampled", "shots": 0},

@@ -28,7 +28,6 @@ from weaktomo import (
     weak_value_table,
 )
 
-from weaktomo.pointer import _sampled_table
 
 from oracles import (
     oracle_first_order_probability,
@@ -38,6 +37,7 @@ from oracles import (
     oracle_pointer_covariance,
     oracle_shifts,
 )
+from test_sampled_cells import in_memory_table
 
 RHO_EXAMPLE = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
 
@@ -353,7 +353,7 @@ def test_sampling_refuses_pointer_and_noise_values_that_overflow_together(cfg, n
     # each value has a finite square; what the sampler forms from two, or
     # from the shots and the readouts of a cell, does not; a single readout
     # 1.34 spreads of 1e154 from its mean squares past the float range
-    for sample in (sample_records, _sampled_table):
+    for sample in (sample_records, in_memory_table):
         with pytest.raises(ValueError, match="finite square"):
             sample(random_pure_state(2, 0), reference_basis(2), fourier_basis(2), cfg,
                    shots, 0, noise)

@@ -43,7 +43,6 @@ from weaktomo.pointer import (
     _estimate_cells,
     _law,
     _record_cells,
-    _sampled_table,
 )
 
 SHOTS = 50_001
@@ -57,6 +56,13 @@ DIST_SHOTS = 4_000
 # about 1e-4, while a cell mean off by half a run's standard error reads
 # about 7 over 200 seeds.
 Z_BOUND = 5.0
+
+
+def in_memory_table(rho, measured, basis_b, cfg, shots, seed, noise):
+    """The table an in-memory sampled run estimates: the source's law, one
+    seed's cell sums drawn from it, and the estimate they give."""
+    law = _law(rho, measured, basis_b, cfg)
+    return _estimate_cells(_draw_cells(*law, cfg, shots, [seed], noise), cfg)[0]
 
 
 def _table_args(d: int, state_seed: int):
@@ -97,7 +103,7 @@ def _assert_same_law(args, W_true, P_true):
     """Per-cell z-tests over SEEDS: the in-memory route against the records
     route (every quantity) and against the closed form (W and P)."""
     n = len(SEEDS)
-    in_memory = _quantities([_sampled_table(*args, DIST_SHOTS, s, NOISE) for s in SEEDS])
+    in_memory = _quantities([in_memory_table(*args, DIST_SHOTS, s, NOISE) for s in SEEDS])
     via_records = _quantities([_via_records(args, DIST_SHOTS, s) for s in SEEDS])
     for name, a in in_memory.items():
         b = via_records[name]
@@ -196,7 +202,7 @@ def test_masked_outcome_gives_an_undefined_row_on_both_routes():
     # |+> post-selected in the Fourier basis never reaches outcome 1.
     psi = StateVector.normalized(np.array([1.0, 1.0], dtype=complex))
     args = (psi, reference_basis(2), fourier_basis(2), PointerConfig.uniform(2, g=G))
-    for table in (_sampled_table(*args, SHOTS, 7, NOISE), _via_records(args, SHOTS, 7)):
+    for table in (in_memory_table(*args, SHOTS, 7, NOISE), _via_records(args, SHOTS, 7)):
         assert table.defined.tolist() == [True, False]
         assert table.P[1] == 0.0 and table.P[0] == 1.0
         assert not table.W[1].any()
@@ -221,7 +227,7 @@ def test_one_or_two_shots_give_zero_standard_errors(shots, seed):
     # Two shots are one position and one momentum trial, so every cell
     # holds at most one readout; one shot defines no row.
     args = _table_args(3, 9)
-    for table in (_sampled_table(*args, shots, seed, NOISE),
+    for table in (in_memory_table(*args, shots, seed, NOISE),
                   _via_records(args, shots, seed)):
         _assert_trial_invariants(table, shots)
         assert not table.stderr_re.any() and not table.stderr_im.any()
@@ -231,7 +237,7 @@ def test_one_or_two_shots_give_zero_standard_errors(shots, seed):
 @given(shots=st.integers(1, 400), seed=st.integers(0, 2**31 - 1))
 def test_small_runs_keep_the_trial_invariants_of_the_records_route(shots, seed):
     args = _column_args(3, 11)
-    for table in (_sampled_table(*args, shots, seed, NOISE),
+    for table in (in_memory_table(*args, shots, seed, NOISE),
                   _via_records(args, shots, seed)):
         _assert_trial_invariants(table, shots)
 
@@ -241,7 +247,7 @@ def test_noiseless_readout_gives_exact_means_and_no_spread(shots, seed):
     args = _table_args(3, 13)
     W, _, _ = oracle_table(args[0].elements, args[1].vectors, args[2].vectors)
     exact = NoiseModel(readout_sigma_scale=0.0)
-    for table in (_sampled_table(*args, shots, seed, exact),
+    for table in (in_memory_table(*args, shots, seed, exact),
                   _via_records(args, shots, seed, exact)):
         rows = table.defined
         # Exact to rounding: summing n equal readouts is not exact in floats.
@@ -261,7 +267,7 @@ def test_in_memory_path_raises_what_sample_then_estimate_raises():
         with pytest.raises(Exception) as expected:
             estimate_weak_values(sample_records(rho, a, b, pcfg, shots, 1), pcfg, 2)
         with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
-            _sampled_table(rho, a, b, pcfg, shots, 1, None)
+            in_memory_table(rho, a, b, pcfg, shots, 1, None)
 
 
 def test_records_beyond_the_row_limit_raise_before_allocating():
@@ -276,7 +282,7 @@ def test_records_beyond_the_row_limit_raise_before_allocating():
         tracemalloc.stop()
     assert peak < 1e6
     # The same run in memory needs no records.
-    assert _sampled_table(*args, shots, 1, None).n_trials == shots
+    assert in_memory_table(*args, shots, 1, None).n_trials == shots
 
 
 def test_shots_beyond_a_64_bit_count_are_a_resource_limit_on_both_routes():
@@ -284,8 +290,8 @@ def test_shots_beyond_a_64_bit_count_are_a_resource_limit_on_both_routes():
     with pytest.raises(ResourceLimitError):
         sample_records(*args, shots=2**63, seed=1)
     with pytest.raises(ResourceLimitError, match="64-bit"):
-        _sampled_table(*args, 2**63, 1, None)
-    assert _sampled_table(*args, 2**63 - 1, 1, None).n_trials == 2**63 - 1
+        in_memory_table(*args, 2**63, 1, None)
+    assert in_memory_table(*args, 2**63 - 1, 1, None).n_trials == 2**63 - 1
 
 
 def test_in_memory_run_equals_cli_records_round_trip(tmp_path):
