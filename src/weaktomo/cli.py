@@ -158,20 +158,25 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _verify_matrix(arr: np.ndarray) -> dict:
-    herm = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    trace = complex(np.trace(arr))
-    if herm <= 1e-10 and abs(trace - 1.0) <= 1e-8:
+    """Classify a matrix by the DensityMatrix check, then the OrthonormalBasis
+    one (no unitary PSD matrix has trace 1); one that passes neither raises
+    PreconditionError naming both reasons."""
+    try:
         rho = DensityMatrix(arr)
+    except ValueError as exc:
+        not_state = exc
+    else:
         return {"kind": "density_matrix", "dim": rho.dim,
-                "hermiticity_dev": herm,
-                "trace_dev": abs(trace - 1.0),
+                "hermiticity_dev": float(np.max(np.abs(arr - arr.conj().T))),
+                "trace_dev": abs(complex(np.trace(arr)) - 1.0),
                 "min_eigenvalue": float(np.linalg.eigvalsh(rho.elements).min())}
-    gram_dev = float(np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0]))))
-    if gram_dev <= 1e-10:
+    try:
         basis = OrthonormalBasis(arr)
-        return {"kind": "orthonormal_basis", "dim": basis.dim, "gram_dev": gram_dev}
-    raise PreconditionError("matrix is neither a density matrix (hermitian, "
-                            "unit trace) nor an orthonormal basis")
+    except ValueError as exc:
+        raise PreconditionError(f"matrix is neither a density matrix ({not_state}) "
+                                f"nor an orthonormal basis ({exc})") from None
+    return {"kind": "orthonormal_basis", "dim": basis.dim,
+            "gram_dev": float(np.max(np.abs(arr.conj().T @ arr - np.eye(basis.dim))))}
 
 
 def _cmd_verify(args) -> int:

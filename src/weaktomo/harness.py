@@ -43,6 +43,7 @@ from .qcore import (
     trace_distance,
     transition_matrix,
     _as_density,
+    _check_integer,
     _complete_basis,
 )
 from .weakval import WeakValueTable, weak_value_table
@@ -87,14 +88,6 @@ def thread_cap() -> int:
     except ValueError:
         return cpus
     return max(1, min(cpus, limit)) if limit > 0 else cpus
-
-
-def _check_integer(value, name: str, low=-math.inf, high=math.inf) -> None:
-    """Raise ValueError unless ``value`` is an integer, not a bool, in [low, high]."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not low <= value <= high:
-        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
 
 
 def _check_scheme(name) -> None:
@@ -162,13 +155,8 @@ class ExperimentConfig:
 
     def pointer_config(self, n_pointers: int) -> PointerConfig:
         """n_pointers identical pointers with the configured parameters."""
-        return PointerConfig.uniform(
-            n_pointers,
-            g=self.pointer_g,
-            sigma_q=self.pointer_sigma_q,
-            mean_q=self.pointer_mean_q,
-            mean_p=self.pointer_mean_p,
-        )
+        return PointerConfig(n_pointers, g=self.pointer_g, sigma_q=self.pointer_sigma_q,
+                             mean_q=self.pointer_mean_q, mean_p=self.pointer_mean_p)
 
 
 def _resolve_state(cfg: ExperimentConfig) -> StateVector | DensityMatrix:
@@ -388,11 +376,6 @@ PURE_SCHEMES = tuple(name for name, scheme in SCHEMES.items() if scheme.pure)
 STATE_SCHEMES = tuple(name for name, scheme in SCHEMES.items() if scheme.score is _state_score)
 
 
-def _source(cfg: ExperimentConfig, basis_b: OrthonormalBasis) -> Source:
-    """What the configured scheme measures: the one thing a run builds."""
-    return SCHEMES[cfg.scheme].source(cfg, basis_b)
-
-
 def _law_of(cfg: ExperimentConfig, truth: StateVector | DensityMatrix, src: Source):
     """What the source's tables come from: the closed-form table in exact
     mode, else ``_law``'s outcome law and first-order shifts."""
@@ -429,18 +412,11 @@ def simulate(cfg: ExperimentConfig) -> WeakValueTable | RecordStream:
     on a mixed truth, which it could not read, raises SchemeInapplicableError.
     """
     truth = _resolve_truth(cfg)
-    src = _source(cfg, _resolve_basis(cfg))
+    src = SCHEMES[cfg.scheme].source(cfg, _resolve_basis(cfg))
     if cfg.data_mode == "exact":
         return weak_value_table(truth, src.measured, src.basis)
     return sample_records(truth, src.measured, src.basis, src.pointers, cfg.shots, cfg.seed,
                           _resolve_noise(cfg))
-
-
-def _finite_metrics(metrics: dict) -> dict:
-    for key, value in metrics.items():
-        if not np.isfinite(value):
-            raise ValueError(f"metric {key} is not finite: {value}")
-    return {k: float(v) for k, v in metrics.items()}
 
 
 def run_reconstruction(cfg: ExperimentConfig, *,
@@ -463,7 +439,7 @@ def run_reconstruction(cfg: ExperimentConfig, *,
     """
     t0 = time.perf_counter()
     truth = _resolve_truth(cfg)
-    src = _source(cfg, _resolve_basis(cfg))
+    src = SCHEMES[cfg.scheme].source(cfg, _resolve_basis(cfg))
     if table is None:
         table = _tables(cfg, src, _law_of(cfg, truth, src), [cfg.seed])[0]
     elif (table.dim, table.n_pointers) != (cfg.dim, src.pointers.n_pointers):
@@ -479,10 +455,14 @@ def _score(scheme: Scheme, truth: StateVector | DensityMatrix, src: Source,
            table: WeakValueTable):
     """Reconstruct with ``scheme`` from ``table`` and score the estimate
     against ``truth``: the estimate, its finite metrics (the scheme's own and
-    its score step's) and the kernel diagnostics or None."""
+    its score step's) and the kernel diagnostics or None.  A non-finite
+    metric raises ValueError."""
     estimate, metrics, kernel = scheme.reconstruct(src, table)
     metrics.update(scheme.score(src, estimate, truth))
-    return estimate, _finite_metrics(metrics), kernel
+    for key, value in metrics.items():
+        if not np.isfinite(value):
+            raise ValueError(f"metric {key} is not finite: {value}")
+    return estimate, {k: float(v) for k, v in metrics.items()}, kernel
 
 
 @dataclass(frozen=True)
@@ -519,12 +499,15 @@ def demo_phase_detection(theta: float, g: float = 0.01, sigma_p: float = 0.5,
     number of post-selected trials, Binomial(shots, P), and the mean of their
     momentum readouts, Gaussian around dp, are drawn from ``seed`` in O(1)
     time whatever ``shots`` is, and theta is recovered by inverting the
-    exact Im W relation.
+    exact Im W relation.  A theta outside (0, pi], a g or sigma_p that is
+    not positive and finite, or a negative shots raises PreconditionError;
+    a shots that is no integer raises ValueError.
     """
+    _check_integer(shots, "shots")
     if not 0.0 < theta <= math.pi:
         raise PreconditionError("theta must lie in (0, pi]")
-    if g <= 0 or sigma_p <= 0 or shots < 0:
-        raise PreconditionError("g and sigma_p must be positive and shots >= 0")
+    if not (0.0 < g < math.inf and 0.0 < sigma_p < math.inf) or shots < 0:
+        raise PreconditionError("g and sigma_p must be positive and finite, and shots >= 0")
     if shots > np.iinfo(np.int64).max:
         raise ResourceLimitError(f"{shots} shots do not fit a 64-bit trial count")
     half = 0.5 * theta

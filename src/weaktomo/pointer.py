@@ -47,6 +47,7 @@ from .qcore import (
     Observable,
     OrthonormalBasis,
     _as_density,
+    _check_integer,
 )
 from .weakval import WeakValueTable, weak_value_table
 
@@ -98,7 +99,7 @@ class PointerConfig:
     Each pointer couples with strength g, which may be zero (no interaction)
     but never negative, and starts as a minimum-uncertainty Gaussian with
     position spread sigma_q, so its momentum spread is sigma_p = 1/2 / sigma_q,
-    centered on (mean_q, mean_p).
+    centered on (mean_q, mean_p).  n_pointers is an integer >= 1.
     """
 
     n_pointers: int
@@ -108,10 +109,9 @@ class PointerConfig:
     mean_p: float = 0.0
 
     def __post_init__(self):
+        _check_integer(self.n_pointers, "n_pointers", 1)
         _check_reals("pointer", g=self.g, sigma_q=self.sigma_q, mean_q=self.mean_q,
                      mean_p=self.mean_p)
-        if self.n_pointers < 1:
-            raise ValueError("need at least one pointer")
         if self.g < 0:
             raise ValueError("coupling g must be >= 0")
         if self.sigma_q <= 0:
@@ -175,7 +175,8 @@ def _check_readout_scales(cfg: PointerConfig, noise: NoiseModel, shots: int) -> 
 @dataclass(frozen=True)
 class RecordStream:
     """Columnar batch of experiment records, one row per pointer readout,
-    ordered trial-major."""
+    ordered trial-major.  A quadrature code other than 0 (q) or 1 (p)
+    raises InvalidRecordsError naming its first row."""
 
     trial: np.ndarray
     outcome: np.ndarray
@@ -195,6 +196,11 @@ class RecordStream:
         size = cols["trial"].size
         if any(arr.size != size for arr in cols.values()):
             raise DimensionMismatchError("record columns have unequal lengths")
+        quad = cols["quadrature"]
+        if size and quad.max() > QUAD_MOMENTUM:
+            row = int(np.argmax(quad > QUAD_MOMENTUM))
+            raise InvalidRecordsError(
+                f"records row {row + 1}: quadrature {quad[row]} outside [0, 2)")
         n_trials = self.n_trials
         if n_trials == 0 and size:
             n_trials = int(cols["trial"].max()) + 1
@@ -213,14 +219,9 @@ class RecordStream:
         that reads back to the same bits (numpy scalars print otherwise).
         Rows are formatted in chunks of ``_WRITE_ROWS`` and the chunks joined
         once; no buffer holds the text at four bytes a character, as an
-        ``io.StringIO`` would.  A quadrature other than 0 or 1 raises
-        InvalidRecordsError naming its first row.
+        ``io.StringIO`` would.
         """
         quad = self.quadrature
-        if quad.size and quad.max() > QUAD_MOMENTUM:
-            row = int(np.argmax(quad > QUAD_MOMENTUM))
-            raise InvalidRecordsError(
-                f"records row {row + 1}: quadrature {quad[row]} outside [0, 2)")
         chunks = [_HEADER]
         for start in range(0, len(self), _WRITE_ROWS):
             rows = slice(start, start + _WRITE_ROWS)
@@ -495,22 +496,17 @@ def _readout_law(dq: np.ndarray, dp: np.ndarray, cfg: PointerConfig,
     return means, spreads
 
 
-def _check_shots(shots: int) -> None:
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-
-
 def _sample_stream(P, dq, dp, cfg: PointerConfig, shots: int, seed: int,
                    noise: NoiseModel | None) -> RecordStream:
     """Draw ``shots`` trials from outcome law P as a record stream, one row
     per pointer readout.
 
     Trials come in fixed-size blocks seeded by (seed, block), so the draws
-    never depend on how the stream is assembled.  shots < 1 raises
-    ValueError and more than RECORD_ROW_LIMIT rows raise ResourceLimitError,
-    both before anything is drawn.
+    never depend on how the stream is assembled.  A shots that is no integer
+    >= 1 raises ValueError and more than RECORD_ROW_LIMIT rows raise
+    ResourceLimitError, both before anything is drawn.
     """
-    _check_shots(shots)
+    _check_integer(shots, "shots", 1)
     n = cfg.n_pointers
     if shots * n > RECORD_ROW_LIMIT:
         raise ResourceLimitError(
@@ -578,9 +574,10 @@ def _draw_cells(P, dq, dp, cfg: PointerConfig, shots: int, seeds,
     arithmetic after them is elementwise, so a seed's cells have the same
     bits alone or in a batch.  The readout law is checked once per batch.
     Time and memory are O(len(seeds) * d * n_pointers), whatever ``shots``
-    is; shots beyond 2^63 - 1 raise ResourceLimitError.
+    is.  A shots that is no integer >= 1 raises ValueError, and shots beyond
+    2^63 - 1 raise ResourceLimitError.
     """
-    _check_shots(shots)
+    _check_integer(shots, "shots", 1)
     if shots > np.iinfo(np.int64).max:
         raise ResourceLimitError(f"{shots} shots do not fit a 64-bit trial count")
     means, spreads = _readout_law(dq, dp, cfg, noise, shots)
@@ -632,15 +629,15 @@ def sample_records(rho, measured, basis_b: OrthonormalBasis, cfg: PointerConfig,
 def _record_cells(records: RecordStream, dim: int, n_pointers: int):
     """``_cell_sums`` of a record stream's checked rows.
 
-    Rows are numbered from 1; the first row with an out-of-range index or a
-    non-finite readout raises InvalidRecordsError, and so does the first row
-    that breaks the layout ``sample_records`` writes: trials 0, 1, ... in
-    order, each one outcome and n_pointers rows for pointers
-    0..n_pointers-1, even trials reading q and odd trials p.
+    Rows are numbered from 1; the first row with an outcome or pointer out
+    of range or a non-finite readout raises InvalidRecordsError, and so does
+    the first row that breaks the layout ``sample_records`` writes: trials
+    0, 1, ... in order, each one outcome and n_pointers rows for pointers
+    0..n_pointers-1, even trials reading q and odd trials p (``RecordStream``
+    holds only quadrature codes 0 and 1).
     """
     for name, col, bound in (("outcome", records.outcome, dim),
-                             ("pointer", records.pointer, n_pointers),
-                             ("quadrature", records.quadrature, 2)):
+                             ("pointer", records.pointer, n_pointers)):
         if col.size and (col.min() < 0 or col.max() >= bound):
             row = int(np.argmax((col < 0) | (col >= bound)))
             raise InvalidRecordsError(
@@ -716,7 +713,7 @@ def estimate_weak_values(records: RecordStream, cfg: PointerConfig, dim: int) ->
     momentum cells, P[j] from outcome frequencies, and per-entry standard
     errors.  Rows with any empty (pointer, quadrature) cell are masked
     undefined; cells with fewer than two records report a zero standard
-    error.  An out-of-range outcome, pointer or quadrature, a non-finite
+    error.  An out-of-range outcome or pointer, a non-finite
     readout, or a row out of the trial layout ``sample_records`` writes
     raises InvalidRecordsError naming the first such row.
     """

@@ -30,6 +30,14 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} holds a non-finite value")
 
 
+def _check_integer(value, name: str, low=-np.inf, high=np.inf) -> None:
+    """Raise ValueError unless ``value`` is an integer, not a bool, in [low, high]."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+
+
 def _check_dim(dim: int) -> None:
     if not isinstance(dim, (int, np.integer)) or dim < 2:
         raise InvalidDimensionError(f"dimension must be an integer >= 2, got {dim!r}")
@@ -230,15 +238,13 @@ class TransitionMatrix:
 class Observable:
     """Hermitian observable with its eigensystem attached.
 
-    ``eigenvalues`` are ascending; ``eigenbasis`` columns are the matching
-    eigenvectors.  ``non_degenerate`` is True when the smallest eigenvalue
-    gap exceeds 1e-10.
+    ``eigenbasis`` columns are the eigenvectors of ``eigenvalues``, in the
+    order given (``from_matrix`` gives them ascending).
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenbasis: OrthonormalBasis
-    non_degenerate: bool
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -255,6 +261,11 @@ class Observable:
         object.__setattr__(self, "matrix", _frozen(mat, complex))
         object.__setattr__(self, "eigenvalues", _frozen(vals, float))
 
+    @functools.cached_property
+    def non_degenerate(self) -> bool:
+        """True when the smallest gap between eigenvalues exceeds 1e-10."""
+        return bool(np.diff(np.sort(self.eigenvalues)).min() > ATOL_EIG)
+
     @classmethod
     def from_matrix(cls, matrix) -> "Observable":
         mat = np.asarray(matrix, dtype=complex)
@@ -262,16 +273,12 @@ class Observable:
         if np.max(np.abs(mat - hermitized)) > ATOL_EXACT:
             raise ValueError("observable is not Hermitian within 1e-12")
         vals, vecs = np.linalg.eigh(hermitized)
-        gap = np.diff(vals).min() if vals.size > 1 else np.inf
-        return cls(hermitized, vals, OrthonormalBasis(vecs), bool(gap > ATOL_EIG))
+        return cls(hermitized, vals, OrthonormalBasis(vecs))
 
     @classmethod
     def from_eigensystem(cls, eigenvalues, basis: OrthonormalBasis) -> "Observable":
         vals = np.asarray(eigenvalues, dtype=float)
-        mat = _spectral_sum(vals, basis)
-        gaps = np.diff(np.sort(vals))
-        gap = gaps.min() if gaps.size else np.inf
-        return cls(mat, vals, basis, bool(gap > ATOL_EIG))
+        return cls(_spectral_sum(vals, basis), vals, basis)
 
     @classmethod
     def projector(cls, state: StateVector) -> "Observable":
@@ -284,7 +291,7 @@ class Observable:
         vals = np.zeros(state.dim)
         vals[-1] = 1.0
         basis = OrthonormalBasis(np.hstack([_complement(unit), unit]))
-        return cls((outer + outer.conj().T) / 2.0, vals, basis, state.dim == 2)
+        return cls((outer + outer.conj().T) / 2.0, vals, basis)
 
     @property
     def dim(self) -> int:
@@ -369,10 +376,10 @@ def random_pure_state(dim: int, seed) -> StateVector:
 
 
 def random_density_matrix(dim: int, rank: int, seed) -> DensityMatrix:
-    """Random density matrix from the Ginibre ensemble, rho = G G^dag / tr."""
+    """Random density matrix from the Ginibre ensemble, rho = G G^dag / tr.
+    A rank that is no integer in [1, dim] raises ValueError."""
     _check_dim(dim)
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank must be in [1, {dim}], got {rank}")
+    _check_integer(rank, "rank", 1, dim)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T

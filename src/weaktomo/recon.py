@@ -275,13 +275,6 @@ def reconstruct_pure_single_observable(w, observable: Observable, beta: Transiti
     return StateVector(fix_global_phase(amp)), problem
 
 
-def _project_pipeline(raw: np.ndarray) -> DensityEstimate:
-    defect = float(np.max(np.abs(raw - raw.conj().T)))
-    physical, min_eig = _nearest_state(raw)
-    return DensityEstimate(raw=raw, physical=physical, hermiticity_defect=defect,
-                           spectrum_min=min_eig)
-
-
 def reconstruct_mixed_abasis(table: WeakValueTable, beta: TransitionMatrix) -> DensityEstimate:
     """Density-matrix elements in the measured basis A.
 
@@ -303,7 +296,10 @@ def reconstruct_mixed_abasis(table: WeakValueTable, beta: TransitionMatrix) -> D
                                       "formula divides by every <b_k|a_i>")
     coeff = table.P[:, None] * table.W / beta.beta
     raw = coeff.T @ beta.beta
-    return _project_pipeline(raw)
+    defect = float(np.max(np.abs(raw - raw.conj().T)))
+    physical, min_eig = _nearest_state(raw)
+    return DensityEstimate(raw=raw, physical=physical, hermiticity_defect=defect,
+                           spectrum_min=min_eig)
 
 
 reconstruct_mixed_bbasis = reconstruct_mixed_abasis

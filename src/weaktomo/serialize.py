@@ -8,6 +8,7 @@ exact or estimated, has one JSON layout (``table_to_json``).
 """
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -238,22 +239,8 @@ def bundle_to_json(bundle: ResultBundle) -> dict:
 
 
 def demo_report_to_json(report: PhaseDemoReport) -> dict:
-    return {
-        "theta": report.theta,
-        "g": report.g,
-        "sigma_p": report.sigma_p,
-        "shots": report.shots,
-        "seed": report.seed,
-        "weak_value": _complex_to_json(report.weak_value),
-        "dq": report.dq,
-        "dp_shift": report.dp_shift,
-        "leading_order_dp": report.leading_order_dp,
-        "post_prob": report.post_prob,
-        "retained": report.retained,
-        "theta_estimate": report.theta_estimate,
-        "predicted_rel_error": report.predicted_rel_error,
-        "low_signal_warning": report.low_signal_warning,
-    }
+    """Every report field under its own name, the weak value as re/im."""
+    return {**dataclasses.asdict(report), "weak_value": _complex_to_json(report.weak_value)}
 
 
 def comparison_to_csv(rows) -> str:

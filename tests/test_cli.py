@@ -92,6 +92,21 @@ def test_verify_state_basis_and_config(tmp_path):
     out = json.loads(run_cli("verify", str(basis)).stdout)
     assert out["kind"] == "orthonormal_basis"
 
+    # A Householder reflection I - 2vv^dag at d=3 is Hermitian with trace 1,
+    # but a basis: eigenvalues (-1, 1, 1).
+    v = np.ones(3) / np.sqrt(3.0)
+    basis.write_text(json.dumps(ser.array_to_json(np.eye(3) - 2.0 * np.outer(v, v))))
+    proc = run_cli("verify", str(basis))
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["kind"] == "orthonormal_basis"
+    # Neither: both checks' reasons are named.
+    basis.write_text(json.dumps(ser.array_to_json(np.diag([0.5, 0.7]))))
+    proc = run_cli("verify", str(basis))
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr)
+    assert err["error"] == "precondition"
+    assert "trace" in err["message"] and "not orthonormal" in err["message"]
+
     cfg = tmp_path / "cfg.json"
     run_cli("gen", "--kind", "config", "--dim", "2", "--out", str(cfg), "--quiet")
     out = json.loads(run_cli("verify", str(cfg)).stdout)
@@ -448,6 +463,11 @@ def test_demo_phase_domain_error():
     proc = run_cli("demo-phase", "--theta", "0", "--exact")
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["error"] == "precondition"
+    for option in ("--g", "--dp"):
+        proc = run_cli("demo-phase", "--theta", "0.1", option, "nan", "--shots", "100")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "precondition"
 
 
 # ------------------------------------------------------------------- compare

@@ -411,6 +411,13 @@ def test_demo_domain_guards():
         demo_phase_detection(0.1, sigma_p=-1.0)
     with pytest.raises(PreconditionError):
         demo_phase_detection(0.1, shots=-1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(PreconditionError):
+            demo_phase_detection(0.1, g=bad)
+        with pytest.raises(PreconditionError):
+            demo_phase_detection(0.1, sigma_p=bad)
+    with pytest.raises(ValueError, match="shots must be an integer, got 2.5"):
+        demo_phase_detection(0.1, shots=2.5)
 
 
 def test_demo_sampling_cost_does_not_grow_with_shots():

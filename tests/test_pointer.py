@@ -281,6 +281,16 @@ def test_pointer_config_rejects_negative_coupling():
         PointerConfig.uniform(1, g=-0.01)
 
 
+@pytest.mark.parametrize("n_pointers, message", [
+    (0, r"n_pointers must lie in \[1, inf\], got 0"),
+    (2.5, "n_pointers must be an integer, got 2.5"),
+    (True, "n_pointers must be an integer, got True"),
+], ids=["zero", "float", "bool"])
+def test_pointer_config_rejects_a_count_that_is_no_positive_integer(n_pointers, message):
+    with pytest.raises(ValueError, match=message):
+        PointerConfig(n_pointers)
+
+
 def test_noise_model_rejects_negative_scale():
     with pytest.raises(ValueError):
         NoiseModel(readout_sigma_scale=-1.0)
@@ -472,11 +482,10 @@ def test_bad_records_row_is_named(case):
 def test_bad_records_in_memory_stream_are_rejected():
     # Streams built in code get the same checks as parsed ones.
     records = RecordStream.from_csv(VALID_RECORDS)
-    bad = RecordStream(trial=records.trial, outcome=records.outcome,
-                       pointer=records.pointer, quadrature=[0, 0, 1, 2],
-                       readout=[0.1, 0.2, 0.3, np.inf])
     with pytest.raises(InvalidRecordsError, match="records row 4: quadrature 2"):
-        estimate_weak_values(bad, PointerConfig.uniform(2, g=0.1), 2)
+        RecordStream(trial=records.trial, outcome=records.outcome,
+                     pointer=records.pointer, quadrature=[0, 0, 1, 2],
+                     readout=[0.1, 0.2, 0.3, np.inf])
     single = RecordStream(trial=[0, 1], outcome=[0, 1], pointer=[0, 1],
                           quadrature=[0, 1], readout=[0.1, 0.2])
     with pytest.raises(InvalidRecordsError, match="records row 2: pointer 1"):

@@ -39,8 +39,8 @@ TABLE = dict(dim=2, W=np.zeros((2, 2)), P=[0.5, 0.5], defined=[True, True])
     lambda: StateVector([NAN, 1.0]),
     lambda: DensityMatrix(DIAG_NAN),
     lambda: OrthonormalBasis(np.diag([INF, 1.0])),
-    lambda: Observable(DIAG_NAN, [0.0, 1.0], reference_basis(2), True),
-    lambda: Observable(np.diag([0.0, 1.0]), [NAN, 1.0], reference_basis(2), True),
+    lambda: Observable(DIAG_NAN, [0.0, 1.0], reference_basis(2)),
+    lambda: Observable(np.diag([0.0, 1.0]), [NAN, 1.0], reference_basis(2)),
     lambda: WeakValueTable(**{**TABLE, "W": DIAG_NAN}),
     lambda: WeakValueTable(**{**TABLE, "P": [NAN, 0.5]}),
     lambda: WeakValueTable(**TABLE, stderr_re=DIAG_NAN, stderr_im=np.zeros((2, 2))),
@@ -141,6 +141,8 @@ def test_random_density_matrix_rank_bounds():
         random_density_matrix(3, 0, 0)
     with pytest.raises(ValueError):
         random_density_matrix(3, 4, 0)
+    with pytest.raises(ValueError, match="rank must be an integer, got 2.5"):
+        random_density_matrix(3, 2.5, 0)
 
 
 def test_fidelity_and_trace_distance_same_state():
@@ -331,15 +333,19 @@ def test_reference_basis_shortcut_is_byte_equal_to_the_product(d):
         for basis in (reference_basis(d), fresh):
             off = np.zeros((d, d), dtype=complex)
             off[0, 1] = off[1, 0] = 5e-11
-            Observable(short.matrix + off, lam, basis, short.non_degenerate)
+            Observable(short.matrix + off, lam, basis)
             with pytest.raises(ValueError, match="does not reproduce"):
-                Observable(short.matrix + 4 * off, lam, basis, short.non_degenerate)
+                Observable(short.matrix + 4 * off, lam, basis)
 
 
 def test_observable_projector_degenerate_for_d3():
     proj = Observable.projector(random_pure_state(3, 2))
     assert not proj.non_degenerate  # eigenvalue 0 is repeated
     assert np.allclose(sorted(np.round(proj.eigenvalues, 10)), [0, 0, 1])
+    # the constructor derives it from any repeated spectrum, in any order
+    repeated = Observable(np.diag([1.0, 2.0, 1.0]), [1.0, 2.0, 1.0], reference_basis(3))
+    assert not repeated.non_degenerate
+    assert Observable(np.diag([2.0, 0.0, 1.0]), [2.0, 0.0, 1.0], reference_basis(3)).non_degenerate
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 16),

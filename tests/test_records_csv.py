@@ -251,7 +251,6 @@ def test_stream_longer_than_a_chunk_and_a_block():
 
 
 def test_writer_rejects_a_quadrature_outside_0_and_1():
-    stream = RecordStream(trial=[0, 0, 1], outcome=[0, 0, 1], pointer=[0, 1, 0],
-                          quadrature=[0, 0, 2], readout=[0.1, 0.2, 0.3])
     with pytest.raises(InvalidRecordsError, match=r"^records row 3: quadrature 2 outside"):
-        stream.to_csv()
+        RecordStream(trial=[0, 0, 1], outcome=[0, 0, 1], pointer=[0, 1, 0],
+                     quadrature=[0, 0, 2], readout=[0.1, 0.2, 0.3])

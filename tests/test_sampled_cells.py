@@ -260,6 +260,7 @@ def test_in_memory_path_raises_what_sample_then_estimate_raises():
     a, b = reference_basis(2), fourier_basis(2)
     cases = [
         (PointerConfig.uniform(2, g=0.2), 0),   # shots < 1
+        (PointerConfig.uniform(2, g=0.2), 2.5),  # shots no integer
         (PointerConfig.uniform(3, g=0.2), 10),  # pointer count
         (PointerConfig.uniform(2, g=0.0), 10),  # g <= 0
     ]
