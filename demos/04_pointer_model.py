@@ -37,7 +37,7 @@ def main():
     print(f"weak value W = {w:.6f}")
     print()
 
-    cfg = PointerConfig.uniform(1, g=0.02, sigma_q=1.0)
+    cfg = PointerConfig(1, g=0.02, sigma_q=1.0)
     dq, dp = table_shifts(table, cfg)
     print(f"first-order prediction at g={cfg.g}:")
     print(f"  dq = g Re W            = {dq[1, 0]:+.6f}")
@@ -48,7 +48,7 @@ def main():
     print("  g       |dq/g - Re W|   |dp/(2 g sp^2) - Im W|")
     prev_q = None
     for g in (0.04, 0.02, 0.01, 0.005):
-        cfg = PointerConfig.uniform(1, g=g, sigma_q=1.0)
+        cfg = PointerConfig(1, g=g, sigma_q=1.0)
         _, dq, dp = exact_law(psi, proj, fourier_basis(2), cfg)
         err_q = abs(dq[1, 0] / g - w.real)
         err_p = abs(dp[1, 0] / (2.0 * g * cfg.sigma_p ** 2) - w.imag)
@@ -63,7 +63,7 @@ def main():
 
     # The exact law also yields the post-selection probability, which the
     # first-order formulas do not touch.
-    cfg = PointerConfig.uniform(1, g=0.02, sigma_q=1.0)
+    cfg = PointerConfig(1, g=0.02, sigma_q=1.0)
     P, _, _ = exact_law(psi, proj, fourier_basis(2), cfg)
     base = abs(np.vdot(post.amplitudes, psi.amplitudes)) ** 2
     print(f"post-selection probability: exact {P[1]:.6f}, "

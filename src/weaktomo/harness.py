@@ -219,17 +219,21 @@ class ResultBundle:
 
     ``estimate`` is a StateVector, a DensityEstimate, or a complex element
     or an ElementPair for partial tomography; ``table`` holds the (exact or
-    estimated) weak-value table the scheme read.  wall_time is informational
-    and never serialized, keeping seeded outputs byte-identical.
+    estimated) weak-value table the scheme read.  ``scheme`` is derived: the
+    config's.  wall_time is informational and never serialized, keeping
+    seeded outputs byte-identical.
     """
 
-    scheme: str
     config: ExperimentConfig
     estimate: object
     metrics: dict
     table: WeakValueTable
     kernel: object = None
     wall_time: float = 0.0
+
+    @property
+    def scheme(self) -> str:
+        return self.config.scheme
 
 
 @dataclass(frozen=True)
@@ -447,8 +451,8 @@ def run_reconstruction(cfg: ExperimentConfig, *,
             f"scheme {cfg.scheme!r} consumes a {cfg.dim} x {src.pointers.n_pointers} table, "
             f"got {table.dim} x {table.n_pointers}")
     estimate, metrics, kernel = _score(SCHEMES[cfg.scheme], truth, src, table)
-    return ResultBundle(scheme=cfg.scheme, config=cfg, estimate=estimate, metrics=metrics,
-                        table=table, kernel=kernel, wall_time=time.perf_counter() - t0)
+    return ResultBundle(config=cfg, estimate=estimate, metrics=metrics, table=table,
+                        kernel=kernel, wall_time=time.perf_counter() - t0)
 
 
 def _score(scheme: Scheme, truth: StateVector | DensityMatrix, src: Source,
@@ -501,7 +505,8 @@ def demo_phase_detection(theta: float, g: float = 0.01, sigma_p: float = 0.5,
     time whatever ``shots`` is, and theta is recovered by inverting the
     exact Im W relation.  A theta outside (0, pi], a g or sigma_p that is
     not positive and finite, or a negative shots raises PreconditionError;
-    a shots that is no integer raises ValueError.
+    a shots that is no integer raises ValueError; a reported number that
+    leaves the float range raises ArithmeticError.
     """
     _check_integer(shots, "shots")
     if not 0.0 < theta <= math.pi:
@@ -531,6 +536,10 @@ def demo_phase_detection(theta: float, g: float = 0.01, sigma_p: float = 0.5,
         mean_p = dp_shift + sigma_p * rng.standard_normal() / math.sqrt(retained)
         im_hat = mean_p / (2.0 * g * sigma_p**2)
         theta_estimate = 2.0 * math.atan2(1.0, -2.0 * im_hat)
+    reported = (w.real, w.imag, dq, dp_shift, leading, post_prob, predicted_rel,
+                0.0 if theta_estimate is None else theta_estimate)
+    if not all(map(math.isfinite, reported)):
+        raise ArithmeticError("the phase demo's numbers leave the float range")
 
     return PhaseDemoReport(
         theta=theta, g=g, sigma_p=sigma_p, shots=shots, seed=seed,

@@ -30,6 +30,7 @@ sampled records, not their bits; estimating from records reduces the rows
 to the same cells and feeds them to the same estimator (``_estimate_cells``).
 """
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -176,14 +177,14 @@ def _check_readout_scales(cfg: PointerConfig, noise: NoiseModel, shots: int) -> 
 class RecordStream:
     """Columnar batch of experiment records, one row per pointer readout,
     ordered trial-major.  A quadrature code other than 0 (q) or 1 (p)
-    raises InvalidRecordsError naming its first row."""
+    raises InvalidRecordsError naming its first row.  ``n_trials`` is
+    derived: the largest trial index plus one, or 0 for an empty stream."""
 
     trial: np.ndarray
     outcome: np.ndarray
     pointer: np.ndarray
     quadrature: np.ndarray
     readout: np.ndarray
-    n_trials: int = 0
 
     def __post_init__(self):
         cols = {
@@ -201,13 +202,13 @@ class RecordStream:
             row = int(np.argmax(quad > QUAD_MOMENTUM))
             raise InvalidRecordsError(
                 f"records row {row + 1}: quadrature {quad[row]} outside [0, 2)")
-        n_trials = self.n_trials
-        if n_trials == 0 and size:
-            n_trials = int(cols["trial"].max()) + 1
         for name, arr in cols.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "n_trials", n_trials)
+
+    @functools.cached_property
+    def n_trials(self) -> int:
+        return int(self.trial.max()) + 1 if self.trial.size else 0
 
     def __len__(self) -> int:
         return self.trial.size
@@ -531,8 +532,7 @@ def _sample_stream(P, dq, dp, cfg: PointerConfig, shots: int, seed: int,
     return RecordStream(trial=np.repeat(np.arange(shots, dtype=np.int64), n),
                         outcome=np.repeat(outcomes, n),
                         pointer=np.tile(np.arange(n, dtype=np.int64), shots),
-                        quadrature=np.repeat(quad, n), readout=readout.reshape(-1),
-                        n_trials=shots)
+                        quadrature=np.repeat(quad, n), readout=readout.reshape(-1))
 
 
 def _cell_sums(outcomes, quad, readout, d: int):
@@ -700,8 +700,8 @@ def _estimate_cells(cells, cfg: PointerConfig) -> list[WeakValueTable]:
     P = trials / n_trials[:, None]
     err_re = stderr[..., QUAD_POSITION] / cfg.g
     err_im = stderr[..., QUAD_MOMENTUM] / im_scale
-    return [WeakValueTable(dim=trials.shape[1], W=W[k], P=P[k], defined=defined[k],
-                           stderr_re=err_re[k], stderr_im=err_im[k], n_trials=int(n_trials[k]))
+    return [WeakValueTable(W=W[k], P=P[k], defined=defined[k], stderr_re=err_re[k],
+                           stderr_im=err_im[k], n_trials=int(n_trials[k]))
             for k in range(trials.shape[0])]
 
 

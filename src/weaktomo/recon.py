@@ -75,18 +75,21 @@ class PureStateEstimate:
 class DensityEstimate:
     """Raw reassembled matrix plus its physical projection.
 
-    physical is the nearest state to raw (see ``project_to_physical``);
-    hermiticity_defect = max |raw - raw^dag| entrywise; min_eig_raw is the
+    physical is the nearest state to raw (see ``project_to_physical``).
+    Two diagnostics are derived from raw on first read:
+    hermiticity_defect = max |raw - raw^dag| entrywise, and min_eig_raw, the
     smallest eigenvalue of the Hermitized raw matrix before projection.  A
     projection that needed the spectrum passes its least eigenvalue as
-    ``spectrum_min``; otherwise min_eig_raw is computed on first read, since
-    only diagnostics read it.
+    ``spectrum_min``, which min_eig_raw then reads.
     """
 
     raw: np.ndarray
     physical: DensityMatrix
-    hermiticity_defect: float
     spectrum_min: float | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def hermiticity_defect(self) -> float:
+        return float(np.max(np.abs(self.raw - self.raw.conj().T)))
 
     @functools.cached_property
     def min_eig_raw(self) -> float:
@@ -104,8 +107,6 @@ class KernelProblem:
     not single out a state.
     """
 
-    eigenvalues: np.ndarray
-    weak_values: np.ndarray
     M: np.ndarray
     smallest_eig: float
     kernel_dim: int
@@ -115,13 +116,17 @@ class KernelProblem:
 class ElementPair:
     """Both orientations of one off-diagonal element plus their mismatch.
 
-    For exact data element_ab == conj(element_ba); the hermiticity gap is a
-    direct noise indicator because the two come from independent runs.
+    For exact data element_ab == conj(element_ba); the derived hermiticity
+    gap |element_ba - conj(element_ab)| is a direct noise indicator because
+    the two come from independent runs.
     """
 
     element_ba: complex
     element_ab: complex
-    hermiticity_gap: float
+
+    @property
+    def hermiticity_gap(self) -> float:
+        return float(abs(self.element_ba - np.conj(self.element_ab)))
 
 
 def _guard_divisors(arr: np.ndarray, what: str, error_cls) -> None:
@@ -258,13 +263,7 @@ def reconstruct_pure_single_observable(w, observable: Observable, beta: Transiti
     m_scale = np.max(np.abs(m))
     threshold = KERNEL_REL * m_scale**2
     kernel_dim = int(np.sum(vals < threshold))
-    problem = KernelProblem(
-        eigenvalues=lam.copy(),
-        weak_values=w.copy(),
-        M=m,
-        smallest_eig=float(max(vals[0], 0.0)),
-        kernel_dim=kernel_dim,
-    )
+    problem = KernelProblem(M=m, smallest_eig=float(max(vals[0], 0.0)), kernel_dim=kernel_dim)
     if kernel_dim >= 2:
         raise AmbiguousReconstructionError(
             f"kernel dimension {kernel_dim}: the weak values admit multiple states; "
@@ -296,10 +295,8 @@ def reconstruct_mixed_abasis(table: WeakValueTable, beta: TransitionMatrix) -> D
                                       "formula divides by every <b_k|a_i>")
     coeff = table.P[:, None] * table.W / beta.beta
     raw = coeff.T @ beta.beta
-    defect = float(np.max(np.abs(raw - raw.conj().T)))
     physical, min_eig = _nearest_state(raw)
-    return DensityEstimate(raw=raw, physical=physical, hermiticity_defect=defect,
-                           spectrum_min=min_eig)
+    return DensityEstimate(raw=raw, physical=physical, spectrum_min=min_eig)
 
 
 reconstruct_mixed_bbasis = reconstruct_mixed_abasis
@@ -336,11 +333,7 @@ def estimate_element_orthogonal(w: complex, w_prime: complex,
         raise PreconditionError("both post-selection probabilities must exceed 1e-14")
     element_ba = p_a * (2.0 * complex(w) - 1.0)
     element_ab = p_b * (2.0 * complex(w_prime) - 1.0)
-    return ElementPair(
-        element_ba=complex(element_ba),
-        element_ab=complex(element_ab),
-        hermiticity_gap=float(abs(element_ba - np.conj(element_ab))),
-    )
+    return ElementPair(element_ba=complex(element_ba), element_ab=complex(element_ab))
 
 
 def _simplex_projection(vals: np.ndarray) -> np.ndarray:

@@ -14,21 +14,13 @@ import json
 
 import numpy as np
 
-from .qcore import StateVector, _check_finite
+from .errors import DimensionMismatchError
+from .qcore import StateVector, _check_finite, _check_integer
 from .weakval import WeakValueTable
 from .harness import ExperimentConfig, PhaseDemoReport, ResultBundle
 from .recon import DensityEstimate, ElementPair
 
 _ARRAY_FIELDS = ("state", "basis_b", "lambdas", "partial_a", "partial_b")
-
-
-def _count(value, name: str) -> int:
-    """A non-negative integer field; a float must be finite and integral."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    return value
 
 
 def _floats(obj, key: str) -> np.ndarray:
@@ -61,7 +53,8 @@ def array_from_json(obj) -> np.ndarray:
     arr = re.astype(complex)
     arr.imag = im  # not re + 1j * im, which evaluates 0 * inf on an infinite im
     _check_finite(arr, "array")
-    d = _count(obj["dim"], "dim")
+    d = obj["dim"]
+    _check_integer(d, "dim", 0)
     if arr.size == d:
         return arr
     if arr.size == d * d:
@@ -89,22 +82,23 @@ def table_to_json(table: WeakValueTable) -> dict:
 
 def table_from_json(obj) -> WeakValueTable:
     """Decode ``table_to_json`` output; files without ``n_trials`` read as 0.
-    A ``dim`` or ``n_trials`` that is not a non-negative integer, or a
-    number beyond the float range, raises ValueError."""
+    A ``dim`` or ``n_trials`` that is not a non-negative integer (``2.0``
+    and ``true`` are not integers), or a number beyond the float range,
+    raises ValueError; a ``dim`` other than W's row count raises
+    DimensionMismatchError."""
     w = _floats(obj, "W_re").astype(complex)
     w.imag = _floats(obj, "W_im")  # by parts, as in array_from_json
     kwargs = {}
     if "stderr_re" in obj:
         kwargs["stderr_re"] = _floats(obj, "stderr_re")
         kwargs["stderr_im"] = _floats(obj, "stderr_im")
-    return WeakValueTable(
-        dim=_count(obj["dim"], "dim"),
-        W=w,
-        P=_floats(obj, "P"),
-        defined=np.asarray(obj["defined"], dtype=bool),
-        n_trials=_count(obj.get("n_trials", 0), "n_trials"),
-        **kwargs,
-    )
+    d, n_trials = obj["dim"], obj.get("n_trials", 0)
+    _check_integer(d, "dim", 0)
+    if w.shape[:1] != (d,):
+        raise DimensionMismatchError(f"table dim {d} does not match W of shape {w.shape}")
+    _check_integer(n_trials, "n_trials", 0)
+    return WeakValueTable(W=w, P=_floats(obj, "P"), defined=np.asarray(obj["defined"], dtype=bool),
+                          n_trials=n_trials, **kwargs)
 
 
 def table_to_csv(table: WeakValueTable) -> str:

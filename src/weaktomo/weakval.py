@@ -31,15 +31,15 @@ from .qcore import (
 class WeakValueTable:
     """Weak values W[j, i] with outcome probabilities P[j] and a row mask.
 
-    W has one row per post-selection outcome and one column per pointer.
-    Masked (undefined) rows hold zeros in W; ``defined`` carries the
-    information.  Estimated tables additionally hold per-entry standard
-    errors for the real and imaginary parts and the number of trials they
+    W has one row per post-selection outcome and one column per pointer;
+    ``dim`` and ``n_pointers`` are derived from its shape.  Masked
+    (undefined) rows hold zeros in W; ``defined`` carries the information.
+    Estimated tables additionally hold per-entry standard errors for the real
+    and imaginary parts, given both or neither, and the number of trials they
     were estimated from; exact tables have no standard errors and
     ``n_trials`` 0.
     """
 
-    dim: int
     W: np.ndarray
     P: np.ndarray
     defined: np.ndarray
@@ -48,15 +48,14 @@ class WeakValueTable:
     n_trials: int = 0
 
     def __post_init__(self):
-        d = self.dim
         W = np.array(self.W, dtype=complex)
         P = np.array(self.P, dtype=float)
         defined = np.array(self.defined, dtype=bool)
-        if (W.ndim != 2 or W.shape[0] != d or W.shape[1] < 1
-                or P.shape != (d,) or defined.shape != (d,)):
+        if W.ndim != 2 or W.shape[1] < 1 or not P.shape == defined.shape == W.shape[:1]:
             raise DimensionMismatchError(
-                f"table shapes {W.shape}/{P.shape}/{defined.shape} do not match dim {d}"
-            )
+                f"table shapes {W.shape}/{P.shape}/{defined.shape} do not agree")
+        if (self.stderr_re is None) != (self.stderr_im is None):
+            raise ValueError("give both standard-error parts or neither")
         _check_finite(W, "weak-value table")
         _check_finite(P, "outcome probabilities")
         if P.min() < -ATOL_EXACT or P.max() > 1.0 + ATOL_EXACT:
@@ -78,6 +77,10 @@ class WeakValueTable:
         for name, arr in (("W", W), ("P", P), ("defined", defined)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def dim(self) -> int:
+        return self.W.shape[0]
 
     @property
     def n_pointers(self) -> int:
@@ -143,7 +146,7 @@ def weak_value_table(rho, measured, basis_b: OrthonormalBasis) -> WeakValueTable
     defined = P > PROB_FLOOR
     W = np.zeros(numer.shape, dtype=complex)
     W[defined] = numer[defined] / P[defined, None]
-    return WeakValueTable(dim=d, W=W, P=np.clip(P, 0.0, 1.0), defined=defined)
+    return WeakValueTable(W=W, P=np.clip(P, 0.0, 1.0), defined=defined)
 
 
 @dataclass(frozen=True)

@@ -115,7 +115,7 @@ def test_pointer_shift_convergence():
     err_p = np.empty(gs.size)
     t0 = time.perf_counter()
     for m, g in enumerate(gs):
-        cfg = PointerConfig.uniform(1, g=float(g), sigma_q=1.0)
+        cfg = PointerConfig(1, g=float(g), sigma_q=1.0)
         _, dq, dp = exact_law(psi, proj, fourier_basis(2), cfg)
         err_q[m] = abs(dq[1, 0] / g - w.real)
         err_p[m] = abs(dp[1, 0] / (2.0 * g * cfg.sigma_p ** 2) - w.imag)

@@ -401,7 +401,8 @@ def test_reconstruct_header_only_records_are_invalid_records(tmp_path):
 
 
 @pytest.mark.parametrize("field, text", [("dim", "1e400"), ("n_trials", "1e400"),
-                                         ("dim", "2.5"), ("n_trials", "-3")])
+                                         ("dim", "2.5"), ("n_trials", "-3"),
+                                         ("dim", "2.0"), ("n_trials", "true")])
 @pytest.mark.parametrize("command", ["verify", "reconstruct"])
 def test_table_count_that_is_no_integer_is_invalid_value(tmp_path, command, field, text):
     table = tmp_path / "table.json"
@@ -416,7 +417,9 @@ def test_table_count_that_is_no_integer_is_invalid_value(tmp_path, command, fiel
     assert "Traceback" not in proc.stderr
     error = json.loads(proc.stderr)
     assert error["error"] == "invalid-value"
-    assert error["message"].startswith(f"{field} must be a non-negative integer")
+    # One integer rule for every count: 2.0 and true are not integers.
+    want = "lie in [0, inf], got -3" if text == "-3" else "be an integer, got"
+    assert error["message"].startswith(f"{field} must {want}")
 
 
 def test_reconstruct_seeded_rerun_byte_identical(tmp_path):
@@ -468,6 +471,14 @@ def test_demo_phase_domain_error():
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "precondition"
+
+
+def test_demo_phase_overflow_is_invalid_value():
+    # Finite inputs whose momentum shift leaves the float range.
+    proc = run_cli("demo-phase", "--theta", "0.1", "--g", "1e307", "--exact")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "invalid-value"
 
 
 # ------------------------------------------------------------------- compare

@@ -76,7 +76,7 @@ def _column_digest(col) -> str:
 
 def _table_run(d: int):
     rho = random_density_matrix(d, d, 100 + d)
-    cfg = PointerConfig.uniform(d, g=0.2)
+    cfg = PointerConfig(d, g=0.2)
     records = sample_records(rho, reference_basis(d), fourier_basis(d), cfg,
                              shots=SHOTS, seed=SEED, noise=NOISE)
     return records, estimate_weak_values(records, cfg, d)
@@ -85,7 +85,7 @@ def _table_run(d: int):
 def _column_run(d: int):
     rho = random_density_matrix(d, d, 200 + d)
     obs = Observable.from_eigensystem(np.arange(d, dtype=float), reference_basis(d))
-    cfg = PointerConfig.uniform(1, g=0.2)
+    cfg = PointerConfig(1, g=0.2)
     records = sample_records(rho, obs, fourier_basis(d), cfg,
                              shots=SHOTS, seed=SEED, noise=NOISE)
     return estimate_weak_values(records, cfg, d)
@@ -106,7 +106,7 @@ def test_golden_single_pointer_column(d):
 def _masked_run():
     # |+> post-selected in the Fourier basis never reaches outcome 1.
     psi = StateVector.normalized(np.array([1.0, 1.0], dtype=complex))
-    cfg = PointerConfig.uniform(2, g=0.2)
+    cfg = PointerConfig(2, g=0.2)
     records = sample_records(psi, reference_basis(2), fourier_basis(2), cfg,
                              shots=SHOTS, seed=SEED, noise=NOISE)
     return estimate_weak_values(records, cfg, 2)

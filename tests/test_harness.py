@@ -4,7 +4,7 @@ import math
 import os
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from weaktomo import (
     OrthonormalBasis,
     PreconditionError,
     PURE_SCHEMES,
+    RecordStream,
     ResourceLimitError,
     SCHEMES,
     SchemeInapplicableError,
@@ -30,6 +31,7 @@ from weaktomo import (
     ramp_probe,
     reference_basis,
     run_reconstruction,
+    simulate,
     thread_cap,
     transition_matrix,
     weak_value_table,
@@ -40,6 +42,36 @@ from weaktomo.qcore import _complete_basis
 
 RHO_EXAMPLE = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
 PSI_EXAMPLE = np.array([np.sqrt(3.0) / 2.0, 0.5], dtype=complex)
+
+
+# ------------------------------------------------------- derived attributes
+
+
+def test_derived_attributes_read_their_formulas():
+    # A value that other fields fix is a read-only attribute, not a field, and
+    # reads its formula: on a sampled stream, a mixed_a run and an orthogonal
+    # pair's partial run.
+    cfg = ExperimentConfig(dim=3, scheme="mixed_a", state_spec="ginibre", state_seed=2,
+                           data_mode="sampled", shots=20_000, seed=4)
+    records = simulate(cfg)
+    assert records.n_trials == int(records.trial.max()) + 1 == cfg.shots
+    assert RecordStream(*[np.empty(0)] * 5).n_trials == 0
+    mixed = run_reconstruction(cfg)
+    raw = mixed.estimate.raw
+    assert (mixed.scheme, mixed.table.dim) == (cfg.scheme, mixed.table.W.shape[0])
+    assert mixed.estimate.hermiticity_defect == float(np.max(np.abs(raw - raw.conj().T))) > 0
+    pair = run_reconstruction(ExperimentConfig(
+        dim=2, scheme="partial", state_spec="explicit", state=RHO_EXAMPLE,
+        partial_a=np.array([1.0, 0.0], dtype=complex),
+        partial_b=np.array([0.0, 1.0], dtype=complex),
+        data_mode="sampled", shots=20_000, seed=4)).estimate
+    assert isinstance(pair, ElementPair)
+    assert pair.hermiticity_gap == float(abs(pair.element_ba - np.conj(pair.element_ab))) > 0
+    for obj, name in ((records, "n_trials"), (mixed, "scheme"), (mixed.table, "dim"),
+                      (mixed.estimate, "hermiticity_defect"), (pair, "hermiticity_gap")):
+        assert name not in {f.name for f in fields(obj)}
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, 0)
 
 
 # ------------------------------------------------------------------ exact runs
@@ -418,6 +450,13 @@ def test_demo_domain_guards():
             demo_phase_detection(0.1, sigma_p=bad)
     with pytest.raises(ValueError, match="shots must be an integer, got 2.5"):
         demo_phase_detection(0.1, shots=2.5)
+
+
+def test_demo_numbers_that_leave_the_float_range_raise():
+    # Finite inputs: dp = 2 g Im W sigma_p^2 overflows to -inf at g = 1e307.
+    for shots in (0, 1000):
+        with pytest.raises(ArithmeticError, match="leave the float range"):
+            demo_phase_detection(0.1, g=1e307, shots=shots)
 
 
 def test_demo_sampling_cost_does_not_grow_with_shots():

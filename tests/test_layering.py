@@ -1,7 +1,10 @@
 """Each weaktomo module imports only the modules below it in one order, so
-moving a shared check down a layer cannot create an import cycle."""
+moving a shared check down a layer cannot create an import cycle, and
+outside the package only the standard library and numpy, the one
+dependency pyproject.toml declares."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,15 @@ def test_module_imports_only_lower_layers(module):
     above = {name for name in _imported(PACKAGE / f"{module}.py")
              if RANK.get(name, len(LAYERS)) >= RANK[module]}
     assert not above, f"{module} imports {sorted(above)} from its own layer or above"
+
+
+@pytest.mark.parametrize("module", sorted(RANK))
+def test_module_imports_only_the_standard_library_and_numpy(module):
+    top = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            top.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            top.add(node.module.split(".")[0])
+    outside = top - set(sys.stdlib_module_names) - {"numpy", "weaktomo"}
+    assert not outside, f"{module} imports {sorted(outside)}, which is no dependency"

@@ -62,8 +62,8 @@ FIRST_ORDER_CASES = {
 def test_table_shifts_on_single_pointer_table(case):
     w, g, dq_want, dp_want = FIRST_ORDER_CASES[case]
     # a d x 1 table: outcome 0 carries W, outcome 1 a second weak value
-    table = WeakValueTable(dim=2, W=[[w], [1.0 - 2.0j]], P=[0.5, 0.5], defined=[True, True])
-    dq, dp = table_shifts(table, PointerConfig.uniform(1, g=g, sigma_q=1.0))
+    table = WeakValueTable(W=[[w], [1.0 - 2.0j]], P=[0.5, 0.5], defined=[True, True])
+    dq, dp = table_shifts(table, PointerConfig(1, g=g, sigma_q=1.0))
     assert dq.shape == dp.shape == (2, 1)
     assert dq[0, 0] == pytest.approx(dq_want, abs=1e-15)
     assert dp[0, 0] == pytest.approx(dp_want, abs=1e-6)
@@ -80,7 +80,7 @@ def test_table_shifts_on_single_pointer_table(case):
 def test_table_shifts_elementwise():
     rho = DensityMatrix(RHO_EXAMPLE)
     table = weak_value_table(rho, reference_basis(2), fourier_basis(2))
-    cfg = PointerConfig.uniform(2, g=0.05, sigma_q=1.0)
+    cfg = PointerConfig(2, g=0.05, sigma_q=1.0)
     dq, dp = table_shifts(table, cfg)
     assert np.max(np.abs(dq - 0.05 * table.W.real)) < 1e-15
     assert np.max(np.abs(dp - 2.0 * 0.05 * 0.25 * table.W.imag)) < 1e-15
@@ -90,7 +90,7 @@ def test_table_shifts_pointer_count_mismatch():
     rho = DensityMatrix(RHO_EXAMPLE)
     table = weak_value_table(rho, reference_basis(2), fourier_basis(2))
     with pytest.raises(DimensionMismatchError):
-        table_shifts(table, PointerConfig.uniform(3, g=0.05))
+        table_shifts(table, PointerConfig(3, g=0.05))
 
 
 def test_exact_probability_moves_with_mean_momentum():
@@ -99,7 +99,7 @@ def test_exact_probability_moves_with_mean_momentum():
     psi = StateVector.normalized(np.array([0.8, 0.3 + 0.52j]))
     post = fourier_basis(2).column(1)
     proj = Observable.projector(StateVector(np.eye(2, dtype=complex)[:, 0]))
-    cfg = PointerConfig.uniform(1, g=0.01, sigma_q=1.0, mean_p=0.3)
+    cfg = PointerConfig(1, g=0.01, sigma_q=1.0, mean_p=0.3)
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
     approx = oracle_first_order_probability(rho, post.amplitudes, proj.matrix, 0.01, 0.3)
     P, _, _ = exact_law(psi, proj, fourier_basis(2), cfg)
@@ -158,7 +158,7 @@ ORACLE_CASES = _oracle_cases()
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
 def test_exact_law_matches_grid_oracle(case):
     _, rho, measured, mats = case
-    cfg = PointerConfig.uniform(len(mats), g=0.3, sigma_q=0.8, mean_q=0.1, mean_p=0.4)
+    cfg = PointerConfig(len(mats), g=0.3, sigma_q=0.8, mean_q=0.1, mean_p=0.4)
     basis_b = fourier_basis(rho.dim)
     P, dq, dp = exact_law(rho, measured, basis_b, cfg)
     assert P.shape == (rho.dim,) and dq.shape == dp.shape == (rho.dim, len(mats))
@@ -183,8 +183,7 @@ def test_exact_law_probabilities_sum_to_one(seed, d, g, one_pointer, pure):
         measured = Observable.from_eigensystem(lam, fourier_basis(d))
     else:
         measured = reference_basis(d)
-    cfg = PointerConfig.uniform(1 if one_pointer else d, g=g, sigma_q=0.8,
-                                mean_q=0.1, mean_p=0.4)
+    cfg = PointerConfig(1 if one_pointer else d, g=g, sigma_q=0.8, mean_q=0.1, mean_p=0.4)
     P, _, _ = exact_law(rho, measured, fourier_basis(d), cfg)
     assert abs(P.sum() - 1.0) <= 1e-12
 
@@ -192,10 +191,10 @@ def test_exact_law_probabilities_sum_to_one(seed, d, g, one_pointer, pure):
 def test_exact_law_pointer_count_mismatch():
     rho = DensityMatrix(RHO_EXAMPLE)
     with pytest.raises(DimensionMismatchError):
-        exact_law(rho, reference_basis(2), fourier_basis(2), PointerConfig.uniform(1))
+        exact_law(rho, reference_basis(2), fourier_basis(2), PointerConfig(1))
     obs = Observable.from_matrix(np.diag([1.0, -1.0]).astype(complex))
     with pytest.raises(DimensionMismatchError):
-        exact_law(rho, obs, fourier_basis(2), PointerConfig.uniform(2))
+        exact_law(rho, obs, fourier_basis(2), PointerConfig(2))
 
 
 def test_exact_evolution_eigenstate_is_exact():
@@ -203,7 +202,7 @@ def test_exact_evolution_eigenstate_is_exact():
     # at every order, and the momentum never moves.
     pre = StateVector(np.eye(2, dtype=complex)[:, 0])
     obs = Observable.from_matrix(np.diag([1.0, -1.0]).astype(complex))
-    cfg = PointerConfig.uniform(1, g=0.3, sigma_q=1.0)
+    cfg = PointerConfig(1, g=0.3, sigma_q=1.0)
     P, dq, dp = exact_law(pre, obs, fourier_basis(2), cfg)
     assert dq[0, 0] == pytest.approx(0.3, abs=1e-9)
     assert dp[0, 0] == pytest.approx(0.0, abs=1e-9)
@@ -221,7 +220,7 @@ def test_exact_evolution_first_order_error_scales_quadratically():
     err_q = np.empty(gs.size)
     err_p = np.empty(gs.size)
     for m, g in enumerate(gs):
-        cfg = PointerConfig.uniform(1, g=float(g), sigma_q=1.0)
+        cfg = PointerConfig(1, g=float(g), sigma_q=1.0)
         _, dq, dp = exact_law(psi, proj, fourier_basis(2), cfg)
         err_q[m] = abs(dq[1, 0] / g - w.real)
         err_p[m] = abs(dp[1, 0] / (2.0 * g * cfg.sigma_p ** 2) - w.imag)
@@ -239,9 +238,9 @@ def test_exact_evolution_two_pointers_match_single_runs():
     # corresponding single-pointer experiment far below first-order size
     psi = StateVector.normalized(np.array([0.8, 0.3 + 0.52j]))
     basis = reference_basis(2)
-    cfg2 = PointerConfig.uniform(2, g=0.01, sigma_q=1.0)
+    cfg2 = PointerConfig(2, g=0.01, sigma_q=1.0)
     _, dq2, dp2 = exact_law(psi, basis, fourier_basis(2), cfg2)
-    cfg1 = PointerConfig.uniform(1, g=0.01, sigma_q=1.0)
+    cfg1 = PointerConfig(1, g=0.01, sigma_q=1.0)
     for i in range(2):
         proj = Observable.projector(basis.column(i))
         _, dq1, dp1 = exact_law(psi, proj, fourier_basis(2), cfg1)
@@ -254,7 +253,7 @@ def test_exact_evolution_mixed_state_matches_component_average():
     # probability weights, not uniformly.
     rho = DensityMatrix(RHO_EXAMPLE)
     obs = Observable.projector(StateVector(np.eye(2, dtype=complex)[:, 0]))
-    cfg = PointerConfig.uniform(1, g=0.02, sigma_q=1.0)
+    cfg = PointerConfig(1, g=0.02, sigma_q=1.0)
     P, dq, _ = exact_law(rho, obs, fourier_basis(2), cfg)
     table = weak_value_table(rho, reference_basis(2), fourier_basis(2))
     assert dq[1, 0] / 0.02 == pytest.approx(table.W[1, 0].real, abs=2e-3)
@@ -265,7 +264,7 @@ def test_exact_evolution_orthogonal_postselection():
     # an unreachable outcome is a masked row: zero probability, zero shifts
     pre = StateVector(np.eye(2, dtype=complex)[:, 0])
     obs = Observable.projector(pre)
-    cfg = PointerConfig.uniform(1, g=0.01, sigma_q=1.0)
+    cfg = PointerConfig(1, g=0.01, sigma_q=1.0)
     P, dq, dp = exact_law(pre, obs, reference_basis(2), cfg)
     assert P[1] <= PROB_FLOOR
     assert dq[1, 0] == 0.0 and dp[1, 0] == 0.0
@@ -278,7 +277,14 @@ def test_exact_evolution_orthogonal_postselection():
 
 def test_pointer_config_rejects_negative_coupling():
     with pytest.raises(ValueError):
-        PointerConfig.uniform(1, g=-0.01)
+        PointerConfig(1, g=-0.01)
+
+
+def test_uniform_is_the_constructor():
+    # Kept for its callers outside the package; it adds nothing.
+    assert PointerConfig.uniform(3) == PointerConfig(3)
+    assert (PointerConfig.uniform(2, g=0.3, sigma_q=0.8, mean_q=0.1, mean_p=0.4)
+            == PointerConfig(2, g=0.3, sigma_q=0.8, mean_q=0.1, mean_p=0.4))
 
 
 @pytest.mark.parametrize("n_pointers, message", [
@@ -301,7 +307,7 @@ def test_noise_model_rejects_negative_scale():
 
 def test_sampling_outcome_frequencies():
     rho = DensityMatrix(np.eye(2, dtype=complex) / 2.0)
-    cfg = PointerConfig.uniform(2, g=0.05)
+    cfg = PointerConfig(2, g=0.05)
     records = sample_records(rho, reference_basis(2), fourier_basis(2),
                              cfg, shots=1_000_000, seed=0)
     est = estimate_weak_values(records, cfg, 2)
@@ -310,7 +316,7 @@ def test_sampling_outcome_frequencies():
 
 def test_sampling_noiseless_readouts_recover_means_exactly():
     rho = DensityMatrix(RHO_EXAMPLE)
-    cfg = PointerConfig.uniform(2, g=0.05)
+    cfg = PointerConfig(2, g=0.05)
     quiet = NoiseModel(readout_sigma_scale=0.0)
     records = sample_records(rho, reference_basis(2), fourier_basis(2),
                              cfg, shots=2048, seed=1, noise=quiet)
@@ -325,7 +331,7 @@ def test_sampling_tiny_readout_noise_reveals_shift():
     # with the readout spread scaled to 1e-9 every position record sits at
     # g Re W to better than six digits
     rho = DensityMatrix(RHO_EXAMPLE)
-    cfg = PointerConfig.uniform(2, g=0.05)
+    cfg = PointerConfig(2, g=0.05)
     noise = NoiseModel(readout_sigma_scale=1e-9)
     records = sample_records(rho, reference_basis(2), fourier_basis(2),
                              cfg, shots=512, seed=2, noise=noise)
@@ -338,7 +344,7 @@ def test_sampling_tiny_readout_noise_reveals_shift():
 
 def test_sampling_systematic_offset_biases_positions():
     rho = DensityMatrix(RHO_EXAMPLE)
-    cfg = PointerConfig.uniform(2, g=0.05)
+    cfg = PointerConfig(2, g=0.05)
     noise = NoiseModel(readout_sigma_scale=0.0, systematic_offset=0.25)
     records = sample_records(rho, reference_basis(2), fourier_basis(2),
                              cfg, shots=1024, seed=3, noise=noise)
@@ -371,7 +377,7 @@ def test_sampling_refuses_pointer_and_noise_values_that_overflow_together(cfg, n
 
 def test_sampling_estimates_consistent_within_four_sigma():
     rho = DensityMatrix(RHO_EXAMPLE)
-    cfg = PointerConfig.uniform(2, g=0.4, sigma_q=1.0)
+    cfg = PointerConfig(2, g=0.4, sigma_q=1.0)
     records = sample_records(rho, reference_basis(2), fourier_basis(2),
                              cfg, shots=1_000_000, seed=0)
     est = estimate_weak_values(records, cfg, 2)
@@ -387,7 +393,7 @@ def test_sampling_estimates_consistent_within_four_sigma():
 
 def test_sampling_masked_outcome_never_drawn():
     psi = StateVector.normalized(np.array([1.0, 1.0]))
-    cfg = PointerConfig.uniform(2, g=0.05)
+    cfg = PointerConfig(2, g=0.05)
     records = sample_records(psi.projector(), reference_basis(2),
                              fourier_basis(2), cfg, shots=4096, seed=4)
     assert not np.any(records.outcome == 1)
@@ -398,7 +404,7 @@ def test_sampling_masked_outcome_never_drawn():
 
 def test_sampling_same_seed_reproduces_stream():
     rho = random_density_matrix(3, 3, 9)
-    cfg = PointerConfig.uniform(3, g=0.05)
+    cfg = PointerConfig(3, g=0.05)
     a = sample_records(rho, reference_basis(3), fourier_basis(3), cfg,
                        shots=10_000, seed=11)
     b = sample_records(rho, reference_basis(3), fourier_basis(3), cfg,
@@ -411,7 +417,7 @@ def test_sampling_same_seed_reproduces_stream():
 
 def test_record_csv_round_trip():
     rho = DensityMatrix(RHO_EXAMPLE)
-    cfg = PointerConfig.uniform(2, g=0.05)
+    cfg = PointerConfig(2, g=0.05)
     records = sample_records(rho, reference_basis(2), fourier_basis(2),
                              cfg, shots=500, seed=5)
     back = RecordStream.from_csv(records.to_csv())
@@ -431,7 +437,7 @@ def test_record_csv_round_trip_property(seed, d, one_pointer, shots, sigma_scale
         measured = Observable.from_eigensystem(np.arange(d, dtype=float), reference_basis(d))
     else:
         measured = reference_basis(d)
-    cfg = PointerConfig.uniform(1 if one_pointer else d, g=0.2)
+    cfg = PointerConfig(1 if one_pointer else d, g=0.2)
     records = sample_records(random_density_matrix(d, d, seed), measured, fourier_basis(d),
                              cfg, shots=shots, seed=seed,
                              noise=NoiseModel(sigma_scale, offset))
@@ -467,7 +473,7 @@ def bad_records(case):
 
 def test_valid_records_fixture_estimates():
     records = RecordStream.from_csv(VALID_RECORDS)
-    table = estimate_weak_values(records, PointerConfig.uniform(2, g=0.1), 2)
+    table = estimate_weak_values(records, PointerConfig(2, g=0.1), 2)
     assert table.defined.tolist() == [False, False]
 
 
@@ -475,7 +481,7 @@ def test_valid_records_fixture_estimates():
 def test_bad_records_row_is_named(case):
     with pytest.raises(InvalidRecordsError, match=r"records row 3\b") as err:
         records = RecordStream.from_csv(bad_records(case))
-        estimate_weak_values(records, PointerConfig.uniform(2, g=0.1), 2)
+        estimate_weak_values(records, PointerConfig(2, g=0.1), 2)
     assert err.value.code == "invalid-records"
 
 
@@ -489,7 +495,7 @@ def test_bad_records_in_memory_stream_are_rejected():
     single = RecordStream(trial=[0, 1], outcome=[0, 1], pointer=[0, 1],
                           quadrature=[0, 1], readout=[0.1, 0.2])
     with pytest.raises(InvalidRecordsError, match="records row 2: pointer 1"):
-        estimate_weak_values(single, PointerConfig.uniform(1, g=0.1), 2)
+        estimate_weak_values(single, PointerConfig(1, g=0.1), 2)
 
 
 # Each case edits VALID_RECORDS out of the per-trial layout: the text
@@ -512,13 +518,13 @@ def test_records_out_of_trial_layout_are_rejected(case):
     old, new, message = BAD_TRIALS[case]
     records = RecordStream.from_csv(VALID_RECORDS.replace(old, new))
     with pytest.raises(InvalidRecordsError, match=message):
-        estimate_weak_values(records, PointerConfig.uniform(2, g=0.1), 2)
+        estimate_weak_values(records, PointerConfig(2, g=0.1), 2)
 
 
 def test_single_observable_sampling_and_column_estimate():
     rho = DensityMatrix(RHO_EXAMPLE)
     obs = Observable.from_matrix(np.diag([1.0, -1.0]).astype(complex))
-    cfg = PointerConfig.uniform(1, g=0.05)
+    cfg = PointerConfig(1, g=0.05)
     quiet = NoiseModel(readout_sigma_scale=0.0)
     records = sample_records(rho, obs, fourier_basis(2), cfg,
                              shots=2048, seed=6, noise=quiet)
@@ -534,9 +540,9 @@ def test_single_observable_sampling_and_column_estimate():
 
 def test_estimation_requires_positive_coupling():
     rho = DensityMatrix(RHO_EXAMPLE)
-    cfg = PointerConfig.uniform(2, g=0.05)
+    cfg = PointerConfig(2, g=0.05)
     records = sample_records(rho, reference_basis(2), fourier_basis(2),
                              cfg, shots=64, seed=7)
-    dead = PointerConfig.uniform(2, g=0.0)
+    dead = PointerConfig(2, g=0.0)
     with pytest.raises(PreconditionError):
         estimate_weak_values(records, dead, 2)

@@ -32,7 +32,7 @@ from weaktomo.qcore import _density_from_spectrum
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 NAN, INF = float("nan"), float("inf")
 DIAG_NAN = np.diag([NAN, 1.0])
-TABLE = dict(dim=2, W=np.zeros((2, 2)), P=[0.5, 0.5], defined=[True, True])
+TABLE = dict(W=np.zeros((2, 2)), P=[0.5, 0.5], defined=[True, True])
 
 
 @pytest.mark.parametrize("make", [
@@ -44,8 +44,8 @@ TABLE = dict(dim=2, W=np.zeros((2, 2)), P=[0.5, 0.5], defined=[True, True])
     lambda: WeakValueTable(**{**TABLE, "W": DIAG_NAN}),
     lambda: WeakValueTable(**{**TABLE, "P": [NAN, 0.5]}),
     lambda: WeakValueTable(**TABLE, stderr_re=DIAG_NAN, stderr_im=np.zeros((2, 2))),
-    lambda: PointerConfig.uniform(2, g=NAN),
-    lambda: PointerConfig.uniform(2, mean_q=INF),
+    lambda: PointerConfig(2, g=NAN),
+    lambda: PointerConfig(2, mean_q=INF),
     lambda: NoiseModel(readout_sigma_scale=INF),
     lambda: NoiseModel(systematic_offset=NAN),
     lambda: ExperimentConfig(dim=2, scheme="all_data", pointer_g=NAN),

@@ -534,8 +534,7 @@ def _random_unitary(rng, d: int) -> np.ndarray:
 def _noisy_table(table: WeakValueTable, rng, scale: float) -> WeakValueTable:
     shape = table.W.shape
     noise = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return WeakValueTable(dim=table.dim, W=table.W + noise, P=table.P,
-                          defined=table.defined)
+    return WeakValueTable(W=table.W + noise, P=table.P, defined=table.defined)
 
 
 @given(seed=SEEDS, d=DIMS, scale=st.floats(0.0, 0.5))
@@ -573,7 +572,7 @@ def test_all_data_consistency_equals_the_gram_oracle_bit_for_bit(seed, d, blocke
     keep = table.defined & (rng.random(d) >= masked)
     assume((keep & (np.abs(beta.beta).min(axis=1) > 1e-12 * np.abs(beta.beta).max())).any())
     est = reconstruct_pure_all_data(
-        WeakValueTable(dim=d, W=table.W, P=table.P, defined=keep), beta)
+        WeakValueTable(W=table.W, P=table.P, defined=keep), beta)
     candidates = [c.amplitudes for c in est.per_row if c is not None]
     assert all(est.per_row[j] is None for j in range(blocked))
     assert est.consistency == oracle_gram_consistency(candidates)
@@ -587,7 +586,7 @@ def test_mixed_estimator_matches_the_bbasis_oracle(seed, d, scale):
     beta = TransitionMatrix(_random_unitary(rng, d))
     w = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     p = rng.dirichlet(np.ones(d))
-    table = WeakValueTable(dim=d, W=w, P=p, defined=np.ones(d, dtype=bool))
+    table = WeakValueTable(W=w, P=p, defined=np.ones(d, dtype=bool))
     raw = reconstruct_mixed_abasis(table, beta).raw
     expected = oracle_mixed_bbasis(table.W, table.P, beta.beta)
     assert np.max(np.abs(raw - expected)) <= 1e-12 * np.max(np.abs(raw))

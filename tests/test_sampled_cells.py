@@ -67,13 +67,13 @@ def in_memory_table(rho, measured, basis_b, cfg, shots, seed, noise):
 
 def _table_args(d: int, state_seed: int):
     rho = random_density_matrix(d, d, state_seed)
-    return rho, reference_basis(d), fourier_basis(d), PointerConfig.uniform(d, g=G)
+    return rho, reference_basis(d), fourier_basis(d), PointerConfig(d, g=G)
 
 
 def _column_args(d: int, state_seed: int):
     rho = random_density_matrix(d, d, state_seed)
     obs = Observable.from_eigensystem(np.arange(d, dtype=float), reference_basis(d))
-    return rho, obs, fourier_basis(d), PointerConfig.uniform(1, g=G)
+    return rho, obs, fourier_basis(d), PointerConfig(1, g=G)
 
 
 def _via_records(args, shots, seed, noise=NOISE):
@@ -201,7 +201,7 @@ def test_a_batch_of_seeds_gives_each_seed_the_bits_it_has_alone(
 def test_masked_outcome_gives_an_undefined_row_on_both_routes():
     # |+> post-selected in the Fourier basis never reaches outcome 1.
     psi = StateVector.normalized(np.array([1.0, 1.0], dtype=complex))
-    args = (psi, reference_basis(2), fourier_basis(2), PointerConfig.uniform(2, g=G))
+    args = (psi, reference_basis(2), fourier_basis(2), PointerConfig(2, g=G))
     for table in (in_memory_table(*args, SHOTS, 7, NOISE), _via_records(args, SHOTS, 7)):
         assert table.defined.tolist() == [True, False]
         assert table.P[1] == 0.0 and table.P[0] == 1.0
@@ -259,10 +259,10 @@ def test_in_memory_path_raises_what_sample_then_estimate_raises():
     rho = random_density_matrix(2, 2, 1)
     a, b = reference_basis(2), fourier_basis(2)
     cases = [
-        (PointerConfig.uniform(2, g=0.2), 0),   # shots < 1
-        (PointerConfig.uniform(2, g=0.2), 2.5),  # shots no integer
-        (PointerConfig.uniform(3, g=0.2), 10),  # pointer count
-        (PointerConfig.uniform(2, g=0.0), 10),  # g <= 0
+        (PointerConfig(2, g=0.2), 0),   # shots < 1
+        (PointerConfig(2, g=0.2), 2.5),  # shots no integer
+        (PointerConfig(3, g=0.2), 10),  # pointer count
+        (PointerConfig(2, g=0.0), 10),  # g <= 0
     ]
     for pcfg, shots in cases:
         with pytest.raises(Exception) as expected:

@@ -1,5 +1,6 @@
 """JSON and CSV codecs: lossless round trips and stable layouts."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -16,6 +17,7 @@ from weaktomo import (
     run_reconstruction,
 )
 from weaktomo import serialize as ser
+from weaktomo.errors import DimensionMismatchError
 
 RHO_EXAMPLE = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
 
@@ -112,20 +114,48 @@ def _tables(draw):
         kwargs = dict(stderr_re=grid(errors, d * n).reshape(d, n),
                       stderr_im=grid(errors, d * n).reshape(d, n),
                       n_trials=draw(st.integers(1, 2**62)))
-    return WeakValueTable(dim=d, W=w[0] + 1j * w[1], P=weights / weights.sum(),
+    return WeakValueTable(W=w[0] + 1j * w[1], P=weights / weights.sum(),
                           defined=defined, **kwargs)
 
 
 @given(table=_tables())
 def test_table_json_round_trip_property(table):
     back = ser.table_from_json(json.loads(ser.dumps(ser.table_to_json(table))))
-    assert (back.dim, back.n_trials) == (table.dim, table.n_trials)
-    for name in ("W", "P", "defined", "stderr_re", "stderr_im"):
+    assert (back.dim, back.n_pointers) == (table.dim, table.n_pointers)
+    for name in (f.name for f in dataclasses.fields(WeakValueTable)):
         mine, theirs = getattr(table, name), getattr(back, name)
-        if mine is None:
-            assert theirs is None
+        if mine is None or isinstance(mine, int):
+            assert theirs == mine
         else:
             assert theirs.dtype == mine.dtype and theirs.tobytes() == mine.tobytes()
+
+
+@given(table=_tables(), shift=st.sampled_from([-1, 1]))
+def test_table_json_whose_dim_is_not_its_row_count_is_refused(table, shift):
+    obj = ser.table_to_json(table)
+    obj["dim"] += shift
+    with pytest.raises(DimensionMismatchError, match=f"table dim {table.dim + shift} "):
+        ser.table_from_json(obj)
+
+
+@given(table=_tables(), part=st.sampled_from(["stderr_re", "stderr_im"]))
+def test_table_with_one_stderr_part_is_refused(table, part):
+    with pytest.raises(ValueError, match="both standard-error parts or neither"):
+        WeakValueTable(W=table.W, P=table.P, defined=table.defined,
+                       **{part: np.zeros(table.W.shape)})
+
+
+@pytest.mark.parametrize("decode, field, value", [
+    (ser.table_from_json, "dim", 2.0), (ser.table_from_json, "dim", True),
+    (ser.table_from_json, "n_trials", 0.0), (ser.table_from_json, "n_trials", False),
+    (ser.array_from_json, "dim", 2.0),
+])
+def test_json_counts_are_integers_not_floats_or_booleans(decode, field, value):
+    obj = (ser.table_to_json(_exact_table()) if decode is ser.table_from_json
+           else ser.array_to_json(np.eye(2)))
+    obj[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        decode(obj)
 
 
 def test_table_csv_layout():

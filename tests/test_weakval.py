@@ -205,7 +205,7 @@ def test_sum_rules_detect_perturbation():
     table = weak_value_table(rho, reference_basis(2), fourier_basis(2))
     w = table.W.copy()
     w[0, 0] += 0.1
-    bad = WeakValueTable(dim=2, W=w, P=table.P, defined=table.defined)
+    bad = WeakValueTable(W=w, P=table.P, defined=table.defined)
     report = check_sum_rules(bad)
     assert report.row_sum_dev == pytest.approx(0.1, abs=1e-12)
 
@@ -220,7 +220,7 @@ def test_sum_rules_skip_masked_rows():
 
 def test_table_rejects_bad_probabilities():
     with pytest.raises(ValueError):
-        WeakValueTable(dim=2, W=np.zeros((2, 2), dtype=complex),
+        WeakValueTable(W=np.zeros((2, 2), dtype=complex),
                        P=np.array([0.7, 0.7]), defined=np.array([True, True]))
 
 
