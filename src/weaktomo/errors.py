@@ -11,11 +11,11 @@ class WeakTomoError(Exception):
     code = "error"
 
 
-class InvalidDimensionError(WeakTomoError):
+class InvalidDimensionError(WeakTomoError, ValueError):
     code = "invalid-dimension"
 
 
-class DimensionMismatchError(WeakTomoError):
+class DimensionMismatchError(WeakTomoError, ValueError):
     code = "dimension-mismatch"
 
 

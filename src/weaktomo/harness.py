@@ -267,8 +267,8 @@ def _projector_source(cfg: ExperimentConfig, basis_b: OrthonormalBasis) -> Sourc
 
 def _observable_source(cfg: ExperimentConfig, basis_b: OrthonormalBasis) -> Source:
     lam = np.asarray(np.arange(cfg.dim) if cfg.lambdas is None else cfg.lambdas, dtype=float)
-    if lam.size != cfg.dim:
-        raise ValueError(f"need {cfg.dim} eigenvalues, got {lam.size}")
+    if lam.shape != (cfg.dim,):
+        raise ValueError(f"lambdas must hold {cfg.dim} eigenvalues, got shape {lam.shape}")
     return Source(Observable.from_eigensystem(lam, reference_basis(cfg.dim)), basis_b,
                   cfg.pointer_config(1))
 

@@ -54,8 +54,8 @@ from .weakval import WeakValueTable, weak_value_table
 
 # A record stream may hold at most this many rows (8.9 GB of columns).
 RECORD_ROW_LIMIT = 1 << 28
-# Trials are generated in fixed blocks, each with its own (seed, block) RNG,
-# so the merged stream never depends on how blocks are assigned to workers.
+# Trials are drawn in fixed blocks, each with its own (seed, block) RNG; the
+# block size is part of what fixes a seeded record stream's bytes.
 BLOCK_TRIALS = 1 << 14
 
 QUAD_POSITION = 0

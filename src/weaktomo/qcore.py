@@ -2,6 +2,8 @@
 
 All matrices are stored against the computational reference basis.  Vectors
 are one-dimensional complex arrays; bases keep their vectors as columns.
+Every array enters the types below through one check, ``_checked_array``:
+a vector or a square matrix, of dimension at least 2, with finite entries.
 Arrays held by the types below are frozen (read-only views) after validation.
 """
 
@@ -30,17 +32,29 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} holds a non-finite value")
 
 
-def _check_integer(value, name: str, low=-np.inf, high=np.inf) -> None:
-    """Raise ValueError unless ``value`` is an integer, not a bool, in [low, high]."""
+def _check_integer(value, name: str, low=-np.inf, high=np.inf, error=ValueError) -> None:
+    """Raise ``error`` unless ``value`` is an integer, not a bool, in [low, high]."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     if not low <= value <= high:
-        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+        raise error(f"{name} must lie in [{low}, {high}], got {value}")
 
 
 def _check_dim(dim: int) -> None:
-    if not isinstance(dim, (int, np.integer)) or dim < 2:
-        raise InvalidDimensionError(f"dimension must be an integer >= 2, got {dim!r}")
+    _check_integer(dim, "dimension", 2, error=InvalidDimensionError)
+
+
+def _checked_array(arr, name: str, ndim: int) -> np.ndarray:
+    """``arr`` as a complex vector (``ndim`` 1) or square matrix (``ndim`` 2)
+    of dimension >= 2 with finite entries.  A wrong rank or a non-square matrix
+    raises DimensionMismatchError, a dimension below 2 InvalidDimensionError."""
+    out = np.asarray(arr, dtype=complex)
+    if out.ndim != ndim or out.shape != out.shape[:1] * ndim:
+        kind = "a vector" if ndim == 1 else "a square matrix"
+        raise DimensionMismatchError(f"{name} must be {kind}, got shape {out.shape}")
+    _check_dim(out.shape[0])
+    _check_finite(out, name)
+    return out
 
 
 def fix_global_phase(amplitudes: np.ndarray) -> np.ndarray:
@@ -64,9 +78,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        _check_dim(amp.size)
-        _check_finite(amp, "state vector")
+        amp = _checked_array(self.amplitudes, "state vector", 1)
         norm = np.linalg.norm(amp)
         if abs(norm - 1.0) > ATOL_EXACT:
             raise ValueError(f"state vector norm {norm} is not 1 within {ATOL_EXACT}")
@@ -74,8 +86,7 @@ class StateVector:
 
     @classmethod
     def normalized(cls, amplitudes) -> "StateVector":
-        amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        _check_finite(amp, "state vector")
+        amp = _checked_array(amplitudes, "state vector", 1)
         norm = np.linalg.norm(amp)
         if norm == 0:
             raise ValueError("cannot normalize the zero vector")
@@ -96,13 +107,9 @@ class StateVector:
 
 
 def _unit_trace_hermitian(elements) -> np.ndarray:
-    """The frozen complex matrix, once it is square, finite, Hermitian within
-    1e-12 and of trace 1 within 1e-12: the checks every density matrix gets."""
-    mat = np.asarray(elements, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-    _check_dim(mat.shape[0])
-    _check_finite(mat, "density matrix")
+    """The frozen matrix, once it passes ``_checked_array`` and is Hermitian and
+    of trace 1 within 1e-12: the checks every density matrix gets."""
+    mat = _checked_array(elements, "density matrix", 2)
     if np.max(np.abs(mat - mat.conj().T)) > ATOL_EXACT:
         raise ValueError("density matrix is not Hermitian within 1e-12")
     if abs(np.trace(mat).real - 1.0) > ATOL_EXACT:
@@ -181,6 +188,14 @@ def _density_from_cholesky(mat: np.ndarray) -> DensityMatrix:
     return _carrying_root(_unit_trace_hermitian(mat), root)
 
 
+def _orthonormal_columns(arr, name: str) -> np.ndarray:
+    """The frozen matrix, once it passes ``_checked_array`` and has orthonormal columns."""
+    mat = _checked_array(arr, name, 2)
+    if np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) > ATOL_EXACT:
+        raise ValueError(f"{name} columns are not orthonormal within 1e-12")
+    return _frozen(mat, complex)
+
+
 @dataclass(frozen=True)
 class OrthonormalBasis:
     """Orthonormal basis of C^d; vectors are the columns of ``vectors``."""
@@ -188,15 +203,7 @@ class OrthonormalBasis:
     vectors: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.vectors, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"basis must be a square matrix, got shape {mat.shape}")
-        _check_dim(mat.shape[0])
-        _check_finite(mat, "basis")
-        gram = mat.conj().T @ mat
-        if np.max(np.abs(gram - np.eye(mat.shape[0]))) > ATOL_EXACT:
-            raise ValueError("basis columns are not orthonormal within 1e-12")
-        object.__setattr__(self, "vectors", _frozen(mat, complex))
+        object.__setattr__(self, "vectors", _orthonormal_columns(self.vectors, "basis"))
 
     @property
     def dim(self) -> int:
@@ -208,30 +215,22 @@ class OrthonormalBasis:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Overlaps beta[j, i] = <b_j|a_i> between two orthonormal bases.
-
-    The matrix is unitary by construction.  ``is_mub`` reports whether all
-    overlap magnitudes equal 1/sqrt(d) within 1e-12 (mutually unbiased pair).
-    """
+    """Overlaps beta[j, i] = <b_j|a_i> between two orthonormal bases.  Column
+    i is a_i in basis B's coordinates, so beta is checked as a basis is."""
 
     beta: np.ndarray
-    is_mub: bool = field(init=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.beta, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"transition matrix must be square, got {mat.shape}")
-        d = mat.shape[0]
-        _check_dim(d)
-        if np.max(np.abs(mat.conj().T @ mat - np.eye(d))) > ATOL_EXACT:
-            raise ValueError("transition matrix is not unitary within 1e-12")
-        mub = bool(np.max(np.abs(np.abs(mat) - 1.0 / np.sqrt(d))) <= ATOL_EXACT)
-        object.__setattr__(self, "beta", _frozen(mat, complex))
-        object.__setattr__(self, "is_mub", mub)
+        object.__setattr__(self, "beta", _orthonormal_columns(self.beta, "transition matrix"))
 
     @property
     def dim(self) -> int:
         return self.beta.shape[0]
+
+    @functools.cached_property
+    def is_mub(self) -> bool:
+        """Whether every |beta| is 1/sqrt(d) within 1e-12: a mutually unbiased pair."""
+        return bool(np.max(np.abs(np.abs(self.beta) - 1.0 / np.sqrt(self.dim))) <= ATOL_EXACT)
 
 
 @dataclass(frozen=True)
@@ -247,10 +246,9 @@ class Observable:
     eigenbasis: OrthonormalBasis
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = _checked_array(self.matrix, "observable", 2)
         vals = np.asarray(self.eigenvalues, dtype=float)
-        _check_finite(mat, "observable")
-        _check_finite(vals, "observable eigenvalues")
+        _checked_array(vals, "observable eigenvalues", 1)
         if np.max(np.abs(mat - mat.conj().T)) > ATOL_EXACT:
             raise ValueError("observable is not Hermitian within 1e-12")
         if mat.shape[0] != vals.size or mat.shape[0] != self.eigenbasis.dim:
@@ -268,7 +266,7 @@ class Observable:
 
     @classmethod
     def from_matrix(cls, matrix) -> "Observable":
-        mat = np.asarray(matrix, dtype=complex)
+        mat = _checked_array(matrix, "observable", 2)
         hermitized = (mat + mat.conj().T) / 2.0
         if np.max(np.abs(mat - hermitized)) > ATOL_EXACT:
             raise ValueError("observable is not Hermitian within 1e-12")
@@ -278,6 +276,8 @@ class Observable:
     @classmethod
     def from_eigensystem(cls, eigenvalues, basis: OrthonormalBasis) -> "Observable":
         vals = np.asarray(eigenvalues, dtype=float)
+        if vals.shape != (basis.dim,):
+            raise DimensionMismatchError("observable parts have mismatched dims")
         return cls(_spectral_sum(vals, basis), vals, basis)
 
     @classmethod

@@ -42,8 +42,7 @@ from .qcore import (
     OrthonormalBasis,
     StateVector,
     TransitionMatrix,
-    _check_dim,
-    _check_finite,
+    _checked_array,
     _density_from_cholesky,
     _density_from_spectrum,
     fix_global_phase,
@@ -377,17 +376,12 @@ def _nearest_state(raw) -> tuple[DensityMatrix, float | None]:
     Otherwise: eigh, the simplex projection of the eigenvalues, and the
     state built from that spectrum.
     """
-    raw = np.asarray(raw, dtype=complex)
-    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {raw.shape}")
-    d = raw.shape[0]
-    _check_dim(d)
-    _check_finite(raw, "raw estimate")
+    raw = _checked_array(raw, "raw estimate", 2)
     hermitized = _hermitian_part(raw)
     diag = hermitized.diagonal().real
     if diag.max() < diag.min() + 1.0:
         shifted = hermitized.copy()
-        shifted.reshape(-1)[:: d + 1] -= (diag.sum() - 1.0) / d
+        shifted.reshape(-1)[:: diag.size + 1] -= (diag.sum() - 1.0) / diag.size
         try:
             state = _density_from_cholesky(shifted)
         except np.linalg.LinAlgError:

@@ -182,7 +182,8 @@ def check_sum_rules(
     basis A (real, so their imaginary part must vanish).  When ``rho`` is
     given, as a StateVector or a DensityMatrix, the diagonal is cross-checked
     explicitly; ``basis_a`` defaults to the computational reference basis.
-    The rules hold for a basis-A table only; any other pointer count raises
+    The rules hold for a basis-A table only; any other pointer count, or a
+    ``rho`` or ``basis_a`` of another dimension than the table, raises
     DimensionMismatchError.
     """
     if table.n_pointers != table.dim:
@@ -198,7 +199,11 @@ def check_sum_rules(
     imag_dev = float(np.max(np.abs(weighted.imag))) if table.dim else 0.0
     diag_dev = None
     if rho is not None:
+        mat = _as_density(rho)
         av = basis_a.vectors if basis_a is not None else np.eye(table.dim, dtype=complex)
-        diag = np.einsum("ij,ji->i", av.conj().T, _as_density(rho) @ av).real
+        if mat.shape[0] != table.dim or av.shape[0] != table.dim:
+            raise DimensionMismatchError(f"dims table={table.dim}, rho={mat.shape[0]}, "
+                                         f"A={av.shape[0]} do not agree")
+        diag = np.einsum("ij,ji->i", av.conj().T, mat @ av).real
         diag_dev = float(np.max(np.abs(weighted - diag)))
     return SumRuleReport(row_sum_dev=row_sum_dev, imag_dev=imag_dev, diag_dev=diag_dev)

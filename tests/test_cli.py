@@ -255,6 +255,21 @@ def test_simulate_single_pointer_schemes_round_trip(tmp_path, scheme):
     assert json.loads(proc.stderr)["error"] == "dimension-mismatch"
 
 
+@pytest.mark.parametrize("scheme, field, state_spec", [("partial", "partial_a", "ginibre"),
+                                                       ("partial", "partial_b", "haar-pure"),
+                                                       ("single_projector", "phi", "haar-pure")])
+def test_a_matrix_where_a_vector_belongs_is_a_dimension_mismatch(scheme, field, state_spec):
+    # a 2 x 2 matrix holds d=4 values, but it is no d=4 vector
+    matrix = json.dumps(ser.array_to_json(np.array([[1.0, 2.0], [3.0, 4.0]])))
+    proc = run_cli("reconstruct", "--set", "dim=4", "--set", f"scheme={scheme}",
+                   "--set", f"state_spec={state_spec}", "--set", f"{field}={matrix}", "--exact")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {
+        "error": "dimension-mismatch",
+        "message": "state vector must be a vector, got shape (2, 2)"}
+
+
 def test_simulate_partial_writes_the_pairs_table(tmp_path):
     # partial reads a d x 1 table, of the default non-orthogonal pair or of
     # an orthogonal pair through its bridge; simulate writes it, and the

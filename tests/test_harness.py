@@ -127,6 +127,15 @@ def test_single_observable_reports_kernel():
     assert bundle.table.n_trials == 0
 
 
+@pytest.mark.parametrize("lambdas", [np.ones((2, 2)), np.arange(3.0), np.arange(5.0)])
+def test_single_observable_needs_one_eigenvalue_per_dimension(lambdas):
+    # a 2 x 2 array holds 4 values but is no spectrum of a d=4 observable
+    cfg = ExperimentConfig(dim=4, scheme="single_observable", lambdas=lambdas)
+    with pytest.raises(ValueError, match=rf"^lambdas must hold 4 eigenvalues, "
+                                         rf"got shape \({lambdas.shape[0]},"):
+        run_reconstruction(cfg)
+
+
 def test_exact_mode_ignores_shots_and_noise():
     a = run_reconstruction(ExperimentConfig(dim=3, scheme="all_data", state_seed=3))
     b = run_reconstruction(ExperimentConfig(dim=3, scheme="all_data", state_seed=3,

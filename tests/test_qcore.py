@@ -1,10 +1,15 @@
 """Foundation types: bases, random ensembles, metrics, phase convention."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import weaktomo
 
 from weaktomo import (
     DensityMatrix,
@@ -17,9 +22,11 @@ from weaktomo import (
     Observable,
     OrthonormalBasis,
     StateVector,
+    TransitionMatrix,
     fidelity,
     fix_global_phase,
     fourier_basis,
+    project_to_physical,
     random_density_matrix,
     random_pure_state,
     reference_basis,
@@ -39,6 +46,8 @@ TABLE = dict(W=np.zeros((2, 2)), P=[0.5, 0.5], defined=[True, True])
     lambda: StateVector([NAN, 1.0]),
     lambda: DensityMatrix(DIAG_NAN),
     lambda: OrthonormalBasis(np.diag([INF, 1.0])),
+    lambda: TransitionMatrix(DIAG_NAN),
+    lambda: TransitionMatrix(np.diag([1.0, -INF])),
     lambda: Observable(DIAG_NAN, [0.0, 1.0], reference_basis(2)),
     lambda: Observable(np.diag([0.0, 1.0]), [NAN, 1.0], reference_basis(2)),
     lambda: WeakValueTable(**{**TABLE, "W": DIAG_NAN}),
@@ -50,12 +59,76 @@ TABLE = dict(W=np.zeros((2, 2)), P=[0.5, 0.5], defined=[True, True])
     lambda: NoiseModel(systematic_offset=NAN),
     lambda: ExperimentConfig(dim=2, scheme="all_data", pointer_g=NAN),
     lambda: serialize.dumps({"x": NAN}),
-], ids=["state", "density", "basis", "observable", "eigenvalues", "table_W", "table_P",
-        "table_stderr", "pointer_g", "pointer_mean_q", "noise_scale", "noise_offset",
-        "config", "dumps"])
+], ids=["state", "density", "basis", "beta_nan", "beta_inf", "observable", "eigenvalues",
+        "table_W", "table_P", "table_stderr", "pointer_g", "pointer_mean_q", "noise_scale",
+        "noise_offset", "config", "dumps"])
 def test_non_finite_input_is_rejected(make):
     with pytest.raises(ValueError):
         make()
+
+
+def _raised_in_weaktomo(exc: BaseException) -> bool:
+    """Whether the innermost frame of the exception's traceback is weaktomo
+    code, so its message is the package's own and not numpy's."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return Path(tb.tb_frame.f_code.co_filename).parent == Path(weaktomo.__file__).parent
+
+
+# Finite entries stay below 1e100: a norm or a Gram product of entries near
+# the float maximum overflows, which is arithmetic and not the entry check.
+ENTRIES = st.sampled_from([0.0, 1.0, NAN, INF, -INF]) | st.floats(-1e100, 1e100)
+
+
+@given(make=st.sampled_from([StateVector, StateVector.normalized, DensityMatrix,
+                             OrthonormalBasis, TransitionMatrix, Observable.from_matrix,
+                             project_to_physical]),
+       arr=hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                      elements=ENTRIES))
+@example(make=StateVector.normalized, arr=np.ones(3))
+@example(make=TransitionMatrix, arr=np.eye(3))
+@example(make=project_to_physical, arr=np.diag([2.0, -1.0]))
+def test_every_array_type_returns_a_valid_object_or_its_own_value_error(make, arr):
+    # Any rank, side or entry: a checked object of dimension >= 2, or a
+    # ValueError raised by weaktomo itself.  A RuntimeWarning on the way
+    # fails the test too: pyproject.toml turns it into an error.
+    try:
+        out = make(arr)
+    except ValueError as exc:
+        assert _raised_in_weaktomo(exc), exc
+        return
+    assert out.dim >= 2 and arr.ndim in (1, 2) and np.isfinite(arr).all()
+
+
+@pytest.mark.parametrize("make, arr, error, message", [
+    (StateVector, np.eye(2), DimensionMismatchError,
+     "state vector must be a vector, got shape (2, 2)"),
+    (StateVector.normalized, np.ones((4, 1)), DimensionMismatchError,
+     "state vector must be a vector"),
+    (StateVector, np.ones(1), InvalidDimensionError, "dimension must lie in [2, inf], got 1"),
+    (DensityMatrix, np.ones((2, 3)), DimensionMismatchError,
+     "density matrix must be a square matrix"),
+    (OrthonormalBasis, np.ones(4), DimensionMismatchError, "basis must be a square matrix"),
+    (TransitionMatrix, np.ones((2, 2, 2)), DimensionMismatchError,
+     "transition matrix must be a square matrix"),
+    (TransitionMatrix, np.ones((2, 2)), ValueError,
+     "transition matrix columns are not orthonormal"),
+    (Observable.from_matrix, np.ones((2, 3)), DimensionMismatchError,
+     "observable must be a square matrix"),
+    (lambda m: Observable(m, [0.0, 1.0], reference_basis(2)), np.ones((2, 3)),
+     DimensionMismatchError, "observable must be a square matrix, got shape (2, 3)"),
+    (lambda v: Observable.from_eigensystem(v, fourier_basis(2)), np.arange(3.0),
+     DimensionMismatchError, "observable parts have mismatched dims"),
+    (project_to_physical, np.zeros((1, 1)), InvalidDimensionError, "dimension must lie in"),
+], ids=["state_2d", "normalized_2d", "state_d1", "density_2x3", "basis_1d", "beta_3d",
+        "beta_not_unitary", "from_matrix_2x3", "observable_2x3", "eigensystem_3_of_2",
+        "project_1x1"])
+def test_one_array_check_names_the_array_and_the_fault(make, arr, error, message):
+    with pytest.raises(error) as info:
+        make(arr)
+    assert str(info.value).startswith(message)
+    assert isinstance(info.value, ValueError)
 
 
 def test_fourier_basis_d2_columns():

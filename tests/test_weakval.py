@@ -200,6 +200,15 @@ def test_sum_rules_hold_on_every_exact_table(case):
     assert check_sum_rules(table, truth).within(1e-12 * d)
 
 
+def test_sum_rules_refuse_a_state_or_basis_of_another_dimension():
+    table = weak_value_table(random_pure_state(2, 0), reference_basis(2), fourier_basis(2))
+    for rho, basis_a, dims in ((random_pure_state(3, 0), None, "rho=3, A=2"),
+                               (random_density_matrix(3, 3, 0), None, "rho=3, A=2"),
+                               (random_pure_state(2, 0), reference_basis(3), "rho=2, A=3")):
+        with pytest.raises(DimensionMismatchError, match=f"^dims table=2, {dims} do not agree"):
+            check_sum_rules(table, rho=rho, basis_a=basis_a)
+
+
 def test_sum_rules_detect_perturbation():
     rho = DensityMatrix(RHO_EXAMPLE)
     table = weak_value_table(rho, reference_basis(2), fourier_basis(2))
